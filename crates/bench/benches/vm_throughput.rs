@@ -5,6 +5,12 @@
 //! kernel that is the native tier's best case. Run with `--release`;
 //! the compiled engine is expected to be ≥2× the tree walker, and the
 //! native tier ≥1.5× the compiled engine on the straight-line kernel.
+//!
+//! The chunk rows feed a `CountingSink`. The `ns/uop` rows run the
+//! scalar interpreter and the compiled engine on both a `CountingSink`
+//! and the Table 1 `OooSim`, the sink that every serve run and the
+//! `fig8` sweep drive; the gap between the two is what the cycle model
+//! costs per µop.
 
 use std::time::Instant;
 
@@ -12,9 +18,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use flexvec::{vectorize, SpecRequest, Vectorized};
 use flexvec_ir::build::*;
 use flexvec_mem::AddressSpace;
+use flexvec_sim::OooSim;
 use flexvec_vm::{
-    native_supported, run_vector_precompiled_with_scratch, run_vector_with_engine, Bindings,
-    CompiledVProg, CountingSink, Engine, ExecScratch,
+    native_supported, run_scalar, run_vector_precompiled_with_scratch, run_vector_with_engine,
+    Bindings, CompiledVProg, CountingSink, Engine, ExecScratch, TraceSink,
 };
 use flexvec_workloads::{Suite, Workload};
 
@@ -117,6 +124,50 @@ fn chunks_per_sec(
     chunks as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Host nanoseconds per µop over `iters` back-to-back runs of the
+/// scalar interpreter (`compiled` is `None`) or the compiled engine,
+/// each feeding a fresh sink: a `CountingSink`, or with `ooo` a Table 1
+/// `OooSim`.
+fn ns_per_uop(
+    p: &mut Prepared,
+    compiled: &mut Option<(CompiledVProg, ExecScratch)>,
+    ooo: bool,
+    iters: u32,
+) -> f64 {
+    let mut uops = 0u64;
+    let start = Instant::now();
+    for _ in 0..iters {
+        let mut counting = CountingSink::default();
+        let mut sim;
+        let sink: &mut dyn TraceSink = if ooo {
+            sim = OooSim::table1();
+            &mut sim
+        } else {
+            &mut counting
+        };
+        match compiled {
+            Some((c, scratch)) => {
+                run_vector_precompiled_with_scratch(
+                    &p.workload.program,
+                    &p.vectorized.vprog,
+                    c,
+                    scratch,
+                    &mut p.mem,
+                    p.bindings.clone(),
+                    sink,
+                )
+                .expect("runs");
+            }
+            None => {
+                run_scalar(&p.workload.program, &mut p.mem, p.bindings.clone(), sink)
+                    .expect("runs");
+            }
+        }
+        uops += sink.len();
+    }
+    start.elapsed().as_nanos() as f64 / uops.max(1) as f64
+}
+
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("vm_throughput");
     group.sample_size(20);
@@ -149,6 +200,14 @@ fn bench_engines(c: &mut Criterion) {
              ({:.2}x)",
             comp / tree
         );
+        for (label, engine) in [("scalar", &mut None), ("compiled", &mut compiled_engine)] {
+            let counting = ns_per_uop(&mut p, engine, false, 40);
+            let ooo = ns_per_uop(&mut p, engine, true, 40);
+            println!(
+                "{name}: {label} {counting:.1} ns/uop on CountingSink, \
+                 {ooo:.1} ns/uop on OooSim"
+            );
+        }
         if let Some((plan, _)) = &native_engine {
             let (segments, inline_ops, helper_ops, code_bytes) = plan.native_info();
             let nat = chunks_per_sec(&mut p, &mut native_engine, 40);
@@ -209,6 +268,12 @@ fn bench_engines(c: &mut Criterion) {
                 b.iter(|| chunks_per_sec(&mut p, &mut native_engine, 1))
             });
         }
+        group.bench_function(&format!("{name}/scalar/ooo"), |b| {
+            b.iter(|| ns_per_uop(&mut p, &mut None, true, 1))
+        });
+        group.bench_function(&format!("{name}/compiled/ooo"), |b| {
+            b.iter(|| ns_per_uop(&mut p, &mut compiled_engine, true, 1))
+        });
     }
     group.finish();
 }

@@ -10,7 +10,8 @@
 //!   occupancy constraints (an instruction cannot dispatch until the
 //!   entry of the instruction `N` slots ahead of it has been released);
 //! * **dependences** — a register scoreboard over the trace's abstract
-//!   tokens; an instruction issues when its sources are ready;
+//!   tokens (dense tables indexed by token id, see [`Scoreboard`]); an
+//!   instruction issues when its sources are ready;
 //! * **ports** — 2 load ports, 1 store port, 4 ALU/vector ports, each
 //!   held for the class's inverse throughput (gathers occupy the load
 //!   ports at 2 lanes per cycle, per the paper's FF-instruction row);
@@ -22,12 +23,16 @@
 //! core; it reproduces the *relative* throughput effects Figure 8 depends
 //! on (ILP extraction limits, dependence chains, gather costs,
 //! mispredicts) rather than absolute cycle counts.
+//!
+//! Processing a µop does no hashing, and no heap allocation beyond the
+//! scoreboard tables' amortized growth: the scoreboard is a set of dense
+//! tables indexed by token id, and the cache walk reads the µop's
+//! addresses in place.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use flexvec_mem::{Access, CacheSim, CacheStats, LINE_BYTES};
-use flexvec_vm::{Tok, TraceSink, Uop, UopClass};
+use flexvec_vm::{Tok, TraceSink, Uop, UopClass, TEMP_BASE};
 
 use crate::config::{OpTiming, SimConfig};
 
@@ -130,6 +135,95 @@ impl Window {
     }
 }
 
+/// Size a token table may grow to regardless of its current length.
+const MIN_TABLE: usize = 256;
+
+/// Ready cycles of one token class, indexed by token id.
+///
+/// Ids are expected to be small and dense (virtual registers, program
+/// variables, temporaries numbered upward). An id that would more than
+/// double the table — a sentinel such as `Tok::S(u32::MAX - 1)` — lives
+/// on a short side list instead, and is folded back into the table if
+/// the table ever grows past it. So no id alone sets an allocation size.
+#[derive(Clone, Debug, Default)]
+struct Table {
+    dense: Vec<u64>,
+    /// `(id, ready)` pairs for ids at or past `dense.len()`.
+    side: Vec<(u32, u64)>,
+}
+
+impl Table {
+    /// The ready cycle of `id`; 0 if it was never written.
+    fn get(&self, id: u32) -> u64 {
+        match self.dense.get(id as usize) {
+            Some(&ready) => ready,
+            None => self
+                .side
+                .iter()
+                .find(|&&(i, _)| i == id)
+                .map_or(0, |&(_, ready)| ready),
+        }
+    }
+
+    fn set(&mut self, id: u32, ready: u64) {
+        let idx = id as usize;
+        if let Some(slot) = self.dense.get_mut(idx) {
+            *slot = ready;
+            return;
+        }
+        let limit = (2 * self.dense.len()).max(MIN_TABLE);
+        if idx < limit {
+            self.dense.resize(limit, 0);
+            let dense = &mut self.dense;
+            self.side.retain(|&(i, r)| match dense.get_mut(i as usize) {
+                Some(slot) => {
+                    *slot = r;
+                    false
+                }
+                None => true,
+            });
+            self.dense[idx] = ready;
+        } else if let Some(entry) = self.side.iter_mut().find(|(i, _)| *i == id) {
+            entry.1 = ready;
+        } else {
+            self.side.push((id, ready));
+        }
+    }
+}
+
+/// The register scoreboard: the cycle each token's value is ready, one
+/// [`Table`] per token class. Scalar temporaries (ids from
+/// [`TEMP_BASE`] up) get their own table, offset by `TEMP_BASE`, so the
+/// program variables below it and the temporaries above it both index
+/// from 0.
+#[derive(Clone, Debug, Default)]
+struct Scoreboard {
+    v: Table,
+    k: Table,
+    s: Table,
+    temp: Table,
+}
+
+impl Scoreboard {
+    fn get(&self, tok: Tok) -> u64 {
+        match tok {
+            Tok::V(id) => self.v.get(id),
+            Tok::K(id) => self.k.get(id),
+            Tok::S(id) if id < TEMP_BASE => self.s.get(id),
+            Tok::S(id) => self.temp.get(id - TEMP_BASE),
+        }
+    }
+
+    fn set(&mut self, tok: Tok, ready: u64) {
+        match tok {
+            Tok::V(id) => self.v.set(id, ready),
+            Tok::K(id) => self.k.set(id, ready),
+            Tok::S(id) if id < TEMP_BASE => self.s.set(id, ready),
+            Tok::S(id) => self.temp.set(id - TEMP_BASE, ready),
+        }
+    }
+}
+
 /// Per-cycle bandwidth limiter.
 #[derive(Clone, Copy, Debug, Default)]
 struct Bandwidth {
@@ -162,7 +256,7 @@ pub struct OooSim {
     config: SimConfig,
     cache: CacheSim,
     predictor: Predictor,
-    ready: HashMap<Tok, u64>,
+    ready: Scoreboard,
     rob: Window,
     rs: Window,
     lq: Window,
@@ -188,7 +282,7 @@ impl OooSim {
         OooSim {
             cache,
             predictor: Predictor::new(),
-            ready: HashMap::new(),
+            ready: Scoreboard::default(),
             rob: Window::new(config.rob_entries),
             rs: Window::new(config.rs_entries),
             lq: Window::new(config.load_queue),
@@ -259,9 +353,43 @@ impl OooSim {
     fn srcs_ready(&self, uop: &Uop) -> u64 {
         uop.srcs
             .iter()
-            .map(|t| self.ready.get(t).copied().unwrap_or(0))
+            .map(|&t| self.ready.get(t))
             .max()
             .unwrap_or(0)
+    }
+
+    /// Looks up every cache access of a memory µop, in trace order, and
+    /// passes each one's index and latency to `f`: one access per
+    /// distinct run of same-line addresses for the unit-stride forms,
+    /// one per address otherwise (scalar accesses, gather/scatter
+    /// lanes). Returns the number of accesses.
+    fn walk_accesses(
+        cache: &mut CacheSim,
+        uop: &Uop,
+        kind: Access,
+        mut f: impl FnMut(u64, u32),
+    ) -> u64 {
+        let unit_stride = matches!(
+            uop.class,
+            UopClass::VecLoad | UopClass::VecLoadFF | UopClass::VecStore
+        );
+        let mut n = 0;
+        let mut last_line = None;
+        for &addr in &uop.addrs {
+            let addr = if unit_stride {
+                let line = addr / LINE_BYTES;
+                if last_line == Some(line) {
+                    continue;
+                }
+                last_line = Some(line);
+                line * LINE_BYTES
+            } else {
+                addr
+            };
+            f(n, cache.access(addr, kind));
+            n += 1;
+        }
+        n
     }
 
     fn process(&mut self, uop: &Uop) {
@@ -317,7 +445,6 @@ impl OooSim {
         let (issue, complete) = if uop.class.is_load() {
             // One cache access per touched line for unit-stride forms, one
             // per lane for gathers; the load ports sustain 2 per cycle.
-            let accesses = self.memory_accesses(uop, Access::Read);
             let agu = match uop.class {
                 UopClass::Gather | UopClass::GatherFF | UopClass::VecLoadFF => {
                     self.config.gather_agu_latency as u64
@@ -326,26 +453,26 @@ impl OooSim {
             };
             let start = self.issue_bw.take(ready, cfg_issue);
             let mut done = start + agu;
-            for (i, lat) in accesses.iter().enumerate() {
+            let load_ports = &mut self.load_ports;
+            let accesses = Self::walk_accesses(&mut self.cache, uop, Access::Read, |i, lat| {
                 // Two loads per cycle across the load ports.
-                let slot =
-                    Self::earliest_port(&mut self.load_ports, start + agu + (i as u64 / 2), 1);
-                done = done.max(slot + *lat as u64);
-            }
-            if accesses.is_empty() {
+                let slot = Self::earliest_port(load_ports, start + agu + i / 2, 1);
+                done = done.max(slot + lat as u64);
+            });
+            if accesses == 0 {
                 done = start + 1;
             }
             (start, done)
         } else if uop.class.is_store() {
-            let accesses = self.memory_accesses(uop, Access::Write);
             let start = self.issue_bw.take(ready, cfg_issue);
             let mut done = start + 1;
-            for (i, _lat) in accesses.iter().enumerate() {
+            let store_ports = &mut self.store_ports;
+            Self::walk_accesses(&mut self.cache, uop, Access::Write, |i, _lat| {
                 // Stores retire through the store port; the data latency
                 // is hidden by the store buffer, so only occupancy counts.
-                let slot = Self::earliest_port(&mut self.store_ports, start + i as u64, 1);
+                let slot = Self::earliest_port(store_ports, start + i, 1);
                 done = done.max(slot + 1);
-            }
+            });
             (start, done)
         } else {
             let port_start =
@@ -366,7 +493,7 @@ impl OooSim {
 
         // --- writeback / commit -------------------------------------------
         if let Some(dst) = uop.dst {
-            self.ready.insert(dst, complete);
+            self.ready.set(dst, complete);
         }
         let commit = self
             .commit_bw
@@ -378,34 +505,6 @@ impl OooSim {
         }
         if uop.class.is_store() {
             self.sq.push(commit);
-        }
-    }
-
-    /// Cache latencies for the µop's touched lines.
-    fn memory_accesses(&mut self, uop: &Uop, kind: Access) -> Vec<u32> {
-        match uop.class {
-            UopClass::Load | UopClass::Store => uop
-                .addrs
-                .iter()
-                .map(|a| self.cache.access(*a, kind))
-                .collect(),
-            UopClass::VecLoad | UopClass::VecLoadFF | UopClass::VecStore => {
-                // Unit-stride: one access per distinct cache line.
-                let mut lines: Vec<u64> = uop.addrs.iter().map(|a| a / LINE_BYTES).collect();
-                lines.dedup();
-                lines
-                    .iter()
-                    .map(|l| self.cache.access(l * LINE_BYTES, kind))
-                    .collect()
-            }
-            UopClass::Gather | UopClass::GatherFF | UopClass::Scatter => {
-                // One access per active lane.
-                uop.addrs
-                    .iter()
-                    .map(|a| self.cache.access(*a, kind))
-                    .collect()
-            }
-            _ => Vec::new(),
         }
     }
 
@@ -672,5 +771,86 @@ mod tests {
         assert_eq!(c.mask, 1);
         assert_eq!(c.memory, 1);
         assert_eq!(c.txn, 1);
+    }
+
+    /// A 100-round chain S → K → V → S through the given ids.
+    fn token_chain(s: u32, k: u32, v: u32) -> SimResult {
+        let mut sim = OooSim::table1();
+        for _ in 0..100 {
+            sim.emit(Uop::reg(
+                UopClass::ScalarAlu,
+                vec![Tok::V(v)],
+                Some(Tok::S(s)),
+            ));
+            sim.emit(Uop::reg(UopClass::MaskOp, vec![Tok::S(s)], Some(Tok::K(k))));
+            sim.emit(Uop::reg(UopClass::VecAlu, vec![Tok::K(k)], Some(Tok::V(v))));
+        }
+        sim.result()
+    }
+
+    #[test]
+    fn sentinel_token_ids_time_like_small_ids() {
+        // The vector executor's loop-control sentinel, the optimizer's
+        // dead-mask sentinel and the largest vector id must neither size
+        // an allocation nor change the timing of a chain through them.
+        let small = token_chain(3, 3, 3);
+        let sentinel = token_chain(u32::MAX - 1, u32::MAX, u32::MAX);
+        assert!(small.cycles >= 300, "the chain serializes: {small:?}");
+        assert_eq!(sentinel, small);
+    }
+
+    #[test]
+    fn unwritten_sources_are_ready_at_cycle_zero() {
+        let mut board = Scoreboard::default();
+        board.set(Tok::S(4), 9);
+        board.set(Tok::S(TEMP_BASE + 1), 11);
+        for tok in [
+            Tok::S(3),
+            Tok::S(5),
+            Tok::S(TEMP_BASE),
+            Tok::S(TEMP_BASE + 2),
+            Tok::S(u32::MAX - 1),
+            Tok::K(u32::MAX),
+            Tok::V(0),
+        ] {
+            assert_eq!(board.get(tok), 0, "{tok:?}");
+        }
+        assert_eq!(board.get(Tok::S(4)), 9);
+        assert_eq!(board.get(Tok::S(TEMP_BASE + 1)), 11);
+
+        // In the pipeline, a µop reading only unwritten tokens issues
+        // exactly as one with no sources at all.
+        let run = |srcs: Vec<Tok>| {
+            let mut sim = OooSim::table1();
+            sim.emit(alu(1, &[]));
+            sim.emit(Uop::reg(UopClass::VecMul, srcs, Some(Tok::V(2))));
+            sim.result()
+        };
+        let unwritten = vec![
+            Tok::S(2),
+            Tok::K(7),
+            Tok::V(u32::MAX),
+            Tok::S(TEMP_BASE + 9),
+        ];
+        assert_eq!(run(unwritten), run(vec![]));
+    }
+
+    #[test]
+    fn side_list_folds_back_when_the_table_grows_past_it() {
+        let mut table = Table::default();
+        table.set(1000, 7);
+        assert!(table.dense.is_empty(), "a far id must not size the table");
+        assert_eq!(table.get(1000), 7);
+        table.set(1000, 8);
+        assert_eq!(table.side, vec![(1000, 8)]);
+        // Ids numbered upward, as scalar temporaries are, grow the table
+        // by doubling until it covers the side-list id.
+        for id in 0..600 {
+            table.set(id, u64::from(id) + 1);
+        }
+        assert!(table.side.is_empty());
+        assert_eq!(table.get(1000), 8);
+        assert_eq!(table.get(599), 600);
+        assert_eq!(table.get(600), 0);
     }
 }

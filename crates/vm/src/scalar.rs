@@ -134,6 +134,9 @@ pub struct ScalarMachine<'p> {
     /// (register renaming — assignments do not cost a move µop).
     var_tok: Vec<Tok>,
     temp_counter: u32,
+    /// The one µop every emission refills and hands to the sink by
+    /// reference, so the trace costs no allocation per µop.
+    uop: Uop,
 }
 
 impl<'p> ScalarMachine<'p> {
@@ -148,6 +151,7 @@ impl<'p> ScalarMachine<'p> {
             vars,
             var_tok,
             temp_counter: TEMP_BASE,
+            uop: Uop::reg(UopClass::ScalarAlu, Vec::new(), None),
         }
     }
 
@@ -186,6 +190,25 @@ impl<'p> ScalarMachine<'p> {
         Tok::S(self.temp_counter)
     }
 
+    /// Refills the reused µop buffer and passes it to the sink.
+    fn emit(
+        &mut self,
+        sink: &mut dyn TraceSink,
+        class: UopClass,
+        srcs: &[Tok],
+        dst: Option<Tok>,
+        addr: Option<u64>,
+    ) {
+        let uop = &mut self.uop;
+        uop.class = class;
+        uop.srcs.clear();
+        uop.srcs.extend_from_slice(srcs);
+        uop.dst = dst;
+        uop.addrs.clear();
+        uop.addrs.extend(addr);
+        sink.observe(uop);
+    }
+
     fn eval(
         &mut self,
         e: &Expr,
@@ -205,7 +228,7 @@ impl<'p> ScalarMachine<'p> {
                 let addr = mem.elem_addr(arr, idx);
                 let value = mem.read(addr)?;
                 let t = self.temp();
-                sink.emit(Uop::mem(UopClass::Load, vec![idx_tok], Some(t), vec![addr]));
+                self.emit(sink, UopClass::Load, &[idx_tok], Some(t), Some(addr));
                 (value, t)
             }
             Expr::Bin { op, lhs, rhs } => {
@@ -217,20 +240,20 @@ impl<'p> ScalarMachine<'p> {
                     BinOp::Div | BinOp::Rem => UopClass::ScalarDiv,
                     _ => UopClass::ScalarAlu,
                 };
-                sink.emit(Uop::reg(class, vec![ta, tb], Some(t)));
+                self.emit(sink, class, &[ta, tb], Some(t), None);
                 (op.eval(a, b), t)
             }
             Expr::Cmp { op, lhs, rhs } => {
                 let (a, ta) = self.eval(lhs, mem, sink)?;
                 let (b, tb) = self.eval(rhs, mem, sink)?;
                 let t = self.temp();
-                sink.emit(Uop::reg(UopClass::ScalarAlu, vec![ta, tb], Some(t)));
+                self.emit(sink, UopClass::ScalarAlu, &[ta, tb], Some(t), None);
                 (op.eval(a, b) as i64, t)
             }
             Expr::Not(inner) => {
                 let (v, tv) = self.eval(inner, mem, sink)?;
                 let t = self.temp();
-                sink.emit(Uop::reg(UopClass::ScalarAlu, vec![tv], Some(t)));
+                self.emit(sink, UopClass::ScalarAlu, &[tv], Some(t), None);
                 ((v == 0) as i64, t)
             }
         })
@@ -262,30 +285,28 @@ impl<'p> ScalarMachine<'p> {
                     let arr = self.bindings.array(array.0);
                     let addr = mem.elem_addr(arr, idx);
                     mem.write(addr, v)?;
-                    sink.emit(Uop::mem(UopClass::Store, vec![ti, tv], None, vec![addr]));
+                    self.emit(sink, UopClass::Store, &[ti, tv], None, Some(addr));
                 }
                 Stmt::If { cond, then_, else_ } => {
                     // Macro-fusion: `cmp` + `jcc` issue as one µop, so a
                     // top-level comparison folds into the branch.
-                    let (taken, srcs) = match cond {
+                    let id = *branch_id;
+                    *branch_id += 1;
+                    let taken = match cond {
                         Expr::Cmp { op, lhs, rhs } => {
                             let (a, ta) = self.eval(lhs, mem, sink)?;
                             let (b, tb) = self.eval(rhs, mem, sink)?;
-                            (op.eval(a, b), vec![ta, tb])
+                            let taken = op.eval(a, b);
+                            self.emit(sink, UopClass::Branch { id, taken }, &[ta, tb], None, None);
+                            taken
                         }
                         other => {
                             let (c, tc) = self.eval(other, mem, sink)?;
-                            (c != 0, vec![tc])
+                            let taken = c != 0;
+                            self.emit(sink, UopClass::Branch { id, taken }, &[tc], None, None);
+                            taken
                         }
                     };
-                    let id = *branch_id;
-                    *branch_id += 1;
-                    sink.emit(Uop {
-                        class: UopClass::Branch { id, taken },
-                        srcs,
-                        dst: None,
-                        addrs: Vec::new(),
-                    });
                     // Keep static branch ids stable (pre-order: then-arm
                     // branches before else-arm branches) regardless of the
                     // dynamic path.
@@ -330,20 +351,10 @@ impl<'p> ScalarMachine<'p> {
         let mut branch_id = 1; // 0 is the loop back-edge
         let outcome = self.exec_body(&program.loop_.body, mem, sink, &mut branch_id)?;
         // Loop control: increment, compare, back-edge branch.
-        sink.emit(Uop::reg(
-            UopClass::ScalarAlu,
-            vec![Tok::S(self.program.loop_.induction.0)],
-            Some(Tok::S(self.program.loop_.induction.0)),
-        ));
-        sink.emit(Uop {
-            class: UopClass::Branch {
-                id: 0,
-                taken: outcome == StepOutcome::Continue,
-            },
-            srcs: vec![Tok::S(self.program.loop_.induction.0)],
-            dst: None,
-            addrs: Vec::new(),
-        });
+        let iv = Tok::S(self.program.loop_.induction.0);
+        self.emit(sink, UopClass::ScalarAlu, &[iv], Some(iv), None);
+        let taken = outcome == StepOutcome::Continue;
+        self.emit(sink, UopClass::Branch { id: 0, taken }, &[iv], None, None);
         Ok(outcome)
     }
 }

@@ -146,10 +146,11 @@ impl Uop {
 /// Consumer of a µop stream.
 ///
 /// `observe` is the core method and receives µops by reference, so hot
-/// emitters (the compiled engine's preallocated µop templates) can feed a
-/// sink without constructing an owned `Uop` per event. `emit` is the
-/// owned-value convenience used by the tree-walking executor and scalar
-/// interpreter; its default forwards to `observe`.
+/// emitters can feed a sink without constructing an owned `Uop` per
+/// event: the compiled engine passes its preallocated µop templates, and
+/// the scalar interpreter refills one reused µop buffer. `emit` is the
+/// owned-value convenience used by the tree-walking executor; its
+/// default forwards to `observe`.
 pub trait TraceSink {
     /// Receives one µop by reference (the borrow ends when the call
     /// returns; sinks that retain the µop clone it).

@@ -1,16 +1,51 @@
 //! Every Table 2 workload must verify end-to-end: the evaluation harness
 //! cross-checks scalar vs. FlexVec execution (live-outs, induction,
 //! every array element) before reporting any number — this test runs
-//! that gate for all 18 workloads under both speculation mechanisms and
-//! sanity-checks the measured statistics.
+//! that gate for all 18 workloads under both speculation mechanisms,
+//! sanity-checks the measured statistics, and pins the simulated cycle
+//! and µop counts in `tests/golden/sim_cycles.txt`.
+
+use std::fmt::Write as _;
+use std::path::Path;
 
 use flexvec::SpecRequest;
-use flexvec_workloads::{all, evaluate, Suite};
+use flexvec_workloads::{all, evaluate, Evaluation, Suite};
+
+/// Appends the golden line of one evaluation: workload, spec label, then
+/// the four simulated statistics.
+fn record(actual: &mut String, spec: &str, e: &Evaluation) {
+    writeln!(
+        actual,
+        "{} {spec} {} {} {} {}",
+        e.name, e.scalar_cycles, e.flexvec_cycles, e.scalar_uops, e.vector_uops
+    )
+    .unwrap();
+}
+
+/// Compares the recorded lines against the `spec` lines of
+/// `tests/golden/sim_cycles.txt`. Any change to the timing model or to
+/// the µop streams shows up here; on an intentional change, update the
+/// golden file from the `actual` text in the failure message.
+fn assert_matches_golden(spec: &str, actual: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sim_cycles.txt");
+    let golden = std::fs::read_to_string(&path).expect("tests/golden/sim_cycles.txt exists");
+    let expected: String = golden
+        .lines()
+        .filter(|l| l.split(' ').nth(1) == Some(spec))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        actual, expected,
+        "simulated statistics ({spec}) drifted from sim_cycles.txt;\n--- actual ---\n{actual}"
+    );
+}
 
 #[test]
 fn all_workloads_verify_under_first_faulting() {
+    let mut actual = String::new();
     for w in all() {
         let e = evaluate(&w, SpecRequest::Auto).unwrap_or_else(|err| panic!("{}: {err}", w.name));
+        record(&mut actual, "auto", &e);
         assert!(
             e.region_speedup > 0.5,
             "{}: implausible region speedup {:.2}",
@@ -24,19 +59,23 @@ fn all_workloads_verify_under_first_faulting() {
         }
         assert!(e.stats.chunks > 0, "{}: no vector chunks ran", w.name);
     }
+    assert_matches_golden("auto", &actual);
 }
 
 #[test]
 fn all_workloads_verify_under_rtm() {
+    let mut actual = String::new();
     for w in all() {
         let e = evaluate(&w, SpecRequest::Rtm { tile: 192 })
             .unwrap_or_else(|err| panic!("{} (RTM): {err}", w.name));
+        record(&mut actual, "rtm192", &e);
         assert!(
             e.stats.rtm_commits > 0,
             "{}: no committed transactions",
             w.name
         );
     }
+    assert_matches_golden("rtm192", &actual);
 }
 
 #[test]
