@@ -23,9 +23,10 @@
 //! A fourth phase demonstrates tiered execution end to end: one
 //! straight-line-heavy kernel is submitted with the engine omitted
 //! (`auto`), so the daemon's tier policy walks it cold→tree,
-//! warm→bytecode, hot→native across successive requests. The final hot
-//! request's `chunks_per_sec` (measured by the daemon around its own
-//! exec loop, so the wire cancels out) is compared against a forced
+//! warm→bytecode, hot→native across successive requests. The second
+//! hot request's `chunks_per_sec` (measured by the daemon around its own
+//! exec loop, so the wire cancels out; the first one verifies its new
+//! variant on the cycle model) is compared against a forced
 //! `"engine":"compiled"` bench of the same kernel, and on x86-64 hosts
 //! the run fails unless the promoted native tier beats the bytecode
 //! tier by a measurable margin.
@@ -190,6 +191,11 @@ fn drive_tiers(addr: &str) -> TierReport {
     };
     let cold = bench(None, 2);
     let warm = bench(None, 14);
+    // A new invocation count is a new variant, so the first hot
+    // request verifies on the cycle model. The one after it reports
+    // the stored cycles, like the forced-bytecode baseline below, so
+    // the two measure execution alone.
+    bench(None, 48);
     let hot = bench(None, 48);
     let hot_cps = hot
         .get("chunks_per_sec")

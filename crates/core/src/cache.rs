@@ -391,15 +391,11 @@ impl<V> ShardedCache<V> {
     /// recomputes.
     pub fn get_or_insert_coalesced(&self, key: u64, compute: impl Fn() -> V) -> (Arc<V>, bool) {
         loop {
-            {
-                let mut shard = self.shard(key).lock().expect("cache shard");
-                if let Some(e) = shard.map.get(&key) {
-                    let v = Arc::clone(&e.value);
-                    shard.hits += 1;
-                    shard.touch(key, self.shard_cap);
-                    return (v, true);
-                }
+            if let Some(v) = self.hit(key) {
+                return (v, true);
             }
+            #[cfg(test)]
+            tests::pause_after_map_miss();
             {
                 let mut inflight = self.inflight.lock().expect("inflight table");
                 if inflight.keys.contains_key(&key) {
@@ -414,6 +410,14 @@ impl<V> ShardedCache<V> {
                     // inserted (or panicked; then we take over).
                     continue;
                 }
+                // A computer may have inserted and left the in-flight
+                // table since the miss above; it inserts before it
+                // leaves, so under this lock the map has the value.
+                // (The shard lock nests inside the in-flight lock here
+                // and nowhere the other way round.)
+                if let Some(v) = self.hit(key) {
+                    return (v, true);
+                }
                 inflight.keys.insert(key, ());
             }
             let guard = InflightGuard { cache: self, key };
@@ -426,6 +430,15 @@ impl<V> ShardedCache<V> {
             drop(guard); // removes the in-flight entry and wakes waiters
             return (value, false);
         }
+    }
+
+    /// A counted hit on `key`, refreshing its recency.
+    fn hit(&self, key: u64) -> Option<Arc<V>> {
+        let mut shard = self.shard(key).lock().expect("cache shard");
+        let v = Arc::clone(&shard.map.get(&key)?.value);
+        shard.hits += 1;
+        shard.touch(key, self.shard_cap);
+        Some(v)
     }
 
     /// Pins `key`: the entry leaves the LRU order books and becomes
@@ -728,6 +741,54 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 7);
         assert!(stats.coalesced >= 1, "{stats:?}");
+    }
+
+    thread_local! {
+        /// Barrier a submitter on this thread meets twice right after
+        /// its first map miss (see `pause_after_map_miss`).
+        static MAP_MISS_PAUSE: std::cell::RefCell<Option<Arc<std::sync::Barrier>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    /// Test seam in `get_or_insert_coalesced`: a thread that armed
+    /// `MAP_MISS_PAUSE` stops between its map miss and the in-flight
+    /// check until the test has done its interleaving (once).
+    pub(super) fn pause_after_map_miss() {
+        if let Some(barrier) = MAP_MISS_PAUSE.with(|p| p.borrow_mut().take()) {
+            barrier.wait();
+            barrier.wait();
+        }
+    }
+
+    #[test]
+    fn submitter_missing_just_before_an_insert_does_not_recompute() {
+        let cache: ShardedCache<u64> = ShardedCache::new();
+        let computes = AtomicUsize::new(0);
+        let compute = || {
+            computes.fetch_add(1, Ordering::Relaxed);
+            7
+        };
+        let pause = Arc::new(std::sync::Barrier::new(2));
+        let key = 42u64;
+        std::thread::scope(|scope| {
+            let late = scope.spawn(|| {
+                MAP_MISS_PAUSE.with(|p| *p.borrow_mut() = Some(Arc::clone(&pause)));
+                cache.get_or_insert_coalesced(key, compute)
+            });
+            // The late submitter has missed the map. Another submitter
+            // now computes, inserts, and leaves the in-flight table
+            // before the late one looks at it.
+            pause.wait();
+            let (_, hit) = cache.get_or_insert_coalesced(key, compute);
+            assert!(!hit);
+            pause.wait();
+            let (v, hit) = late.join().unwrap();
+            assert_eq!(*v, 7);
+            assert!(hit, "the late submitter finds the inserted value");
+        });
+        assert_eq!(computes.load(Ordering::Relaxed), 1, "one compute total");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.coalesced), (1, 1, 0));
     }
 
     #[test]

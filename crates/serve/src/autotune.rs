@@ -36,15 +36,26 @@
 //! rate EWMAs are reset on each respecialization so stale evidence
 //! can't double-trigger.
 //!
-//! The profile also carries the **verified-once** bookkeeping for the
-//! serving executor: the first run of each `(kernel, spec)` variant
-//! executes the scalar baseline alongside the vector code and verifies
-//! them element-for-element; subsequent runs execute vector-only (the
-//! results are deterministic per variant) with a periodic audit
-//! re-verification every [`AutotuneConfig::audit_every`] runs.
-//! Explicit `spec` requests bypass the autotuner — no observations,
-//! no decisions — but share the per-variant verification discipline,
+//! The profile also carries the **verified-once** memo of the serving
+//! executor. A *variant* is what a run executes apart from the engine,
+//! [`VariantKey`] `(spec, vl, invocations)`: every engine emits the
+//! same µop trace, so the engine is not part of it. The first run of a
+//! variant executes the scalar baseline alongside the vector code, both
+//! on the cycle model, verifies them element-for-element, and stores
+//! the two simulated cycle counts ([`VariantCycles`]) with the variant;
+//! later runs execute on a counting sink and report the stored cycles.
+//! A profile keeps at most [`MAX_VARIANTS`] variants, oldest out first.
+//! After [`AutotuneConfig::audit_every`] such runs of a kernel the next
+//! run is an audit: it re-simulates both sides and must reproduce the
+//! stored cycles exactly. Explicit `spec` requests bypass the autotuner
+//! — no observations, no decisions — but share the memo and its audits,
 //! so a pinned daemon and an autotuned one compare like-for-like.
+//!
+//! The latency EWMAs learn only from runs that did not feed the cycle
+//! model. A verifying run costs several times a steady-state one, so
+//! letting it in would bias each latency comparison against the variant
+//! verified last (an RTM trial's first run, say). The fault, abort and
+//! partition rates learn from every run.
 
 use flexvec::SpecRequest;
 use flexvec_profiler::ThroughputReport;
@@ -74,7 +85,7 @@ pub struct AutotuneConfig {
     pub tile_max: u32,
     /// Tile an RTM trial starts at.
     pub explore_tile: u32,
-    /// Vector-only runs of a verified variant between audit
+    /// Runs of a kernel that report stored cycles between audit
     /// re-verifications.
     pub audit_every: u64,
 }
@@ -149,6 +160,10 @@ pub struct Observation<'a> {
     pub invocations: u64,
     /// Wall time of the execution step, microseconds.
     pub wall_micros: u64,
+    /// Whether the run fed the cycle model (it verified). Its wall time
+    /// is not comparable with a steady-state run's, so it stays out of
+    /// the latency EWMAs.
+    pub simulated: bool,
     /// The run's throughput/speculation counters (all tiers report the
     /// same shape).
     pub report: &'a ThroughputReport,
@@ -164,6 +179,35 @@ pub struct Decision {
     /// Stable reason slug (a metrics counter name suffix).
     pub reason: &'static str,
 }
+
+/// What one run executes apart from the engine: the memo key of a
+/// verified variant. Every tier emits the same µop trace, so the
+/// engine is not part of it (an audit would catch a tier that
+/// diverged).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VariantKey {
+    /// The effective speculation request.
+    pub spec: SpecRequest,
+    /// The vector length in lanes.
+    pub vl: usize,
+    /// Invocations per request (cache warmth carries across them, so
+    /// cycles do not scale linearly).
+    pub invocations: u64,
+}
+
+/// The simulated cycles of a verified variant, as the verifying run
+/// measured them over all its invocations.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VariantCycles {
+    /// Scalar baseline cycles.
+    pub scalar: u64,
+    /// Vector cycles (the scalar cycles again for a scalar-only plan).
+    pub vector: u64,
+}
+
+/// Verified variants one kernel profile remembers; the oldest
+/// verification is dropped first.
+pub const MAX_VARIANTS: usize = 8;
 
 /// Which latency book an observation belongs to.
 fn variant_of(spec: SpecRequest) -> usize {
@@ -199,13 +243,12 @@ pub struct KernelProfile {
     bad_tile: Option<u32>,
     /// Reason slug of the last decision (`"none"` before any).
     pub last_reason: &'static str,
-    /// The variant whose scalar-vs-vector verification last passed.
-    verified: Option<SpecRequest>,
-    /// Vector-only runs since that verification.
+    /// Verified variants with their simulated cycles, oldest
+    /// verification first, at most [`MAX_VARIANTS`].
+    variants: Vec<(VariantKey, VariantCycles)>,
+    /// Runs of any variant that reported stored cycles since the
+    /// kernel's last verification.
     runs_since_verify: u64,
-    /// Simulated scalar-baseline cycles per invocation, recorded at
-    /// verification time (reported by vector-only runs).
-    pub scalar_cycles_per_inv: u64,
 }
 
 impl Default for KernelProfile {
@@ -222,37 +265,72 @@ impl Default for KernelProfile {
             rtm_rejected: false,
             bad_tile: None,
             last_reason: "none",
-            verified: None,
+            variants: Vec::new(),
             runs_since_verify: 0,
-            scalar_cycles_per_inv: 0,
         }
     }
 }
 
 impl KernelProfile {
-    /// Whether the next run of `spec` must execute the scalar baseline
-    /// and verify (first run of the variant, or the periodic audit).
-    pub fn needs_verify(&self, spec: SpecRequest, cfg: &AutotuneConfig) -> bool {
-        self.verified != Some(spec) || self.runs_since_verify >= cfg.audit_every
+    /// Whether the next run of `key` must feed the cycle model and
+    /// verify: the variant has no stored cycles, or an audit is due.
+    ///
+    /// Sound only because requests cannot supply inputs. Every run of a
+    /// kernel materializes the same arrays from its source
+    /// (`ParsedKernel::materialize_arrays`), so live-outs, memory and
+    /// cycles are a pure function of (kernel hash, `key`). If requests
+    /// could carry data, neither the stored cycles nor the gate that
+    /// skips the scalar comparison would hold.
+    pub fn needs_verify(&self, key: &VariantKey, cfg: &AutotuneConfig) -> bool {
+        self.verified_cycles(key).is_none() || self.runs_since_verify >= cfg.audit_every
     }
 
-    /// Records that a full verification of `spec` passed (with the
-    /// scalar baseline's simulated cycles per invocation, re-reported
-    /// by later vector-only runs).
-    pub fn note_verified(&mut self, spec: SpecRequest, scalar_cycles_per_inv: u64) {
-        self.verified = Some(spec);
-        self.runs_since_verify = 0;
-        self.scalar_cycles_per_inv = scalar_cycles_per_inv;
+    /// The stored cycles of a verified variant.
+    fn verified_cycles(&self, key: &VariantKey) -> Option<VariantCycles> {
+        self.variants
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|&(_, cycles)| cycles)
     }
 
-    /// Records one vector-only (unverified) run.
-    pub fn note_vector_only(&mut self) {
+    /// The stored cycles the next run of `key` reports instead of
+    /// simulating, counting that run toward the kernel's next audit;
+    /// `None` when the run must verify.
+    pub fn replay(&mut self, key: &VariantKey, cfg: &AutotuneConfig) -> Option<VariantCycles> {
+        if self.needs_verify(key, cfg) {
+            return None;
+        }
         self.runs_since_verify += 1;
+        self.verified_cycles(key)
     }
 
-    /// The variant whose scalar-vs-vector verification last passed.
-    pub fn verified_spec(&self) -> Option<SpecRequest> {
-        self.verified
+    /// Settles a verifying run of `key` that simulated `fresh` cycles.
+    /// Stored cycles must match exactly: an audit that disagrees drops
+    /// the entry, so the next run verifies from scratch, and returns
+    /// the stored cycles as the error. Otherwise `fresh` becomes the
+    /// newest entry and the audit clock restarts.
+    pub fn settle(&mut self, key: VariantKey, fresh: VariantCycles) -> Result<(), VariantCycles> {
+        let stored = self.verified_cycles(&key);
+        self.forget(&key);
+        if let Some(stored) = stored.filter(|s| *s != fresh) {
+            return Err(stored);
+        }
+        if self.variants.len() == MAX_VARIANTS {
+            self.variants.remove(0);
+        }
+        self.variants.push((key, fresh));
+        self.runs_since_verify = 0;
+        Ok(())
+    }
+
+    /// Drops the stored cycles of `key`.
+    pub fn forget(&mut self, key: &VariantKey) {
+        self.variants.retain(|(k, _)| k != key);
+    }
+
+    /// Whether some variant of `spec` has stored cycles.
+    pub fn is_verified(&self, spec: SpecRequest) -> bool {
+        self.variants.iter().any(|(k, _)| k.spec == spec)
     }
 
     /// The RTM tile of the active spec, 0 under `Auto` (for reports).
@@ -273,8 +351,10 @@ impl KernelProfile {
         self.rtm_abort_rate.update(obs.report.rtm_abort_rate());
         self.partitions_per_chunk
             .update(obs.report.partitions_per_chunk());
-        let per_inv = obs.wall_micros as f64 / obs.invocations.max(1) as f64;
-        self.latency[variant_of(obs.spec)].update(per_inv);
+        if !obs.simulated {
+            let per_inv = obs.wall_micros as f64 / obs.invocations.max(1) as f64;
+            self.latency[variant_of(obs.spec)].update(per_inv);
+        }
 
         if self.runs_since_decision < cfg.cooldown_runs {
             return None;
@@ -429,6 +509,7 @@ mod tests {
                 rtm_hint,
                 invocations: 1,
                 wall_micros,
+                simulated: false,
                 report: &r,
             };
             if let Some(d) = p.observe(&obs, cfg) {
@@ -641,6 +722,14 @@ mod tests {
         assert_eq!(p.last_reason, "none");
     }
 
+    fn key(spec: SpecRequest, vl: usize, invocations: u64) -> VariantKey {
+        VariantKey {
+            spec,
+            vl,
+            invocations,
+        }
+    }
+
     #[test]
     fn verification_bookkeeping_audits_periodically() {
         let cfg = AutotuneConfig {
@@ -648,19 +737,94 @@ mod tests {
             ..AutotuneConfig::default()
         };
         let mut p = KernelProfile::default();
-        let spec = SpecRequest::Auto;
-        assert!(p.needs_verify(spec, &cfg), "first run verifies");
-        p.note_verified(spec, 500);
-        assert!(!p.needs_verify(spec, &cfg));
-        assert_eq!(p.scalar_cycles_per_inv, 500);
-        // A different variant needs its own verification.
-        assert!(p.needs_verify(SpecRequest::Rtm { tile: 64 }, &cfg));
-        for _ in 0..3 {
-            p.note_vector_only();
+        let k = key(SpecRequest::Auto, 16, 1);
+        let cycles = VariantCycles {
+            scalar: 500,
+            vector: 200,
+        };
+        assert!(p.needs_verify(&k, &cfg), "first run verifies");
+        assert_eq!(p.replay(&k, &cfg), None);
+        assert_eq!(p.settle(k, cycles), Ok(()));
+        // Every other spec, width and invocation count is a variant of
+        // its own and needs its own verification.
+        for other in [
+            key(SpecRequest::Rtm { tile: 64 }, 16, 1),
+            key(SpecRequest::Auto, 32, 1),
+            key(SpecRequest::Auto, 16, 3),
+        ] {
+            assert!(p.needs_verify(&other, &cfg), "{other:?}");
         }
-        assert!(p.needs_verify(spec, &cfg), "audit after audit_every runs");
-        p.note_verified(spec, 500);
-        assert!(!p.needs_verify(spec, &cfg));
+        for _ in 0..3 {
+            assert_eq!(p.replay(&k, &cfg), Some(cycles));
+        }
+        assert!(p.needs_verify(&k, &cfg), "audit after audit_every runs");
+        assert_eq!(p.replay(&k, &cfg), None);
+        assert_eq!(p.settle(k, cycles), Ok(()), "the audit matches");
+        assert_eq!(p.replay(&k, &cfg), Some(cycles));
+        // An audit that disagrees drops the entry and reports what was
+        // stored; the next run verifies.
+        let drift = VariantCycles {
+            scalar: 501,
+            ..cycles
+        };
+        assert_eq!(p.settle(k, drift), Err(cycles));
+        assert_eq!(p.verified_cycles(&k), None);
+        assert!(p.needs_verify(&k, &cfg));
+    }
+
+    #[test]
+    fn variant_memo_is_bounded_oldest_first() {
+        let mut p = KernelProfile::default();
+        let cycles = |n: u64| VariantCycles {
+            scalar: n,
+            vector: n,
+        };
+        for n in 1..=MAX_VARIANTS as u64 + 1 {
+            p.settle(key(SpecRequest::Auto, 16, n), cycles(n)).unwrap();
+        }
+        assert_eq!(p.variants.len(), MAX_VARIANTS);
+        assert_eq!(p.verified_cycles(&key(SpecRequest::Auto, 16, 1)), None);
+        assert_eq!(
+            p.verified_cycles(&key(SpecRequest::Auto, 16, 2)),
+            Some(cycles(2))
+        );
+        // Re-verifying a stored variant refreshes it: it is now the
+        // newest, and the next insertion drops the one after it.
+        p.settle(key(SpecRequest::Auto, 16, 2), cycles(2)).unwrap();
+        p.settle(key(SpecRequest::Auto, 16, 100), cycles(100))
+            .unwrap();
+        assert!(p.verified_cycles(&key(SpecRequest::Auto, 16, 2)).is_some());
+        assert_eq!(p.verified_cycles(&key(SpecRequest::Auto, 16, 3)), None);
+        assert!(p.is_verified(SpecRequest::Auto));
+        assert!(!p.is_verified(SpecRequest::Rtm { tile: 64 }));
+    }
+
+    #[test]
+    fn simulated_runs_stay_out_of_the_latency_books() {
+        let cfg = AutotuneConfig::default();
+        let mut p = KernelProfile::default();
+        let r = report(16, 12, 0, 0);
+        let mut obs = Observation {
+            spec: SpecRequest::Auto,
+            vectorized: true,
+            rtm_hint: false,
+            invocations: 1,
+            wall_micros: 9000,
+            simulated: true,
+            report: &r,
+        };
+        p.observe(&obs, &cfg);
+        assert_eq!(
+            p.latency[0].samples(),
+            0,
+            "a verifying run is not a latency sample"
+        );
+        assert!(p.ff_fallback_rate.get() > 0.0, "rates learn from every run");
+        obs.simulated = false;
+        obs.wall_micros = 1000;
+        p.observe(&obs, &cfg);
+        assert_eq!(p.latency[0].samples(), 1);
+        assert_eq!(p.latency[0].get(), 1000.0);
     }
 
     #[test]

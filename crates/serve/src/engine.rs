@@ -11,18 +11,21 @@
 //!   AST hash, so a client can send `.fv` source once and refer to it
 //!   by `hash` forever after (until eviction).
 //!
-//! Execution follows the **verified-once** discipline: the first run
-//! of each `(kernel, spec)` variant mirrors `flexvecc run` — scalar
-//! baseline on the Table 1 out-of-order model alongside the vector
-//! code, the two verified against each other element-for-element — and
-//! once a variant has proven itself, steady-state implicit-spec
-//! requests run vector-only (every request materializes the same
-//! seeded arrays, so the comparison is deterministic), with a periodic
-//! audit re-verification. Requests that pin `spec` explicitly follow
-//! the same verification discipline for their pinned variant — the pin
-//! bypasses *adaptation*, not verification — so a fixed-spec daemon
-//! and an autotuned one are comparable like-for-like. Every run goes
-//! through the
+//! Execution follows the **verified-once** discipline, keyed by
+//! variant: [`VariantKey`] `(spec, vl, invocations)`. The first run of
+//! a variant mirrors `flexvecc run` — scalar baseline and vector code,
+//! both on the Table 1 out-of-order model, verified against each other
+//! element-for-element — and stores both simulated cycle counts in the
+//! kernel's profile. Every later run of the variant executes on a
+//! [`CountingSink`], vector-only (the scalar program for a scalar-only
+//! plan), and reports the stored cycles: every request materializes the
+//! same seeded arrays, so there is nothing new to simulate or compare.
+//! A periodic audit re-simulates both sides and must reproduce the
+//! stored cycles exactly; a mismatch fails the request and drops the
+//! entry. Requests that pin `spec` explicitly share the memo and its
+//! audits — the pin bypasses *adaptation*, not verification — so a
+//! fixed-spec daemon and an autotuned one are comparable like-for-like.
+//! Every run goes through the
 //! *cancellable* executor entry points so a request deadline or a
 //! daemon drain stops the VPL loop at the next chunk boundary.
 //!
@@ -45,11 +48,13 @@ use flexvec_profiler::{throughput_samples, vector_stat_samples, StatSample, Thro
 use flexvec_sim::{OooSim, SimConfig};
 use flexvec_vm::{
     native_supported, run_scalar_cancellable, run_vector_precompiled_cancellable,
-    run_vector_with_engine_cancellable, Bindings, CancelToken, CompiledVProg, Engine, TraceSink,
-    VectorStats,
+    run_vector_with_engine_cancellable, Bindings, CancelToken, CompiledVProg, CountingSink, Engine,
+    TraceSink, VectorStats,
 };
 
-use crate::autotune::{AutotuneConfig, KernelProfile, Observation, DECISION_REASONS};
+use crate::autotune::{
+    AutotuneConfig, KernelProfile, Observation, VariantCycles, VariantKey, DECISION_REASONS,
+};
 use crate::json::Json;
 use crate::metrics::ExternalSample;
 use crate::protocol::{hash_hex, ErrorKind, Op, ProtoError, Request};
@@ -570,6 +575,7 @@ impl ServeEngine {
             rtm_hint,
             invocations: req.invocations.max(1),
             wall_micros: outcome.throughput.wall.as_micros() as u64,
+            simulated: outcome.simulated,
             report: &outcome.throughput,
         };
         let decision = self
@@ -746,8 +752,9 @@ impl ServeEngine {
     }
 
     /// Executes the kernel `req.invocations` times under the effective
-    /// `spec`: scalar baseline + verification on the first run of each
-    /// variant (and on audits), vector-only on verified steady state.
+    /// `spec`: on the cycle model with the scalar baseline and
+    /// verification when the variant verifies (its first run, or an
+    /// audit), on a [`CountingSink`] with the stored cycles otherwise.
     fn execute(
         &self,
         kernel: &ParsedKernel,
@@ -758,7 +765,6 @@ impl ServeEngine {
     ) -> Result<ExecOutcome, ProtoError> {
         let program = &kernel.program;
         let arrays = kernel.materialize_arrays();
-        let config = SimConfig::table1();
         let invocations = req.invocations.max(1);
         let map_exec = |stage: &str, e: flexvec_vm::ExecError| match e {
             flexvec_vm::ExecError::Cancelled => cancel_error(cancel),
@@ -795,43 +801,51 @@ impl ServeEngine {
             Bindings::new(ids)
         };
 
-        // Verified-once gate: the scalar baseline (and the element-
-        // for-element comparison below) runs on the first execution of
-        // each (kernel, spec) variant and on every audit after
-        // `AutotuneConfig::audit_every` vector-only runs. Steady-state
-        // traffic of a verified variant runs vector-only — every
-        // request materializes the same seeded arrays, so the baseline
-        // it was verified against is the baseline it would recompute.
-        // This applies to explicit-spec requests too: an explicit spec
-        // pins the *variant*; the verification discipline is the same.
+        // Verified-once gate (`KernelProfile::needs_verify` says why it
+        // is sound): a variant without stored cycles, or one whose
+        // kernel is due an audit, runs on the cycle model and verifies;
+        // every other run replays the stored cycles. This applies to
+        // explicit-spec requests too: an explicit spec pins the
+        // *variant*; the verification discipline is the same.
         let hash = compiled.program_hash;
-        let full_verify = compiled.plan.is_err()
-            || self
-                .profiles
-                .lock()
-                .expect("profiles lock")
-                .entry(hash)
-                .or_default()
-                .needs_verify(spec, &self.tune_cfg);
+        let key = VariantKey {
+            spec,
+            vl: flexvec_isa::vlen(),
+            invocations,
+        };
+        let replay = self
+            .profiles
+            .lock()
+            .expect("profiles lock")
+            .entry(hash)
+            .or_default()
+            .replay(&key, &self.tune_cfg);
+        let simulate = replay.is_none();
 
-        // Scalar baseline on the OOO model.
+        // The scalar program runs when this run verifies, and on every
+        // run of a scalar-only plan, where it is the answer.
         let mut scalar_state = None;
-        if full_verify {
+        if simulate || compiled.plan.is_err() {
             let mut mem_s = AddressSpace::new();
             let bind_s = bind_arrays(&mut mem_s);
-            let mut sim_s = OooSim::new(config.clone());
+            let mut sink = Sink::new(simulate);
             let mut scalar_final = None;
             let scalar_start = Instant::now();
             for _ in 0..invocations {
-                let r =
-                    run_scalar_cancellable(program, &mut mem_s, bind_s.clone(), &mut sim_s, cancel)
-                        .map_err(|e| map_exec("scalar", e))?;
+                let r = run_scalar_cancellable(
+                    program,
+                    &mut mem_s,
+                    bind_s.clone(),
+                    sink.as_dyn(),
+                    cancel,
+                )
+                .map_err(|e| map_exec("scalar", e))?;
                 scalar_final = Some(r);
             }
             scalar_state = Some(ScalarBaseline {
                 wall: scalar_start.elapsed(),
-                cycles: sim_s.result().cycles,
-                uops: sim_s.len(),
+                cycles: sink.cycles(),
+                uops: sink.as_dyn().len(),
                 run: scalar_final.expect("at least one invocation"),
                 mem: mem_s,
                 bind: bind_s,
@@ -839,7 +853,21 @@ impl ServeEngine {
         }
 
         let Ok(plan) = &compiled.plan else {
-            let base = scalar_state.expect("scalar-only plans always run the baseline");
+            let base = scalar_state.expect("scalar-only plans always run the scalar program");
+            let cycles = match replay {
+                Some(cycles) => cycles,
+                None => {
+                    let scalar = base.cycles.expect("a verifying run simulates");
+                    self.settle(
+                        hash,
+                        key,
+                        VariantCycles {
+                            scalar,
+                            vector: scalar,
+                        },
+                    )?
+                }
+            };
             let live_outs = program
                 .live_out
                 .iter()
@@ -847,9 +875,11 @@ impl ServeEngine {
                 .collect();
             return Ok(ExecOutcome {
                 kind: "scalar-only",
+                // The scalar run is the answer: nothing to verify.
                 verified: true,
-                scalar_cycles: base.cycles,
-                vector_cycles: base.cycles,
+                simulated: simulate,
+                scalar_cycles: cycles.scalar,
+                vector_cycles: cycles.vector,
                 stats: VectorStats::default(),
                 // The wall is the scalar loop's: it is the latency an
                 // implicit-spec request actually paid, which is what
@@ -873,7 +903,7 @@ impl ServeEngine {
         self.record_tier(engine, promoted);
         let mut mem_v = AddressSpace::new();
         let bind_v = bind_arrays(&mut mem_v);
-        let mut sim_v = OooSim::new(config);
+        let mut sink_v = Sink::new(simulate);
         let mut scratch = match &native {
             Some(c) => c.scratch(),
             None => plan.compiled.scratch(),
@@ -904,7 +934,7 @@ impl ServeEngine {
                     &mut scratch,
                     &mut mem_v,
                     bind_v.clone(),
-                    &mut sim_v,
+                    sink_v.as_dyn(),
                     cancel,
                 ),
                 Engine::TreeWalking => run_vector_with_engine_cancellable(
@@ -912,7 +942,7 @@ impl ServeEngine {
                     &plan.vectorized.vprog,
                     &mut mem_v,
                     bind_v.clone(),
-                    &mut sim_v,
+                    sink_v.as_dyn(),
                     Engine::TreeWalking,
                     cancel,
                 ),
@@ -929,12 +959,12 @@ impl ServeEngine {
         }
         throughput.wall = wall_start.elapsed();
         throughput.page_cache = mem_v.cache_stats();
-        throughput.uops = sim_v.len();
+        throughput.uops = sink_v.as_dyn().len();
         let vector_run = vector_final.expect("at least one invocation");
-        let vector_cycles = sim_v.result().cycles;
 
-        let (scalar_cycles, live_outs) = match &scalar_state {
-            Some(base) => {
+        let (cycles, live_outs) = match replay {
+            None => {
+                let base = scalar_state.expect("a verifying run runs the scalar baseline");
                 // Verification: live-outs and every array element must
                 // agree with the scalar baseline.
                 for v in &program.live_out {
@@ -963,12 +993,11 @@ impl ServeEngine {
                         ));
                     }
                 }
-                self.profiles
-                    .lock()
-                    .expect("profiles lock")
-                    .entry(hash)
-                    .or_default()
-                    .note_verified(spec, base.cycles / invocations);
+                let fresh = VariantCycles {
+                    scalar: base.cycles.expect("a verifying run simulates"),
+                    vector: sink_v.cycles().expect("a verifying run simulates"),
+                };
+                let cycles = self.settle(hash, key, fresh)?;
                 *self
                     .totals
                     .lock()
@@ -980,19 +1009,12 @@ impl ServeEngine {
                     .iter()
                     .map(|v| (program.var_name(*v).to_owned(), base.run.var(*v)))
                     .collect();
-                (base.cycles, live_outs)
+                (cycles, live_outs)
             }
-            None => {
-                // Vector-only steady state: live-outs come from the
-                // vector run (the verified-identical computation) and
-                // the baseline cycles are the ones recorded at
-                // verification time, scaled to this invocation count.
-                let per_inv = {
-                    let mut profiles = self.profiles.lock().expect("profiles lock");
-                    let p = profiles.entry(hash).or_default();
-                    p.note_vector_only();
-                    p.scalar_cycles_per_inv
-                };
+            Some(cycles) => {
+                // Steady state: live-outs come from the vector run (the
+                // verified-identical computation) and the cycles are
+                // the ones stored when the variant verified.
                 *self
                     .totals
                     .lock()
@@ -1004,7 +1026,7 @@ impl ServeEngine {
                     .iter()
                     .map(|v| (program.var_name(*v).to_owned(), vector_run.var(*v)))
                     .collect();
-                (per_inv * invocations, live_outs)
+                (cycles, live_outs)
             }
         };
 
@@ -1014,12 +1036,48 @@ impl ServeEngine {
                 flexvec::VectorizedKind::Traditional => "traditional",
                 flexvec::VectorizedKind::FlexVec => "flexvec",
             },
-            verified: scalar_state.is_some(),
-            scalar_cycles,
-            vector_cycles,
+            verified: simulate,
+            simulated: simulate,
+            scalar_cycles: cycles.scalar,
+            vector_cycles: cycles.vector,
             stats: last_stats,
             throughput,
             live_outs,
+        })
+    }
+
+    /// Stores a verifying run's simulated cycles with its variant. An
+    /// audit that does not reproduce the stored cycles fails the
+    /// request; the entry is dropped, so the next request verifies.
+    fn settle(
+        &self,
+        hash: u64,
+        key: VariantKey,
+        fresh: VariantCycles,
+    ) -> Result<VariantCycles, ProtoError> {
+        let settled = self
+            .profiles
+            .lock()
+            .expect("profiles lock")
+            .entry(hash)
+            .or_default()
+            .settle(key, fresh);
+        settled.map(|()| fresh).map_err(|stored| {
+            ProtoError::new(
+                ErrorKind::ExecError,
+                format!(
+                    "audit mismatch for kernel {} variant (spec {}, vl {}, invocations {}): \
+                     stored scalar/vector cycles {}/{}, re-simulated {}/{}",
+                    hash_hex(hash),
+                    spec_label(key.spec),
+                    key.vl,
+                    key.invocations,
+                    stored.scalar,
+                    stored.vector,
+                    fresh.scalar,
+                    fresh.vector
+                ),
+            )
         })
     }
 
@@ -1059,10 +1117,18 @@ impl ServeEngine {
                 value: *value,
             })
             .collect();
-        // Active-spec breakdown across profiled kernels: one labeled
-        // gauge family, both rows always present.
+        // Active-spec breakdown across autotuned kernels: one labeled
+        // gauge family, both rows always present. A profile the
+        // autotuner never observed (explicit-spec traffic only) holds
+        // just the variant memo and is not counted.
         let (mut autos, mut rtms) = (0u64, 0u64);
-        for p in self.profiles.lock().expect("profiles lock").values() {
+        for p in self
+            .profiles
+            .lock()
+            .expect("profiles lock")
+            .values()
+            .filter(|p| p.runs > 0)
+        {
             match p.active {
                 SpecRequest::Auto => autos += 1,
                 SpecRequest::Rtm { .. } => rtms += 1,
@@ -1161,12 +1227,14 @@ impl ServeEngine {
         let total = |name: &str| totals.get(name).copied().unwrap_or(0);
         // Per-kernel autotune state, keyed by kernel hash: what the
         // autotuner currently runs and why (`flexvecc client stats
-        // --json` surfaces this verbatim).
+        // --json` surfaces this verbatim). Kernels it never observed
+        // are left out, as in the active-spec gauge.
         let autotune_kernels: BTreeMap<String, Json> = self
             .profiles
             .lock()
             .expect("profiles lock")
             .iter()
+            .filter(|(_, p)| p.runs > 0)
             .map(|(hash, p)| {
                 (
                     hash_hex(*hash),
@@ -1175,10 +1243,7 @@ impl ServeEngine {
                         ("tile".to_owned(), Json::from(u64::from(p.active_tile()))),
                         ("last_reason".to_owned(), Json::from(p.last_reason)),
                         ("runs".to_owned(), Json::from(p.runs)),
-                        (
-                            "verified".to_owned(),
-                            Json::from(p.verified_spec() == Some(p.active)),
-                        ),
+                        ("verified".to_owned(), Json::from(p.is_verified(p.active))),
                     ])),
                 )
             })
@@ -1304,11 +1369,45 @@ fn spec_label(spec: SpecRequest) -> String {
     }
 }
 
-/// The scalar half of a fully verified run: final state and
-/// measurements of the baseline loop.
+/// Where a run's µops go: the Table 1 cycle model when the run
+/// verifies, a counter on every other run.
+enum Sink {
+    Model(Box<OooSim>),
+    Count(CountingSink),
+}
+
+impl Sink {
+    fn new(simulate: bool) -> Self {
+        if simulate {
+            Sink::Model(Box::new(OooSim::new(SimConfig::table1())))
+        } else {
+            Sink::Count(CountingSink::default())
+        }
+    }
+
+    fn as_dyn(&mut self) -> &mut dyn TraceSink {
+        match self {
+            Sink::Model(sim) => sim.as_mut(),
+            Sink::Count(counter) => counter,
+        }
+    }
+
+    /// Simulated cycles; `None` when the run only counted.
+    fn cycles(&self) -> Option<u64> {
+        match self {
+            Sink::Model(sim) => Some(sim.result().cycles),
+            Sink::Count(_) => None,
+        }
+    }
+}
+
+/// The scalar program's run: final state and measurements of the
+/// loop (the baseline of a verifying run, or a scalar-only plan's
+/// answer).
 struct ScalarBaseline {
     wall: Duration,
-    cycles: u64,
+    /// Simulated cycles, when the run fed the cycle model.
+    cycles: Option<u64>,
     uops: u64,
     run: flexvec_vm::RunResult,
     mem: AddressSpace,
@@ -1318,9 +1417,12 @@ struct ScalarBaseline {
 /// Measured outcome of one executed request.
 struct ExecOutcome {
     kind: &'static str,
-    /// Whether this run recomputed and compared the scalar baseline
-    /// (first run of a variant, or a periodic audit).
+    /// The reply's `verified`: the run recomputed and compared the
+    /// scalar baseline (first run of a variant, or an audit), or the
+    /// plan is scalar-only and the scalar run is the answer.
     verified: bool,
+    /// Whether the run fed the cycle model.
+    simulated: bool,
     scalar_cycles: u64,
     vector_cycles: u64,
     stats: VectorStats,
@@ -1694,7 +1796,8 @@ for (i = 0; i < 2048; i++) {
         let mut r = req(Op::Run, Some(RTM_WIN), None);
         r.spec_explicit = true;
         // Explicit "auto" stays scalar-only forever: no profile is fed,
-        // no decision ever fires, and every run is fully verified.
+        // no decision ever fires, and every reply is verified (the
+        // scalar run is the answer).
         for _ in 0..3 * engine.tune_cfg.cooldown_runs {
             let out = engine.handle(&r, None).unwrap();
             assert_eq!(field(&out.fields, "kind").as_str(), Some("scalar-only"));
@@ -1799,12 +1902,114 @@ for (i = 0; i < 2048; i++) {
             "one cached compile serves every width"
         );
         assert_eq!(field(&out32.fields, "vl").as_u64(), Some(32));
+        // A new width is a new variant: its vector program is compared
+        // with the scalar baseline before any run reports stored cycles.
+        assert_eq!(field(&out32.fields, "verified").as_bool(), Some(true));
         let best32 = field(&out32.fields, "live_outs")
             .get("best")
             .and_then(Json::as_i64)
             .unwrap();
         assert_eq!(best8, best32);
         assert_eq!(engine.cache().compiles(), 1);
+
+        // So is a new invocation count.
+        r.invocations = 3;
+        let out3 = engine.handle(&r, None).unwrap();
+        assert_eq!(field(&out3.fields, "verified").as_bool(), Some(true));
+        let out3_again = engine.handle(&r, None).unwrap();
+        assert_eq!(field(&out3_again.fields, "verified").as_bool(), Some(false));
+    }
+
+    fn reply_cycles(fields: &[(&'static str, Json)]) -> (u64, u64, f64, String) {
+        (
+            stat_u64(fields, "scalar_cycles"),
+            stat_u64(fields, "vector_cycles"),
+            field(fields, "region_speedup").as_f64().unwrap(),
+            field(fields, "live_outs").to_string(),
+        )
+    }
+
+    #[test]
+    fn identical_requests_get_identical_replies() {
+        let engine = ServeEngine::new(0);
+        let mut r = req(Op::Run, Some(MINLOC), None);
+        r.invocations = 3;
+        let first = engine.handle(&r, None).unwrap();
+        let second = engine.handle(&r, None).unwrap();
+        assert_eq!(field(&first.fields, "verified").as_bool(), Some(true));
+        assert_eq!(field(&second.fields, "verified").as_bool(), Some(false));
+        // The steady-state run reports what the verifying run measured
+        // over the same three invocations, not a per-invocation average
+        // scaled back up.
+        assert_eq!(reply_cycles(&first.fields), reply_cycles(&second.fields));
+    }
+
+    #[test]
+    fn tier_promotion_keeps_the_reported_cycles() {
+        let engine = ServeEngine::new(0);
+        let mut r = req(Op::Run, Some(MINLOC), None);
+        r.engine = None;
+        let replies: Vec<_> = (0..20).map(|_| engine.handle(&r, None).unwrap()).collect();
+        let engines: std::collections::BTreeSet<&str> = replies
+            .iter()
+            .map(|out| field(&out.fields, "engine").as_str().unwrap())
+            .collect();
+        assert!(engines.contains("tree-walking") && engines.contains("compiled"));
+        assert_eq!(engines.contains("native"), native_supported());
+        let first = reply_cycles(&replies[0].fields);
+        for out in &replies {
+            assert_eq!(reply_cycles(&out.fields), first);
+        }
+    }
+
+    #[test]
+    fn audit_mismatch_fails_the_request_and_reverifies() {
+        let engine = ServeEngine::new(0);
+        let r = req(Op::Run, Some(MINLOC), None);
+        let first = engine.handle(&r, None).unwrap();
+        assert_eq!(field(&first.fields, "verified").as_bool(), Some(true));
+        let truth = reply_cycles(&first.fields);
+        let hash = u64::from_str_radix(field(&first.fields, "hash").as_str().unwrap(), 16).unwrap();
+        let key = VariantKey {
+            spec: SpecRequest::Auto,
+            vl: flexvec_isa::DEFAULT_VLEN,
+            invocations: 1,
+        };
+        let bogus = VariantCycles {
+            scalar: truth.0 + 1,
+            vector: truth.1,
+        };
+        {
+            let mut profiles = engine.profiles.lock().unwrap();
+            let profile = profiles.get_mut(&hash).unwrap();
+            profile.forget(&key);
+            profile.settle(key, bogus).unwrap();
+        }
+        // Steady-state runs report the (corrupted) stored cycles...
+        for _ in 0..engine.tune_cfg.audit_every {
+            let out = engine.handle(&r, None).unwrap();
+            assert_eq!(field(&out.fields, "verified").as_bool(), Some(false));
+            assert_eq!(stat_u64(&out.fields, "scalar_cycles"), bogus.scalar);
+        }
+        // ...until the audit re-simulates and disagrees, loudly.
+        let err = engine.handle(&r, None).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::ExecError);
+        for needle in [
+            "audit mismatch".to_owned(),
+            "spec auto, vl 16, invocations 1".to_owned(),
+            format!("{}/{}", bogus.scalar, bogus.vector),
+            format!("re-simulated {}/{}", truth.0, truth.1),
+        ] {
+            assert!(
+                err.message.contains(&needle),
+                "{needle:?} in {}",
+                err.message
+            );
+        }
+        // The entry is gone: the next request verifies from scratch.
+        let out = engine.handle(&r, None).unwrap();
+        assert_eq!(field(&out.fields, "verified").as_bool(), Some(true));
+        assert_eq!(reply_cycles(&out.fields), truth);
     }
 
     /// Carried RAW dependence at distance 16: safe at vl ≤ 16, and the
