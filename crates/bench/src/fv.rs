@@ -207,13 +207,7 @@ pub fn evaluate_fv_file(
             vector_cycles: scalar_cycles,
             region_speedup: 1.0,
             stats: VectorStats::default(),
-            throughput: ThroughputReport::new(
-                "scalar",
-                std::time::Duration::ZERO,
-                0,
-                sim_s.len(),
-                flexvec_mem::PageCacheStats::default(),
-            ),
+            throughput: ThroughputReport::new("scalar", std::time::Duration::ZERO, 0, sim_s.len()),
             live_outs,
         });
         return report;
@@ -235,19 +229,12 @@ pub fn evaluate_fv_file(
     };
     let mut vector_final = None;
     let mut stats = VectorStats::default();
-    mem_v.reset_cache_stats();
     let label = match engine {
         Engine::TreeWalking => "tree-walking",
         Engine::Compiled => "compiled",
         Engine::Native => "native",
     };
-    let mut throughput = ThroughputReport::new(
-        label,
-        std::time::Duration::ZERO,
-        0,
-        0,
-        flexvec_mem::PageCacheStats::default(),
-    );
+    let mut throughput = ThroughputReport::new(label, std::time::Duration::ZERO, 0, 0);
     let wall_start = Instant::now();
     for _ in 0..invocations {
         let step = match engine {
@@ -282,7 +269,6 @@ pub fn evaluate_fv_file(
         }
     }
     throughput.wall = wall_start.elapsed();
-    throughput.page_cache = mem_v.cache_stats();
     throughput.uops = sim_v.len();
     let vector_run = vector_final.expect("at least one invocation");
     let vector_cycles = sim_v.result().cycles;
@@ -302,7 +288,7 @@ pub fn evaluate_fv_file(
     for i in 0..arrays.len() {
         let a = bind_s.array(i as u32);
         let b = bind_v.array(i as u32);
-        if mem_s.snapshot_array(a) != mem_v.snapshot_array(b) {
+        if mem_s.array_slice(a) != mem_v.array_slice(b) {
             report.error = Some(format!(
                 "scalar/vector mismatch: array {} differs",
                 program.array_name(flexvec_ir::ArraySym(i as u32))

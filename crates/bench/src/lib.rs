@@ -70,22 +70,20 @@ pub fn evaluate_all_with_engine(
 }
 
 /// Renders the per-workload execution-engine throughput counters
-/// (chunks/s, µops/s, inline page-cache hit rate) collected during an
-/// evaluation run.
+/// (chunks/s, µops/s) collected during an evaluation run.
 pub fn render_throughput(evals: &[Evaluation]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<14} {:>12} {:>12} {:>12} {:>10}\n",
-        "benchmark", "engine", "chunks/s", "uops/s", "pg$ hit"
+        "{:<14} {:>12} {:>12} {:>12}\n",
+        "benchmark", "engine", "chunks/s", "uops/s"
     ));
     for e in evals {
         out.push_str(&format!(
-            "{:<14} {:>12} {:>12.3e} {:>12.3e} {:>9.1}%\n",
+            "{:<14} {:>12} {:>12.3e} {:>12.3e}\n",
             e.name,
             e.throughput.label,
             e.throughput.chunks_per_sec(),
-            e.throughput.uops_per_sec(),
-            e.throughput.page_cache.hit_rate() * 100.0
+            e.throughput.uops_per_sec()
         ));
     }
     out
@@ -198,7 +196,6 @@ mod tests {
                 std::time::Duration::from_millis(1),
                 100,
                 1000,
-                flexvec_mem::PageCacheStats::default(),
             ),
         }
     }

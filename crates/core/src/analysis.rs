@@ -156,7 +156,7 @@ pub struct LoopAnalysis {
     /// The verdict.
     pub verdict: Verdict,
     /// Widest supported runtime vector length the verdict is valid at
-    /// (see [`width_ceiling`]). Executing at a wider `vl` must be refused.
+    /// (see `width_ceiling`). Executing at a wider `vl` must be refused.
     pub max_vl: usize,
 }
 

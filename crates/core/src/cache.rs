@@ -266,7 +266,7 @@ struct Inflight {
     coalesced: u64,
 }
 
-/// A concurrent `u64 → Arc<V>` map sharded across [`SHARDS`] mutexes,
+/// A concurrent `u64 → Arc<V>` map sharded across `SHARDS` mutexes,
 /// optionally bounded by a segmented-LRU policy.
 #[derive(Debug)]
 pub struct ShardedCache<V> {

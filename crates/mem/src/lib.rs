@@ -2,9 +2,10 @@
 //!
 //! The memory substrate for the FlexVec reproduction:
 //!
-//! * [`AddressSpace`] — a paged, byte-addressed software memory with
-//!   *fault* semantics (unmapped guard pages), required by the
-//!   first-faulting FlexVec instructions.
+//! * [`AddressSpace`] — a byte-addressed software memory with *fault*
+//!   semantics, required by the first-faulting FlexVec instructions:
+//!   one flat element buffer plus a mapped flag per 4 KiB page, where
+//!   the null page and the guard page after every array fault.
 //! * [`Transaction`] — rollback-only transactions (the Intel-RTM-style
 //!   facility the paper's alternative code-generation path relies on).
 //! * [`CacheSim`] — the Table 1 cache-hierarchy timing model used by the

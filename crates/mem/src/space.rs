@@ -2,17 +2,19 @@
 //!
 //! FlexVec's first-faulting instructions need a memory in which some
 //! addresses *fault*: an access to an unmapped page raises [`MemFault`].
-//! This module provides a 64-bit byte-addressed space backed by 4 KiB
-//! pages, an array allocator that separates allocations with unmapped
-//! guard pages (so out-of-bounds speculation faults rather than silently
-//! reading another array), and element-level convenience accessors.
+//! This module provides a 64-bit byte-addressed space of 4 KiB pages, an
+//! array allocator that separates allocations with unmapped guard pages
+//! (so out-of-bounds speculation faults rather than silently reading
+//! another array), and element-level convenience accessors.
 //!
 //! The space stores 8-byte elements at 8-byte-aligned addresses — the lane
-//! granularity of the `flexvec-isa` functional model.
+//! granularity of the `flexvec-isa` functional model. Every page below the
+//! allocation frontier lives in one flat element buffer next to one mapped
+//! flag per page, so a translation is an alignment check, a flag load and
+//! an index, and a span whose pages are all mapped is one slice copy.
 
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 use crate::{MemFault, PAGE_BYTES, PAGE_ELEMS};
 
@@ -36,43 +38,28 @@ struct ArrayInfo {
     len: u64,
 }
 
-/// Hit/miss counters for the address space's inline page cache.
+/// Always-zero stand-in for the counters of the inline page cache that
+/// translation used to go through.
 ///
-/// An *access* is one virtual-page translation (one per lane access, one
-/// per page-sized run for the contiguous span operations). Hits were
-/// served by the 2-entry inline cache; misses fell through to the page
-/// table.
+/// Translation has no cache any more, so there is nothing to count. The
+/// type and [`AddressSpace::cache_stats`] / [`AddressSpace::reset_cache_stats`]
+/// stay only because the flexbench harness still reads them for its
+/// `vm.vector.pagecache_hit_frac` row; they go together with that row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PageCacheStats {
-    /// Translations served by the inline cache.
-    pub hits: u64,
-    /// Translations that fell through to the page-table `HashMap`
-    /// (including lookups of unmapped pages, i.e. faults).
-    pub misses: u64,
-}
+pub struct PageCacheStats;
 
 impl PageCacheStats {
-    /// Total translations performed.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of translations served by the inline cache (0.0 when no
-    /// accesses were made).
+    /// Always 0.0: there is no cache to hit.
     pub fn hit_rate(&self) -> f64 {
-        if self.hits + self.misses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / (self.hits + self.misses) as f64
-        }
+        0.0
     }
 }
 
-/// Sentinel page number marking an empty inline-cache entry (page numbers
-/// this large cannot be mapped: the byte address would overflow).
-const NO_PAGE: u64 = u64::MAX;
-
 /// A byte-addressed, paged address space with fault semantics.
+///
+/// Page 0 is never mapped, so address 0 behaves like a null page. Arrays
+/// start at page 1, and each one is followed by an unmapped guard page and
+/// an unmapped slack page.
 ///
 /// # Examples
 ///
@@ -89,24 +76,23 @@ const NO_PAGE: u64 = u64::MAX;
 /// assert!(space.read(base + 100 * 8 + 4096 * 2).is_err());
 /// # Ok::<(), flexvec_mem::MemFault>(())
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct AddressSpace {
-    /// Virtual page number → slot in `frames`. Unmapping removes the
-    /// entry; the frame slot is simply orphaned (pages are never reused —
-    /// `next_free_page` is monotonic).
-    page_table: HashMap<u64, u32>,
-    /// Page frame storage, indexed by the slots in `page_table`. Keeping
-    /// frames in a dense slab (rather than boxed values inside the map)
-    /// lets the inline cache turn a translation into a plain slab index.
-    frames: Vec<Box<[i64; PAGE_ELEMS]>>,
-    /// 2-entry inline translation cache, most recently used first.
-    /// Interior mutability keeps `read` usable through `&self` (the
-    /// `LaneMemory` trait loads through a shared reference).
-    cache: Cell<[(u64, u32); 2]>,
-    cache_hits: Cell<u64>,
-    cache_misses: Cell<u64>,
+    /// Every page below the allocation frontier, flat: the element at byte
+    /// address `a` is `elems[a / 8]`. Unmapped pages are backed too, but
+    /// no access reaches them.
+    elems: Vec<i64>,
+    /// One flag per page. Pages are handed out upward and never reused,
+    /// so `mapped.len()` is the next free page, and
+    /// `elems.len() == mapped.len() * PAGE_ELEMS`.
+    mapped: Vec<bool>,
     arrays: Vec<ArrayInfo>,
-    next_free_page: u64,
+}
+
+impl Default for AddressSpace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl AddressSpace {
@@ -114,13 +100,9 @@ impl AddressSpace {
     /// behaves like a null page.
     pub fn new() -> Self {
         AddressSpace {
-            page_table: HashMap::new(),
-            frames: Vec::new(),
-            cache: Cell::new([(NO_PAGE, 0); 2]),
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
+            elems: vec![0; PAGE_ELEMS],
+            mapped: vec![false],
             arrays: Vec::new(),
-            next_free_page: 1,
         }
     }
 
@@ -130,68 +112,33 @@ impl AddressSpace {
     /// Returns the array's id. `len == 0` is allowed (the array occupies no
     /// mapped page but still has a base address).
     pub fn alloc(&mut self, name: &str, len: u64) -> ArrayId {
-        let base_page = self.next_free_page;
-        let pages_needed = len.div_ceil(PAGE_ELEMS as u64);
-        for p in base_page..base_page + pages_needed {
-            let slot = self.frames.len() as u32;
-            self.frames.push(Box::new([0; PAGE_ELEMS]));
-            self.page_table.insert(p, slot);
-        }
+        let base_page = self.mapped.len();
+        let pages = len.div_ceil(PAGE_ELEMS as u64) as usize;
+        self.mapped.resize(base_page + pages, true);
         // One guard page plus one slack page keeps allocations apart.
-        self.next_free_page = base_page + pages_needed + 2;
+        self.mapped.extend([false, false]);
+        self.elems.resize(self.mapped.len() * PAGE_ELEMS, 0);
         let id = ArrayId(self.arrays.len() as u32);
         self.arrays.push(ArrayInfo {
             name: name.to_owned(),
-            base: base_page * PAGE_BYTES,
+            base: base_page as u64 * PAGE_BYTES,
             len,
         });
         id
     }
 
-    /// Translates a virtual page number to a frame slot, going through the
-    /// 2-entry inline cache. Returns `None` (and counts a miss) for
-    /// unmapped pages.
-    #[inline]
-    fn page_slot(&self, page: u64) -> Option<u32> {
-        let cache = self.cache.get();
-        if cache[0].0 == page {
-            self.cache_hits.set(self.cache_hits.get() + 1);
-            return Some(cache[0].1);
-        }
-        if cache[1].0 == page {
-            self.cache_hits.set(self.cache_hits.get() + 1);
-            // Promote to most-recently-used.
-            self.cache.set([cache[1], cache[0]]);
-            return Some(cache[1].1);
-        }
-        self.cache_misses.set(self.cache_misses.get() + 1);
-        let slot = *self.page_table.get(&page)?;
-        self.cache.set([(page, slot), cache[0]]);
-        Some(slot)
-    }
-
-    /// Inline page-cache hit/miss counters accumulated so far.
+    /// Always [`PageCacheStats`], which reports zero (see there).
     pub fn cache_stats(&self) -> PageCacheStats {
-        PageCacheStats {
-            hits: self.cache_hits.get(),
-            misses: self.cache_misses.get(),
-        }
+        PageCacheStats
     }
 
-    /// Resets the inline page-cache counters (the cache contents are
-    /// kept).
-    pub fn reset_cache_stats(&self) {
-        self.cache_hits.set(0);
-        self.cache_misses.set(0);
-    }
+    /// Does nothing; kept with [`PageCacheStats`].
+    pub fn reset_cache_stats(&self) {}
 
     /// Allocates an array and copies `data` into it.
     pub fn alloc_from(&mut self, name: &str, data: &[i64]) -> ArrayId {
         let id = self.alloc(name, data.len() as u64);
-        for (i, &v) in data.iter().enumerate() {
-            self.write_elem(id, i as i64, v)
-                .expect("freshly allocated array is mapped");
-        }
+        self.load_array(id, data);
         id
     }
 
@@ -238,11 +185,7 @@ impl AddressSpace {
     ///
     /// Faults if `addr` is not 8-byte aligned or the page is unmapped.
     pub fn read(&self, addr: u64) -> Result<i64, MemFault> {
-        let (page, offset) = Self::split(addr)?;
-        match self.page_slot(page) {
-            Some(slot) => Ok(self.frames[slot as usize][offset]),
-            None => Err(MemFault { addr }),
-        }
+        self.index(addr).map(|i| self.elems[i])
     }
 
     /// Writes the 8-byte element at byte address `addr`.
@@ -251,23 +194,18 @@ impl AddressSpace {
     ///
     /// Faults if `addr` is not 8-byte aligned or the page is unmapped.
     pub fn write(&mut self, addr: u64, value: i64) -> Result<(), MemFault> {
-        let (page, offset) = Self::split(addr)?;
-        match self.page_slot(page) {
-            Some(slot) => {
-                self.frames[slot as usize][offset] = value;
-                Ok(())
-            }
-            None => Err(MemFault { addr }),
-        }
+        let i = self.index(addr)?;
+        self.elems[i] = value;
+        Ok(())
     }
 
     /// Reads `dst.len()` consecutive elements starting at byte address
-    /// `base`, one page translation per page-sized run.
+    /// `base`: one slice copy when every page the span touches is mapped.
     ///
     /// This is the unit-stride fast path behind
     /// [`LaneMemory::load_span`](flexvec_isa::LaneMemory::load_span): a
-    /// contiguous vector load does one or two translations instead of
-    /// one per lane, whatever the ambient vector length.
+    /// contiguous vector load checks one or two page flags instead of
+    /// translating every lane, whatever the ambient vector length.
     ///
     /// # Errors
     ///
@@ -278,21 +216,18 @@ impl AddressSpace {
         if !base.is_multiple_of(8) {
             return Err(MemFault { addr: base });
         }
-        let mut i = 0usize;
-        while i < dst.len() {
-            let addr = base.wrapping_add(i as u64 * 8);
-            let (page, offset) = Self::split(addr)?;
-            let slot = self.page_slot(page).ok_or(MemFault { addr })? as usize;
-            let take = (PAGE_ELEMS - offset).min(dst.len() - i);
-            dst[i..i + take].copy_from_slice(&self.frames[slot][offset..offset + take]);
-            i += take;
+        if let Some(range) = self.mapped_range(base, dst.len()) {
+            dst.copy_from_slice(&self.elems[range]);
+            return Ok(());
+        }
+        for (i, slot) in dst.iter_mut().enumerate() {
+            *slot = self.read(base.wrapping_add(i as u64 * 8))?;
         }
         Ok(())
     }
 
     /// Writes `src.len()` consecutive elements starting at byte address
-    /// `base`, one page translation per page-sized run (the store analogue
-    /// of [`AddressSpace::read_span`]).
+    /// `base` (the store analogue of [`AddressSpace::read_span`]).
     ///
     /// # Errors
     ///
@@ -303,21 +238,19 @@ impl AddressSpace {
         if !base.is_multiple_of(8) {
             return Err(MemFault { addr: base });
         }
-        let mut i = 0usize;
-        while i < src.len() {
-            let addr = base.wrapping_add(i as u64 * 8);
-            let (page, offset) = Self::split(addr)?;
-            let slot = self.page_slot(page).ok_or(MemFault { addr })? as usize;
-            let take = (PAGE_ELEMS - offset).min(src.len() - i);
-            self.frames[slot][offset..offset + take].copy_from_slice(&src[i..i + take]);
-            i += take;
+        if let Some(range) = self.mapped_range(base, src.len()) {
+            self.elems[range].copy_from_slice(src);
+            return Ok(());
+        }
+        for (i, &value) in src.iter().enumerate() {
+            self.write(base.wrapping_add(i as u64 * 8), value)?;
         }
         Ok(())
     }
 
     /// Whether the page containing `addr` is mapped.
     pub fn is_mapped(&self, addr: u64) -> bool {
-        self.page_table.contains_key(&(addr / PAGE_BYTES))
+        usize::try_from(addr / PAGE_BYTES).is_ok_and(|page| self.mapped.get(page) == Some(&true))
     }
 
     /// Byte address of element `idx` of array `id` (no bounds check — the
@@ -346,49 +279,78 @@ impl AddressSpace {
         self.write(self.elem_addr(id, idx), value)
     }
 
+    /// The array's `len` elements, borrowed in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page of the array has been unmapped.
+    pub fn array_slice(&self, id: ArrayId) -> &[i64] {
+        let info = &self.arrays[id.0 as usize];
+        let range = self
+            .mapped_range(info.base, info.len as usize)
+            .expect("array interior is mapped");
+        &self.elems[range]
+    }
+
     /// Copies the array's `len` elements out to a vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page of the array has been unmapped.
     pub fn snapshot_array(&self, id: ArrayId) -> Vec<i64> {
-        (0..self.len(id) as i64)
-            .map(|i| self.read_elem(id, i).expect("array interior is mapped"))
-            .collect()
+        self.array_slice(id).to_vec()
     }
 
     /// Overwrites the array's prefix with `data`.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` exceeds the array length.
+    /// Panics if `data.len()` exceeds the array length, or if a page the
+    /// prefix covers has been unmapped.
     pub fn load_array(&mut self, id: ArrayId, data: &[i64]) {
         assert!(
             data.len() as u64 <= self.len(id),
             "data longer than array {}",
             self.name(id)
         );
-        for (i, &v) in data.iter().enumerate() {
-            self.write_elem(id, i as i64, v).expect("interior mapped");
-        }
+        self.write_span(self.base(id), data)
+            .expect("interior mapped");
     }
 
     /// Unmaps the page containing `addr`, making future accesses fault.
     /// Used by tests to create fault points inside an array.
     pub fn unmap_page_of(&mut self, addr: u64) {
-        let page = addr / PAGE_BYTES;
-        self.page_table.remove(&page);
-        // Invalidate any inline-cache entry for the now-unmapped page.
-        let mut cache = self.cache.get();
-        for entry in cache.iter_mut() {
-            if entry.0 == page {
-                *entry = (NO_PAGE, 0);
-            }
+        if let Some(flag) = usize::try_from(addr / PAGE_BYTES)
+            .ok()
+            .and_then(|page| self.mapped.get_mut(page))
+        {
+            *flag = false;
         }
-        self.cache.set(cache);
     }
 
-    fn split(addr: u64) -> Result<(u64, usize), MemFault> {
-        if !addr.is_multiple_of(8) {
-            return Err(MemFault { addr });
+    /// Index into `elems` of the element at `addr`, or the fault an access
+    /// there raises.
+    #[inline]
+    fn index(&self, addr: u64) -> Result<usize, MemFault> {
+        if addr.is_multiple_of(8) && self.is_mapped(addr) {
+            Ok((addr / 8) as usize)
+        } else {
+            Err(MemFault { addr })
         }
-        Ok((addr / PAGE_BYTES, ((addr % PAGE_BYTES) / 8) as usize))
+    }
+
+    /// The `elems` range of the `len` elements from the 8-byte-aligned
+    /// address `base`, if every page they touch is mapped. `None` sends the
+    /// caller to the per-element path, which finds the first fault.
+    fn mapped_range(&self, base: u64, len: usize) -> Option<Range<usize>> {
+        if len == 0 {
+            return Some(0..0);
+        }
+        let end = base.checked_add(len as u64 * 8)?;
+        let first = usize::try_from(base / PAGE_BYTES).ok()?;
+        let last = usize::try_from((end - 1) / PAGE_BYTES).ok()?;
+        let all_mapped = self.mapped.get(first..=last)?.iter().all(|&m| m);
+        all_mapped.then_some((base / 8) as usize..(end / 8) as usize)
     }
 }
 
@@ -449,6 +411,14 @@ mod tests {
     }
 
     #[test]
+    fn default_space_keeps_the_null_page_unmapped() {
+        let mut s = AddressSpace::default();
+        let a = s.alloc("a", 4);
+        assert_eq!(s.base(a), PAGE_BYTES);
+        assert!(s.read(0).is_err());
+    }
+
+    #[test]
     fn misaligned_access_faults() {
         let mut s = AddressSpace::new();
         let a = s.alloc("a", 4);
@@ -475,6 +445,7 @@ mod tests {
         assert_eq!(s.snapshot_array(a), vec![1, 2, 3]);
         s.load_array(a, &[9, 8]);
         assert_eq!(s.snapshot_array(a), vec![9, 8, 3]);
+        assert_eq!(s.array_slice(a), &[9, 8, 3]);
     }
 
     #[test]
@@ -483,48 +454,7 @@ mod tests {
         let a = s.alloc("empty", 0);
         assert!(s.is_empty(a));
         assert!(s.read_elem(a, 0).is_err());
-    }
-
-    #[test]
-    fn inline_cache_hits_on_repeated_page() {
-        let mut s = AddressSpace::new();
-        let a = s.alloc("a", 512);
-        s.reset_cache_stats();
-        for i in 0..64 {
-            s.read_elem(a, i).unwrap();
-        }
-        let stats = s.cache_stats();
-        // First access misses (installs the page), the rest hit.
-        assert_eq!(stats.accesses(), 64);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 63);
-        assert!(stats.hit_rate() > 0.98);
-    }
-
-    #[test]
-    fn inline_cache_holds_two_pages() {
-        let mut s = AddressSpace::new();
-        let a = s.alloc("a", 1024); // two pages
-        s.reset_cache_stats();
-        for _ in 0..10 {
-            s.read_elem(a, 0).unwrap();
-            s.read_elem(a, 512).unwrap();
-        }
-        let stats = s.cache_stats();
-        assert_eq!(stats.misses, 2, "only the two cold installs miss");
-        assert_eq!(stats.hits, 18);
-    }
-
-    #[test]
-    fn unmapped_lookup_counts_as_miss_and_is_not_cached() {
-        let mut s = AddressSpace::new();
-        let a = s.alloc("a", 4);
-        let guard = s.elem_addr(a, 512);
-        s.reset_cache_stats();
-        assert!(s.read(guard).is_err());
-        assert!(s.read(guard).is_err());
-        assert_eq!(s.cache_stats().misses, 2);
-        assert_eq!(s.cache_stats().hits, 0);
+        assert!(s.array_slice(a).is_empty());
     }
 
     #[test]
@@ -568,19 +498,6 @@ mod tests {
         let mut buf = [0i64; 2];
         let err = s.read_span(s.base(a) + 4, &mut buf).unwrap_err();
         assert_eq!(err.addr, s.base(a) + 4);
-    }
-
-    #[test]
-    fn unmap_invalidates_inline_cache() {
-        let mut s = AddressSpace::new();
-        let a = s.alloc("a", 512);
-        let addr = s.elem_addr(a, 0);
-        assert!(s.read(addr).is_ok()); // installs in cache
-        s.unmap_page_of(addr);
-        assert!(
-            s.read(addr).is_err(),
-            "cached translation must not survive unmap"
-        );
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl<'a> Transaction<'a> {
 
     /// Reads `dst.len()` consecutive elements starting at `base` through
     /// the transaction. Spans disjoint from the write set take the
-    /// underlying space's page-run fast path; overlapping spans fall back
+    /// underlying space's span fast path; overlapping spans fall back
     /// to per-lane reads so buffered writes stay visible.
     ///
     /// # Errors
@@ -168,6 +168,11 @@ impl<'a> Transaction<'a> {
         // Validate the address eagerly: a fault inside a transaction aborts
         // it rather than surfacing after commit.
         self.space.read(addr).map_err(AbortReason::Fault)?;
+        self.buffer(addr, value)
+    }
+
+    /// Logs one validated write, or refuses it once the write set is full.
+    fn buffer(&mut self, addr: u64, value: i64) -> Result<(), AbortReason> {
         if self.write_log.len() >= self.capacity && !self.write_log.contains_key(&addr) {
             return Err(AbortReason::CapacityOverflow);
         }
@@ -210,17 +215,8 @@ impl<'a> Transaction<'a> {
             i += (PAGE_ELEMS - offset).min(src.len() - i);
         }
         for (k, &value) in src.iter().enumerate() {
-            let addr = base.wrapping_add(k as u64 * 8);
-            if self.write_log.len() >= self.capacity && !self.write_log.contains_key(&addr) {
-                return Err(AbortReason::CapacityOverflow);
-            }
-            self.write_log.insert(addr, value);
+            self.buffer(base.wrapping_add(k as u64 * 8), value)?;
         }
-        self.writes += src.len() as u64;
-        self.write_min = self.write_min.min(base);
-        self.write_max = self
-            .write_max
-            .max(base.wrapping_add((src.len() as u64 - 1) * 8));
         Ok(())
     }
 
@@ -372,6 +368,14 @@ mod tests {
             txn.write_span(base, &[1, 2, 3]).unwrap_err(),
             AbortReason::CapacityOverflow
         );
+        // The prefix buffered before the overflow is tracked like any
+        // other write.
+        assert_eq!(txn.write_set_len(), 2);
+        assert_eq!(txn.peek(base).unwrap(), 1);
+        let mut dst = [0i64; 3];
+        txn.peek_span(base, &mut dst).unwrap();
+        assert_eq!(dst, [1, 2, 0]);
+        assert_eq!(txn.op_counts(), (0, 2));
     }
 
     #[test]

@@ -1,10 +1,143 @@
 //! Property tests for the memory substrate: the address space behaves
-//! like a (partial) map with fault boundaries; transactions are atomic
-//! (commit = apply all, abort = apply none); the cache simulator is
+//! like a (partial) map with fault boundaries, and like the page-table
+//! reference model below on any operation sequence; transactions are
+//! atomic (commit = apply all, abort = apply none); the cache simulator is
 //! deterministic and monotone in locality.
 
-use flexvec_mem::{Access, AddressSpace, CacheSim, HierarchyConfig, Transaction, PAGE_ELEMS};
+use std::collections::BTreeMap;
+
+use flexvec_mem::{
+    Access, AddressSpace, ArrayId, CacheSim, HierarchyConfig, MemFault, Transaction, PAGE_BYTES,
+    PAGE_ELEMS,
+};
 use proptest::prelude::*;
+
+/// Reference model of the address space's semantics: a page table from
+/// page number to frame, pages handed out upward from page 1 with a guard
+/// and a slack page after each array, and spans that fault at their first
+/// misaligned or unmapped element in address order.
+struct Model {
+    pages: BTreeMap<u64, Vec<i64>>,
+    next_page: u64,
+    arrays: Vec<(u64, u64)>,
+}
+
+impl Model {
+    fn new() -> Self {
+        Model {
+            pages: BTreeMap::new(),
+            next_page: 1,
+            arrays: Vec::new(),
+        }
+    }
+
+    fn alloc(&mut self, len: u64) -> u64 {
+        let pages = len.div_ceil(PAGE_ELEMS as u64);
+        for p in self.next_page..self.next_page + pages {
+            self.pages.insert(p, vec![0; PAGE_ELEMS]);
+        }
+        let base = self.next_page * PAGE_BYTES;
+        self.next_page += pages + 2;
+        self.arrays.push((base, len));
+        base
+    }
+
+    fn slot(&mut self, addr: u64) -> Result<&mut i64, MemFault> {
+        let frame = self.pages.get_mut(&(addr / PAGE_BYTES));
+        let frame = frame.filter(|_| addr.is_multiple_of(8));
+        frame
+            .map(|f| &mut f[(addr % PAGE_BYTES / 8) as usize])
+            .ok_or(MemFault { addr })
+    }
+
+    fn read_span(&mut self, base: u64, dst: &mut [i64]) -> Result<(), MemFault> {
+        if !base.is_multiple_of(8) {
+            return Err(MemFault { addr: base });
+        }
+        for (i, d) in dst.iter_mut().enumerate() {
+            *d = *self.slot(base.wrapping_add(i as u64 * 8))?;
+        }
+        Ok(())
+    }
+
+    fn write_span(&mut self, base: u64, src: &[i64]) -> Result<(), MemFault> {
+        if !base.is_multiple_of(8) {
+            return Err(MemFault { addr: base });
+        }
+        for (i, &v) in src.iter().enumerate() {
+            *self.slot(base.wrapping_add(i as u64 * 8))? = v;
+        }
+        Ok(())
+    }
+
+    /// Whether every page under array `a`'s elements is still mapped
+    /// (`snapshot_array` and `load_array` panic otherwise).
+    fn interior_mapped(&self, a: usize) -> bool {
+        let (base, len) = self.arrays[a];
+        let first = base / PAGE_BYTES;
+        (first..first + len.div_ceil(PAGE_ELEMS as u64)).all(|p| self.pages.contains_key(&p))
+    }
+}
+
+/// One step of a random operation sequence. Addresses are `(kind, array,
+/// element, skew)` recipes resolved against the arrays allocated so far
+/// (see [`resolve`]).
+#[derive(Clone, Debug)]
+enum Op {
+    Alloc(u64),
+    AllocFrom(Vec<i64>),
+    Read(Addr),
+    Write(Addr, i64),
+    ReadSpan(Addr, usize),
+    WriteSpan(Addr, Vec<i64>),
+    Unmap(Addr),
+    Snapshot(usize),
+    Load(usize, Vec<i64>),
+}
+
+type Addr = (u8, usize, i64, u64);
+
+/// Element `elem` of an allocated array (page 0 before the first
+/// allocation), shifted by `skew` bytes for kind 1 so the access is
+/// misaligned; kind 2 counts down from the top of the address space, so
+/// spans from there wrap past `u64::MAX`.
+fn resolve(s: &AddressSpace, (kind, array, elem, skew): Addr) -> u64 {
+    if kind == 2 {
+        return 0u64.wrapping_sub(8 * elem.unsigned_abs() % 512 + 8);
+    }
+    let base = match s.array_count() {
+        0 => 0,
+        n => s.base(ArrayId((array % n) as u32)),
+    };
+    let addr = base.wrapping_add_signed(elem * 8);
+    if kind == 1 {
+        addr.wrapping_add(skew)
+    } else {
+        addr
+    }
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let addr = (0u8..6, 0usize..8, -1100i64..1700, 1u64..8);
+    let data = prop::collection::vec(any::<i64>(), 0..600);
+    (0u8..9, 0u64..1300, addr, 0usize..3, data).prop_map(|(op, len, addr, scale, mut data)| {
+        // A third of the spans stay under 4 elements (empty ones
+        // included), a third under 40, the rest under 600.
+        data.truncate(data.len() % [4, 40, 600][scale]);
+        let n = data.len();
+        match op {
+            0 => Op::Alloc(len),
+            1 => Op::AllocFrom(data),
+            2 => Op::Read(addr),
+            3 => Op::Write(addr, len as i64 - 650),
+            4 => Op::ReadSpan(addr, n),
+            5 => Op::WriteSpan(addr, data),
+            6 => Op::Unmap(addr),
+            7 => Op::Snapshot(addr.1 % 4),
+            _ => Op::Load(addr.1 % 4, data),
+        }
+    })
+}
 
 proptest! {
     #[test]
@@ -89,6 +222,74 @@ proptest! {
             txn.abort();
         }
         prop_assert_eq!(s.snapshot_array(a), before);
+    }
+
+    #[test]
+    fn address_space_agrees_with_the_page_table_model(
+        ops in prop::collection::vec(op_strategy(), 1..24),
+    ) {
+        let mut s = AddressSpace::new();
+        let mut m = Model::new();
+        for op in ops {
+            match op {
+                Op::Alloc(len) => {
+                    let a = s.alloc("a", len);
+                    prop_assert_eq!(s.base(a), m.alloc(len));
+                }
+                Op::AllocFrom(data) => {
+                    let a = s.alloc_from("a", &data);
+                    let base = m.alloc(data.len() as u64);
+                    prop_assert_eq!(s.base(a), base);
+                    m.write_span(base, &data).unwrap();
+                }
+                Op::Read(addr) => {
+                    let addr = resolve(&s, addr);
+                    prop_assert_eq!(s.read(addr), m.slot(addr).map(|v| *v));
+                }
+                Op::Write(addr, v) => {
+                    let addr = resolve(&s, addr);
+                    prop_assert_eq!(s.write(addr, v), m.slot(addr).map(|slot| *slot = v));
+                }
+                Op::ReadSpan(addr, n) => {
+                    let addr = resolve(&s, addr);
+                    let (mut got, mut want) = (vec![i64::MIN; n], vec![i64::MIN; n]);
+                    prop_assert_eq!(s.read_span(addr, &mut got), m.read_span(addr, &mut want));
+                    prop_assert_eq!(got, want);
+                }
+                Op::WriteSpan(addr, data) => {
+                    let addr = resolve(&s, addr);
+                    prop_assert_eq!(s.write_span(addr, &data), m.write_span(addr, &data));
+                }
+                Op::Unmap(addr) => {
+                    let addr = resolve(&s, addr);
+                    s.unmap_page_of(addr);
+                    m.pages.remove(&(addr / PAGE_BYTES));
+                }
+                Op::Snapshot(a) if a < m.arrays.len() && m.interior_mapped(a) => {
+                    let (base, len) = m.arrays[a];
+                    let mut want = vec![0; len as usize];
+                    m.read_span(base, &mut want).unwrap();
+                    prop_assert_eq!(s.array_slice(ArrayId(a as u32)), &want[..]);
+                    prop_assert_eq!(s.snapshot_array(ArrayId(a as u32)), want);
+                }
+                Op::Load(a, mut data) if a < m.arrays.len() && m.interior_mapped(a) => {
+                    let (base, len) = m.arrays[a];
+                    data.truncate(len as usize);
+                    s.load_array(ArrayId(a as u32), &data);
+                    m.write_span(base, &data).unwrap();
+                }
+                Op::Snapshot(_) | Op::Load(..) => {}
+            }
+        }
+        // Every page below the frontier: same mapping, same contents.
+        for page in 0..m.next_page + 4 {
+            let addr = page * PAGE_BYTES;
+            let mut want = vec![0; PAGE_ELEMS];
+            let (mut got, mapped) = (vec![0; PAGE_ELEMS], m.read_span(addr, &mut want).is_ok());
+            prop_assert_eq!(s.is_mapped(addr), mapped, "page {}", page);
+            prop_assert_eq!(s.read_span(addr, &mut got).is_ok(), mapped);
+            prop_assert_eq!(got, want, "page {}", page);
+        }
     }
 
     #[test]

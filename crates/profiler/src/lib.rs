@@ -25,15 +25,14 @@ use std::time::Duration;
 use flexvec::{analyze, InstMix, PatternInstance, Verdict};
 use flexvec_ir::{Expr, Program};
 use flexvec_isa::vlen;
-use flexvec_mem::{AddressSpace, PageCacheStats};
+use flexvec_mem::AddressSpace;
 use flexvec_vm::{
     Bindings, CountingSink, ExecError, ScalarMachine, StepOutcome, TraceSink, VectorStats,
 };
 
 /// Execution-engine throughput counters for one measured run: how fast
 /// the VM itself chewed through the workload (chunks and µops per wall
-/// second) and how well the address-space inline page cache served it.
-/// This measures the *reproduction pipeline*, not simulated cycles —
+/// second). This measures the *reproduction pipeline*, not simulated cycles —
 /// it's the metric the compiled execution engine is tuned against.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ThroughputReport {
@@ -45,8 +44,6 @@ pub struct ThroughputReport {
     pub chunks: u64,
     /// µops emitted to the sink, over all invocations.
     pub uops: u64,
-    /// Inline page-cache translation counters for the run.
-    pub page_cache: PageCacheStats,
     /// VPL iterations (partitions) executed, over all invocations.
     pub vpl_iterations: u64,
     /// Largest partition count observed in one chunk.
@@ -62,19 +59,12 @@ pub struct ThroughputReport {
 
 impl ThroughputReport {
     /// Builds a report from a run's accumulated statistics.
-    pub fn new(
-        label: impl Into<String>,
-        wall: Duration,
-        chunks: u64,
-        uops: u64,
-        page_cache: PageCacheStats,
-    ) -> Self {
+    pub fn new(label: impl Into<String>, wall: Duration, chunks: u64, uops: u64) -> Self {
         ThroughputReport {
             label: label.into(),
             wall,
             chunks,
             uops,
-            page_cache,
             vpl_iterations: 0,
             max_partitions: 0,
             ff_fallbacks: 0,
@@ -186,9 +176,9 @@ pub fn vector_stat_samples(stats: &VectorStats) -> Vec<StatSample> {
     ]
 }
 
-/// Flattens a [`ThroughputReport`] into named samples: µop and
-/// page-cache totals plus the wall time in microseconds (so a registry
-/// can derive chunks/s and µops/s as rates over scrape intervals).
+/// Flattens a [`ThroughputReport`] into named samples: the µop total
+/// plus the wall time in microseconds (so a registry can derive chunks/s
+/// and µops/s as rates over scrape intervals).
 pub fn throughput_samples(report: &ThroughputReport) -> Vec<StatSample> {
     vec![
         StatSample {
@@ -199,14 +189,6 @@ pub fn throughput_samples(report: &ThroughputReport) -> Vec<StatSample> {
             name: "engine_wall_micros",
             value: report.wall.as_micros() as u64,
         },
-        StatSample {
-            name: "engine_page_cache_hits",
-            value: report.page_cache.hits,
-        },
-        StatSample {
-            name: "engine_page_cache_misses",
-            value: report.page_cache.misses,
-        },
     ]
 }
 
@@ -214,11 +196,10 @@ impl core::fmt::Display for ThroughputReport {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "{}: {:.3e} chunks/s, {:.3e} uops/s, page-cache {:.1}% hit",
+            "{}: {:.3e} chunks/s, {:.3e} uops/s",
             self.label,
             self.chunks_per_sec(),
-            self.uops_per_sec(),
-            self.page_cache.hit_rate() * 100.0
+            self.uops_per_sec()
         )
     }
 }
@@ -679,33 +660,16 @@ mod tests {
         assert_eq!(get("engine_rtm_commits"), 2);
         assert_eq!(get("engine_rtm_aborts"), 1);
 
-        let report = ThroughputReport::new(
-            "compiled",
-            Duration::from_millis(2),
-            3,
-            40,
-            PageCacheStats { hits: 9, misses: 1 },
-        );
+        let report = ThroughputReport::new("compiled", Duration::from_millis(2), 3, 40);
         let samples = throughput_samples(&report);
         let get = |n: &str| samples.iter().find(|s| s.name == n).unwrap().value;
         assert_eq!(get("engine_uops"), 40);
         assert_eq!(get("engine_wall_micros"), 2000);
-        assert_eq!(get("engine_page_cache_hits"), 9);
-        assert_eq!(get("engine_page_cache_misses"), 1);
     }
 
     #[test]
     fn throughput_report_rates() {
-        let mut r = ThroughputReport::new(
-            "compiled",
-            Duration::from_millis(500),
-            0,
-            1000,
-            PageCacheStats {
-                hits: 90,
-                misses: 10,
-            },
-        );
+        let mut r = ThroughputReport::new("compiled", Duration::from_millis(500), 0, 1000);
         r.add_stats(&VectorStats {
             chunks: 50,
             vpl_iterations: 75,
@@ -730,6 +694,5 @@ mod tests {
         assert!((r.uops_per_sec() - 2000.0).abs() < 1e-9);
         let text = r.to_string();
         assert!(text.contains("compiled"));
-        assert!(text.contains("90.0% hit"));
     }
 }

@@ -12,7 +12,7 @@
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder};
-use flexvec_mem::{AddressSpace, PageCacheStats};
+use flexvec_mem::AddressSpace;
 use flexvec_profiler::ThroughputReport;
 use flexvec_vm::{run_vector_with_engine, Bindings, Engine, VecSink, VectorStats};
 use std::time::Duration;
@@ -107,13 +107,8 @@ fn run_all_engines(
                 engine,
             )
             .expect("vector execution");
-            let mut report = ThroughputReport::new(
-                format!("{engine:?}"),
-                Duration::from_micros(100),
-                0,
-                0,
-                PageCacheStats::default(),
-            );
+            let mut report =
+                ThroughputReport::new(format!("{engine:?}"), Duration::from_micros(100), 0, 0);
             report.add_stats(&stats);
             let snapshots = ids.iter().map(|id| mem.snapshot_array(*id)).collect();
             (res.var(program.live_out[0]), snapshots, stats, report)

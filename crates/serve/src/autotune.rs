@@ -472,17 +472,10 @@ pub const DECISION_REASONS: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexvec_mem::PageCacheStats;
     use std::time::Duration;
 
     fn report(chunks: u64, ff: u64, commits: u64, aborts: u64) -> ThroughputReport {
-        let mut r = ThroughputReport::new(
-            "compiled",
-            Duration::from_micros(100),
-            0,
-            0,
-            PageCacheStats::default(),
-        );
+        let mut r = ThroughputReport::new("compiled", Duration::from_micros(100), 0, 0);
         r.chunks = chunks;
         r.vpl_iterations = chunks;
         r.ff_fallbacks = ff;

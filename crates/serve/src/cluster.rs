@@ -2,7 +2,7 @@
 //! cache by hashing kernels onto a ring of peers.
 //!
 //! Every member runs the same daemon with the same `--cluster` peer
-//! list; each one hashes every member name onto [`VNODES`] points of a
+//! list; each one hashes every member name onto `VNODES` points of a
 //! 64-bit ring. A kernel's stable AST hash lands on the ring and the
 //! next point clockwise names its **owner** — the node expected to
 //! hold (or build) the compiled artifact. A node receiving a request
@@ -13,12 +13,12 @@
 //!
 //! Failure handling is deliberately boring:
 //!
-//! * **circuit breakers** — [`BREAKER_THRESHOLD`] consecutive forward
-//!   failures open the peer's breaker for [`BREAKER_COOLDOWN`];
+//! * **circuit breakers** — `BREAKER_THRESHOLD` consecutive forward
+//!   failures open the peer's breaker for `BREAKER_COOLDOWN`;
 //!   while open, requests for that owner degrade to a local compile
 //!   (correct, just colder). After the cooldown one trial request
 //!   probes the peer; success closes the breaker.
-//! * **hot-key adoption** — after [`ADOPT_AFTER`] forwards of the same
+//! * **hot-key adoption** — after `ADOPT_AFTER` forwards of the same
 //!   kernel, a node that knows the source compiles it locally instead
 //!   of forwarding forever, so skewed traffic scales with the cluster
 //!   instead of serializing on one owner.

@@ -210,8 +210,6 @@ fn prom_name(name: &'static str) -> &'static str {
         "engine_rtm_aborts" => "flexvec_engine_rtm_aborts_total",
         "engine_uops" => "flexvec_engine_uops_total",
         "engine_wall_micros" => "flexvec_engine_wall_micros_total",
-        "engine_page_cache_hits" => "flexvec_engine_page_cache_hits_total",
-        "engine_page_cache_misses" => "flexvec_engine_page_cache_misses_total",
         "tier_tree" => "flexvec_tier_tree_total",
         "tier_bytecode" => "flexvec_tier_bytecode_total",
         "tier_native" => "flexvec_tier_native_total",
@@ -884,13 +882,7 @@ impl ServeEngine {
                 // The wall is the scalar loop's: it is the latency an
                 // implicit-spec request actually paid, which is what
                 // the autotuner's Auto-variant EWMA must see.
-                throughput: ThroughputReport::new(
-                    "scalar",
-                    base.wall,
-                    0,
-                    base.uops,
-                    flexvec_mem::PageCacheStats::default(),
-                ),
+                throughput: ThroughputReport::new("scalar", base.wall, 0, base.uops),
                 live_outs,
             });
         };
@@ -911,19 +903,12 @@ impl ServeEngine {
         let mut vector_final = None;
         let mut last_stats = VectorStats::default();
         let mut agg_stats = VectorStats::default();
-        mem_v.reset_cache_stats();
         let label = match engine {
             Engine::TreeWalking => "tree-walking",
             Engine::Compiled => "compiled",
             Engine::Native => "native",
         };
-        let mut throughput = ThroughputReport::new(
-            label,
-            Duration::ZERO,
-            0,
-            0,
-            flexvec_mem::PageCacheStats::default(),
-        );
+        let mut throughput = ThroughputReport::new(label, Duration::ZERO, 0, 0);
         let wall_start = Instant::now();
         for _ in 0..invocations {
             let step = match engine {
@@ -958,7 +943,6 @@ impl ServeEngine {
             last_stats = s;
         }
         throughput.wall = wall_start.elapsed();
-        throughput.page_cache = mem_v.cache_stats();
         throughput.uops = sink_v.as_dyn().len();
         let vector_run = vector_final.expect("at least one invocation");
 
@@ -983,7 +967,7 @@ impl ServeEngine {
                 for i in 0..arrays.len() {
                     let a = base.bind.array(i as u32);
                     let b = bind_v.array(i as u32);
-                    if base.mem.snapshot_array(a) != mem_v.snapshot_array(b) {
+                    if base.mem.array_slice(a) != mem_v.array_slice(b) {
                         return Err(ProtoError::new(
                             ErrorKind::ExecError,
                             format!(

@@ -23,7 +23,7 @@
 //!
 //! Distributed aging closes the loop: manifests carry in-memory
 //! residency, and a snapshot that has been out of *every* member's
-//! in-memory cache for [`Replicator::gc_rounds`] consecutive gossip
+//! in-memory cache for `Replicator::gc_rounds` consecutive gossip
 //! rounds is garbage-collected from disk (`snapshot_evicted` log line,
 //! `reason=distributed_gc`).
 //!

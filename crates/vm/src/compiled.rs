@@ -15,8 +15,8 @@
 //!   template, memory/branch ops patch a preallocated scratch µop in
 //!   place (address list, branch outcome) so a chunk allocates nothing;
 //! * uses the span forms of [`LaneMemory`] for accesses whose active
-//!   lanes hit consecutive addresses (the unit-stride fast path), paying
-//!   one page translation per page run instead of one per lane.
+//!   lanes hit consecutive addresses (the unit-stride fast path), which
+//!   checks the span's pages once instead of translating every lane.
 //!
 //! The engine is bit-identical to the tree walker: same results, same
 //! [`VectorStats`](crate::VectorStats), same µop stream in the same
@@ -225,7 +225,7 @@ enum Flow {
 /// A [`VProg`] flattened to linear bytecode (see the module docs).
 ///
 /// Compile once with [`CompiledVProg::compile`], then run any number of
-/// chunks; the executor drivers call [`CompiledVProg::run_chunk`] in
+/// chunks; the executor drivers call `CompiledVProg::run_chunk` in
 /// place of the tree walker. The compiled program itself is immutable —
 /// all per-run mutable state (patched µops, VPL counters, the span lane
 /// buffer) lives in an [`ExecScratch`], so one compiled program can be
@@ -290,7 +290,7 @@ impl CompiledVProg {
     /// specialized to the *current* ambient vector length (lane loops
     /// are unrolled `vl` times, mask constants are clipped at `vl`), so
     /// it only runs when a chunk executes at that same width — at any
-    /// other width [`CompiledVProg::run_chunk`] silently uses the
+    /// other width `CompiledVProg::run_chunk` silently uses the
     /// bytecode tier, which is width-agnostic. Returns whether native
     /// code is now attached; `false` (non-x86-64 target, nothing to
     /// compile, or a static encoding bound exceeded) leaves the program

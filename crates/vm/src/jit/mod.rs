@@ -46,7 +46,7 @@
 //! code path the interpreter uses).
 
 /// Whether this build target can emit and execute native code
-/// (x86-64 Linux). Everywhere else [`NativeCode::build`] returns `None`
+/// (x86-64 Linux). Everywhere else `NativeCode::build` returns `None`
 /// and `Engine::Native` transparently falls back to the compiled
 /// bytecode engine.
 pub fn native_supported() -> bool {

@@ -81,7 +81,7 @@ pub struct Evaluation {
     /// Dynamic vector µops.
     pub vector_uops: u64,
     /// Execution-engine throughput counters for the vector runs
-    /// (chunks/s, µops/s, page-cache hit rate).
+    /// (chunks/s, µops/s).
     pub throughput: ThroughputReport,
 }
 
@@ -189,14 +189,8 @@ pub fn evaluate_with_engine(
     let mut sim_v = OooSim::new(config.clone());
     let mut vector_final = None;
     let mut stats = VectorStats::default();
-    mem_v.reset_cache_stats();
-    let mut throughput = ThroughputReport::new(
-        engine_label(engine),
-        std::time::Duration::ZERO,
-        0,
-        0,
-        flexvec_mem::PageCacheStats::default(),
-    );
+    let mut throughput =
+        ThroughputReport::new(engine_label(engine), std::time::Duration::ZERO, 0, 0);
     let wall_start = Instant::now();
     for _ in 0..w.invocations {
         let (r, s) = match (mode, &mut compiled) {
@@ -231,7 +225,6 @@ pub fn evaluate_with_engine(
         stats = s;
     }
     throughput.wall = wall_start.elapsed();
-    throughput.page_cache = mem_v.cache_stats();
     let vector_result = sim_v.result();
     let vector_run = vector_final.expect("at least one invocation");
 
@@ -250,7 +243,7 @@ pub fn evaluate_with_engine(
     for i in 0..w.arrays.len() {
         let a = bind_s.array(i as u32);
         let b = bind_v.array(i as u32);
-        if mem_s.snapshot_array(a) != mem_v.snapshot_array(b) {
+        if mem_s.array_slice(a) != mem_v.array_slice(b) {
             return Err(EvalError::Mismatch(format!(
                 "{}: array {i} differs",
                 w.name
@@ -341,6 +334,5 @@ mod tests {
         assert_eq!(tree.throughput.label, "tree-walking");
         assert!(compiled.throughput.chunks > 0);
         assert_eq!(compiled.throughput.uops, compiled.vector_uops);
-        assert!(compiled.throughput.page_cache.accesses() > 0);
     }
 }
