@@ -1,9 +1,11 @@
 //! Execution-engine throughput (experiment for the compiled µop engine
 //! and the native x86-64 JIT tier): chunks/s of each engine on the
 //! Figure 8 loop shapes — the h264 guarded speculative-load kernel, the
-//! gzip early-exit kernel and the SSCA2 kernel, whose gathers cross
-//! pages and so exercise address translation — plus a synthetic
-//! straight-line-heavy kernel that is the native tier's best case. Run with `--release`;
+//! gzip early-exit kernel, the SSCA2 kernel, whose gathers cross pages
+//! and so exercise address translation, and the 433.milc kernel, whose
+//! unit-stride loads and gathers make it the heaviest memory traffic
+//! of the `hot-run` kernels — plus a synthetic straight-line-heavy
+//! kernel that is the native tier's best case. Run with `--release`;
 //! the compiled engine is expected to be ≥2× the tree walker, and the
 //! native tier ≥1.5× the compiled engine on the straight-line kernel.
 //!
@@ -176,6 +178,7 @@ fn bench_engines(c: &mut Criterion) {
         flexvec_workloads::spec::h264ref(),
         flexvec_workloads::apps::gzip(),
         flexvec_workloads::apps::ssca2(),
+        flexvec_workloads::spec::milc(),
         straight_line(),
     ] {
         let name = workload.workload_short_name();

@@ -164,16 +164,16 @@ pub fn vpslctlast(k1: Mask, v1: Vector) -> Vector {
 #[must_use]
 #[inline]
 pub fn vpconflictm(k2: Mask, v1: Vector, v2: Vector) -> Mask {
-    let mut out = Mask::EMPTY;
-    let mut window_start = 0usize;
-    for j in 0..vlen() {
-        let conflicts = (window_start..j).any(|i| k2.get(i) && v2.lane(i) == v1.lane(j));
-        if conflicts {
-            out.set(j, true);
+    let (stores, enabled) = (v2.as_lanes(), k2.bits());
+    let (mut out, mut window_start) = (0u64, 0usize);
+    for (j, &load) in v1.as_lanes().iter().enumerate() {
+        let hit = |(i, &store): (usize, &i64)| (enabled >> i) & 1 != 0 && store == load;
+        if (window_start..).zip(&stores[window_start..j]).any(hit) {
+            out |= 1 << j;
             window_start = j;
         }
     }
-    out
+    Mask::from_bits(out)
 }
 
 #[cfg(test)]

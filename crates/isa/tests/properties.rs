@@ -9,7 +9,8 @@
 //!   `k_todo` terminates (VPL termination).
 //! * `vpconflictm` stop bits partition the lanes so that within a
 //!   partition, no load address matches an earlier enabled store address
-//!   (definitions dominate uses inside a partition).
+//!   (definitions dominate uses inside a partition), and they agree
+//!   exactly with a lane-by-lane model of the paper's definition.
 //! * first-faulting loads never report lanes as completed unless they
 //!   actually loaded, and completed lanes form a prefix of the enabled
 //!   lanes.
@@ -349,6 +350,45 @@ proptest! {
             // property); here: lane 0 has no predecessors at any width.
             prop_assert!(!small.get(0));
             prop_assert!(!big.get(0));
+            Ok(())
+        })?;
+    }
+}
+
+/// `VPCONFLICTM` lane by lane, as the paper defines it (Section 3.6):
+/// lane `j` of `v1` conflicts when it equals an enabled lane of `v2` in
+/// the window from the last conflict up to `j`, and every conflict
+/// restarts the window at its own lane.
+fn vpconflictm_reference(k2: Mask, v1: Vector, v2: Vector) -> Mask {
+    let mut out = Mask::EMPTY;
+    let mut window_start = 0usize;
+    for j in 0..vlen() {
+        if (window_start..j).any(|i| k2.get(i) && v2.lane(i) == v1.lane(j)) {
+            out.set(j, true);
+            window_start = j;
+        }
+    }
+    out
+}
+
+proptest! {
+    #[test]
+    fn vpconflictm_matches_the_lane_by_lane_definition(
+        vl in vl_strategy(),
+        k2b in any::<u64>(),
+        v1_lanes in lanes_strategy(4),
+        v2_lanes in lanes_strategy(4),
+    ) {
+        at_width(vl, || {
+            // Values from 0..4 make conflicts common, so both the window
+            // restart and the enable gate decide most cases.
+            let k2 = Mask::from_bits(k2b);
+            let v1 = Vector::from_slice(&v1_lanes[..vlen()]);
+            let v2 = Vector::from_slice(&v2_lanes[..vlen()]);
+            prop_assert_eq!(vpconflictm(k2, v1, v2), vpconflictm_reference(k2, v1, v2));
+            // The one-vector form the vectorizer emits for a store and a
+            // load through the same index.
+            prop_assert_eq!(vpconflictm(k2, v1, v1), vpconflictm_reference(k2, v1, v1));
             Ok(())
         })?;
     }

@@ -8,12 +8,19 @@
 //!
 //! * pre-resolves every VPL back-edge to an instruction index (no
 //!   recursion, no per-node matching on the chunk hot path);
-//! * pre-binds register operands to dense `usize` indices and
-//!   pre-splats every immediate into a full [`Vector`];
+//! * pre-binds register operands to dense `usize` indices; immediates
+//!   stay scalar and are splatted at execution time, so one program runs
+//!   at every vector length;
 //! * prebuilds the µop for each instruction and feeds it to the sink by
 //!   reference ([`TraceSink::observe`]) — register ops reuse an immutable
 //!   template, memory/branch ops patch a preallocated scratch µop in
 //!   place (address list, branch outcome) so a chunk allocates nothing;
+//! * runs memory ops in place over the active lanes: the address list is
+//!   filled straight from the index register's active lanes, loads are
+//!   staged in the scratch's span buffer and only then written back to
+//!   the active destination lanes (so a faulting load leaves its
+//!   destination unchanged), and stores read their values by reference
+//!   — no memory op copies a whole register;
 //! * uses the span forms of [`LaneMemory`] for accesses whose active
 //!   lanes hit consecutive addresses (the unit-stride fast path), which
 //!   checks the span's pages once instead of translating every lane.
@@ -25,8 +32,8 @@
 use flexvec::{VNode, VOp, VProg};
 use flexvec_ir::BinOp;
 use flexvec_isa::{
-    kftm_exc, kftm_inc, vcmp, vgather_ff, vlen, vpconflictm, vpslctlast, CmpOp, LaneMemory, Mask,
-    Vector, MAX_VLEN,
+    kftm_exc, kftm_inc, vcmp, vlen, vpconflictm, vpslctlast, CmpOp, LaneMemory, Mask, Vector,
+    MAX_VLEN,
 };
 
 use crate::trace::{Tok, TraceSink, Uop, UopClass};
@@ -718,86 +725,68 @@ impl CompiledVProg {
                     s,
                 } => {
                     let k = exec.kregs[*mask];
-                    let base = exec.array_bases[*array] as i64;
-                    let idxv = exec.vregs[*idx];
                     let uop = &mut scratch[*s];
-                    // Refill the touched-address list and detect the
-                    // unit-stride (consecutive-address) case on the fly.
-                    uop.addrs.clear();
-                    let mut contiguous = true;
-                    for lane in k.iter_set() {
-                        let addr = base.wrapping_add(idxv.lane(lane).wrapping_mul(8)) as u64;
-                        if let Some(&prev) = uop.addrs.last() {
-                            contiguous &= addr == prev.wrapping_add(8);
-                        }
-                        uop.addrs.push(addr);
-                    }
-                    let n = uop.addrs.len();
-                    if *ff {
-                        let dest = exec.vregs[*dst];
-                        let result = if contiguous && n > 0 {
-                            match mem.load_span(uop.addrs[0], &mut span[..n]) {
-                                Ok(()) => {
-                                    let mut value = dest;
-                                    for (j, lane) in k.iter_set().enumerate() {
-                                        value[lane] = span[j];
-                                    }
-                                    Some((value, k))
-                                }
-                                Err(f) => {
-                                    // First bad element, in lane order.
-                                    let j = ((f.addr - uop.addrs[0]) / 8) as usize;
-                                    if j == 0 {
-                                        None // non-speculative lane faulted
-                                    } else {
-                                        let fault_lane =
-                                            k.iter_set().nth(j).expect("fault within active run");
-                                        let mut value = dest;
-                                        for (jj, lane) in k.iter_set().take(j).enumerate() {
-                                            value[lane] = span[jj];
-                                        }
-                                        Some((value, k & Mask::prefix_before(fault_lane)))
-                                    }
-                                }
+                    let contiguous = fill_addrs(
+                        &mut uop.addrs,
+                        exec.array_bases[*array],
+                        exec.vregs[*idx].as_lanes(),
+                        k,
+                    );
+                    // Stage the loads so that a faulting load leaves `dst`
+                    // unchanged; `loaded` counts the leading active lanes
+                    // that read before the first fault in lane order (a
+                    // span's first bad element is also its first faulting
+                    // lane).
+                    let staged = &mut span[..uop.addrs.len()];
+                    let loaded = if *ff {
+                        let loaded = if contiguous {
+                            match mem.load_span(uop.addrs[0], staged) {
+                                Ok(()) => staged.len(),
+                                Err(f) => ((f.addr - uop.addrs[0]) / 8) as usize,
                             }
                         } else {
-                            vgather_ff(mem, k, dest, addrs_of(base, idxv))
-                                .ok()
-                                .map(|res| (res.value, res.mask))
+                            let mut loaded = 0;
+                            for (slot, &addr) in staged.iter_mut().zip(&uop.addrs) {
+                                let Ok(value) = mem.load_lane(addr) else {
+                                    break;
+                                };
+                                *slot = value;
+                                loaded += 1;
+                            }
+                            loaded
                         };
-                        match result {
-                            Some((value, got)) => {
-                                exec.vregs[*dst] = value;
-                                exec.kregs[*out_mask] = got;
-                                uop.srcs.push(Tok::V(*dst as u32));
-                                sink.observe(uop);
-                                uop.srcs.truncate(2);
-                            }
-                            None => {
-                                // A fault on the non-speculative lane:
-                                // handle it like a clip — the scalar
-                                // fallback decides whether the access
-                                // really happens.
-                                sink.observe(uop);
-                                return Err(ChunkAbort::Clipped);
-                            }
+                        if loaded == 0 && k.any() {
+                            // A fault on the non-speculative lane: handle
+                            // it like a clip — the scalar fallback decides
+                            // whether the access really happens.
+                            sink.observe(uop);
+                            return Err(ChunkAbort::Clipped);
                         }
+                        exec.kregs[*out_mask] = match k.iter_set().nth(loaded) {
+                            Some(fault_lane) => k & Mask::prefix_before(fault_lane),
+                            None => k,
+                        };
+                        loaded
                     } else {
-                        let mut out = exec.vregs[*dst];
-                        if contiguous && n > 0 {
-                            // Faults propagate without emitting the µop,
-                            // exactly like the per-lane path (the span
-                            // fault address is the first bad element).
-                            mem.load_span(uop.addrs[0], &mut span[..n])?;
-                            for (j, lane) in k.iter_set().enumerate() {
-                                out[lane] = span[j];
-                            }
+                        // Faults propagate without emitting the µop.
+                        if contiguous {
+                            mem.load_span(uop.addrs[0], staged)?;
                         } else {
-                            for (j, lane) in k.iter_set().enumerate() {
-                                out[lane] = mem.load_lane(uop.addrs[j])?;
+                            for (slot, &addr) in staged.iter_mut().zip(&uop.addrs) {
+                                *slot = mem.load_lane(addr)?;
                             }
                         }
-                        exec.vregs[*dst] = out;
+                        staged.len()
+                    };
+                    let out = &mut exec.vregs[*dst];
+                    for (lane, &value) in k.iter_set().zip(&span[..loaded]) {
+                        out[lane] = value;
+                    }
+                    if *ff {
+                        uop.srcs.push(Tok::V(*dst as u32));
+                        sink.observe(uop);
+                        uop.srcs.truncate(2);
+                    } else {
                         sink.observe(uop);
                     }
                 }
@@ -809,36 +798,30 @@ impl CompiledVProg {
                     s,
                 } => {
                     let k = exec.kregs[*mask];
-                    let base = exec.array_bases[*array] as i64;
-                    let idxv = exec.vregs[*idx];
-                    let values = exec.vregs[*src];
                     let uop = &mut scratch[*s];
-                    uop.addrs.clear();
-                    let mut contiguous = true;
-                    for lane in k.iter_set() {
-                        let addr = base.wrapping_add(idxv.lane(lane).wrapping_mul(8)) as u64;
-                        if let Some(&prev) = uop.addrs.last() {
-                            contiguous &= addr == prev.wrapping_add(8);
-                        }
-                        uop.addrs.push(addr);
-                    }
-                    let n = uop.addrs.len();
+                    let contiguous = fill_addrs(
+                        &mut uop.addrs,
+                        exec.array_bases[*array],
+                        exec.vregs[*idx].as_lanes(),
+                        k,
+                    );
                     // The store µop is emitted before the accesses (the
                     // tree walker does the same; a mid-store fault leaves
                     // the earlier lanes written).
                     sink.observe(uop);
-                    if n > 0 {
+                    if k.any() {
                         exec.chunk_stores = true;
                     }
-                    if contiguous && n > 0 {
-                        for (j, lane) in k.iter_set().enumerate() {
-                            span[j] = values.lane(lane);
+                    let values = exec.vregs[*src].as_lanes();
+                    if contiguous {
+                        let staged = &mut span[..uop.addrs.len()];
+                        for (slot, lane) in staged.iter_mut().zip(k.iter_set()) {
+                            *slot = values[lane];
                         }
-                        let addr0 = scratch[*s].addrs[0];
-                        mem.store_span(addr0, &span[..n])?;
+                        mem.store_span(uop.addrs[0], staged)?;
                     } else {
-                        for (j, lane) in k.iter_set().enumerate() {
-                            mem.store_lane(scratch[*s].addrs[j], values.lane(lane))?;
+                        for (&addr, lane) in uop.addrs.iter().zip(k.iter_set()) {
+                            mem.store_lane(addr, values[lane])?;
                         }
                     }
                 }
@@ -849,10 +832,17 @@ impl CompiledVProg {
     }
 }
 
-/// Per-lane byte addresses (the gather-path helper, mirroring
-/// `VecExec::addrs`).
-fn addrs_of(base: i64, idx: Vector) -> Vector {
-    idx.map(|i| base.wrapping_add(i.wrapping_mul(8)))
+/// Refills `addrs` with the byte addresses of the lanes `k` enables in
+/// the index register `idx`, in lane order, and returns whether they
+/// form a non-empty run of consecutive elements: the unit-stride case
+/// that the span forms of [`LaneMemory`] serve.
+fn fill_addrs(addrs: &mut Vec<u64>, base: u64, idx: &[i64], k: Mask) -> bool {
+    addrs.clear();
+    addrs.extend(
+        k.iter_set()
+            .map(|lane| base.wrapping_add_signed(idx[lane].wrapping_mul(8))),
+    );
+    !addrs.is_empty() && addrs.windows(2).all(|w| w[1] == w[0].wrapping_add(8))
 }
 
 /// The flattening pass.

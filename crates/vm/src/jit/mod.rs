@@ -12,9 +12,10 @@
 //!
 //! * **Inline code** for the register-op subset (broadcasts, the
 //!   add/sub/mul/and/or/xor/min/max vector ALU ops, predicated
-//!   compares, blends, and the simple mask ops): sixteen scalar
-//!   load/op/store triples over the flat register files, no dispatch,
-//!   no per-op virtual calls. Their µop-template observations are
+//!   compares, blends, and the simple mask ops): one scalar
+//!   load/op/store triple per lane of the build-time vector length
+//!   `vl`, over the flat register files, no dispatch, no per-op
+//!   virtual calls. Their µop-template observations are
 //!   *batched*: consecutive inline ops accumulate a `[lo, hi)` template
 //!   range that is flushed with a single
 //!   [`TraceSink::observe_slice`] call, preserving the exact stream
@@ -24,10 +25,14 @@
 //!   conflict detection, `kftm`, `vpslctlast`, scalar extraction):
 //!   an indirect `call` through a per-run function table in the
 //!   [`NativeCtx`], landing in [`helper_instr`], which executes the
-//!   interpreter's own arm for that instruction. The helper path is
-//!   what makes "unsupported" impossible to get wrong: any instruction
-//!   the encoder does not model runs the reference implementation,
-//!   bit for bit — never wrong code, only less speedup.
+//!   interpreter's own arm for that instruction. For a memory op that
+//!   arm fills the address list from the index register's active lanes
+//!   and moves only those lanes, in place, so a helper call costs the
+//!   dispatch, the address fill and the access itself, never a whole
+//!   register copy. The helper path is what makes "unsupported"
+//!   impossible to get wrong: any instruction the encoder does not
+//!   model runs the reference implementation, bit for bit — never
+//!   wrong code, only less speedup.
 //!
 //! The function table is per-monomorphization (`M: LaneMemory`), so one
 //! compiled blob serves both plain [`AddressSpace`] runs and RTM

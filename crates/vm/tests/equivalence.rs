@@ -1,15 +1,31 @@
 //! End-to-end correctness: for every loop pattern the paper vectorizes,
 //! the FlexVec vector execution must produce exactly the same final
 //! memory and live-out scalars as the scalar reference interpreter —
-//! under first-faulting speculation and under the RTM code path.
+//! under first-faulting speculation and under the RTM code path. A
+//! vector access that really faults must fault where the scalar loop
+//! does, on every engine.
 
 use flexvec::{vectorize, SpecRequest, VectorizedKind};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder, VarId};
-use flexvec_mem::AddressSpace;
-use flexvec_vm::{run_scalar, run_vector, Bindings, CountingSink};
+use flexvec_mem::{AddressSpace, ArrayId, MemFault};
+use flexvec_vm::{
+    run_scalar, run_vector, run_vector_with_engine, Bindings, CountingSink, Engine, ExecError,
+    UopClass, VecSink,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A fresh address space holding `arrays`, allocated in order.
+fn memory(arrays: &[Vec<i64>]) -> (AddressSpace, Vec<ArrayId>) {
+    let mut mem = AddressSpace::new();
+    let ids = arrays
+        .iter()
+        .enumerate()
+        .map(|(i, data)| mem.alloc_from(&format!("a{i}"), data))
+        .collect();
+    (mem, ids)
+}
 
 /// Runs `program` both ways on identical memory images and asserts
 /// equivalence of live-outs, final induction value, and every array.
@@ -25,12 +41,7 @@ fn assert_equivalent(
 ) {
     let vectorized = vectorize(program, spec).expect("vectorizes");
 
-    let mut scalar_mem = AddressSpace::new();
-    let scalar_ids: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, data)| scalar_mem.alloc_from(&format!("a{i}"), data))
-        .collect();
+    let (mut scalar_mem, scalar_ids) = memory(arrays);
     let mut sink = CountingSink::default();
     let scalar = run_scalar(
         program,
@@ -40,12 +51,7 @@ fn assert_equivalent(
     )
     .expect("scalar runs");
 
-    let mut vec_mem = AddressSpace::new();
-    let vec_ids: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, data)| vec_mem.alloc_from(&format!("a{i}"), data))
-        .collect();
+    let (mut vec_mem, vec_ids) = memory(arrays);
     let mut vsink = CountingSink::default();
     let (vector, stats) = run_vector(
         program,
@@ -545,6 +551,107 @@ fn randomized_sweep() {
             &p,
             &h264_inputs(n, seed, rate),
             SpecRequest::Rtm { tile: 64 },
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Faulting vector accesses: the fault order of the memory instructions.
+// ---------------------------------------------------------------------------
+
+/// Runs `program` to its fault on fresh memory holding `arrays`, on the
+/// scalar oracle (`engine` is `None`) or on one vector engine. Returns
+/// the fault, the arrays the run left behind and its µop trace.
+fn run_to_fault(
+    program: &Program,
+    arrays: &[Vec<i64>],
+    engine: Option<Engine>,
+) -> (MemFault, Vec<Vec<i64>>, VecSink) {
+    let (mut mem, ids) = memory(arrays);
+    let bindings = Bindings::new(ids.clone());
+    let mut trace = VecSink::default();
+    let result = match engine {
+        None => run_scalar(program, &mut mem, bindings, &mut trace).map(|_| ()),
+        Some(engine) => {
+            let vprog = vectorize(program, SpecRequest::Auto)
+                .expect("vectorizes")
+                .vprog;
+            run_vector_with_engine(program, &vprog, &mut mem, bindings, &mut trace, engine)
+                .map(|_| ())
+        }
+    };
+    let Err(ExecError::Fault(fault)) = result else {
+        panic!("{engine:?}: expected a fault, got {result:?}");
+    };
+    let left = ids.iter().map(|id| mem.snapshot_array(*id)).collect();
+    (fault, left, trace)
+}
+
+const ENGINES: [Engine; 3] = [Engine::TreeWalking, Engine::Compiled, Engine::Native];
+
+#[test]
+fn plain_gather_faults_at_its_first_faulting_lane() {
+    // dst[i] = src[idx[i]] has no guard, so its gather is a plain one:
+    // every lane is non-speculative and any fault is an exception.
+    let mut b = ProgramBuilder::new("gather_copy");
+    let i = b.var("i", 0);
+    let src = b.array("src");
+    let idx = b.array("idx");
+    let dst = b.array("dst");
+    let p = b
+        .build_loop(
+            i,
+            c(0),
+            c(64),
+            vec![store(dst, var(i), ld(src, ld(idx, var(i))))],
+        )
+        .unwrap();
+    let mix = vectorize(&p, SpecRequest::Auto).unwrap().vprog.inst_mix();
+    assert_eq!((mix.gather, mix.vpgatherff), (1, 0), "{mix:?}");
+    // Two indices past the last mapped page in the first chunk. Lane 3
+    // comes first in lane order, lane 9 has the lower address.
+    let mut idx_data: Vec<i64> = (0..64).collect();
+    idx_data[3] = 1 << 40;
+    idx_data[9] = 1 << 36;
+    let arrays = [vec![7; 64], idx_data, vec![0; 64]];
+    let (mem, ids) = memory(&arrays);
+    let (want, _, _) = run_to_fault(&p, &arrays, None);
+    assert_eq!(want.addr, mem.elem_addr(ids[0], 1 << 40));
+    for engine in ENGINES {
+        let (fault, _, trace) = run_to_fault(&p, &arrays, Some(engine));
+        assert_eq!(fault, want, "{engine:?}");
+        assert!(!trace.uops.is_empty(), "{engine:?}: empty trace");
+        assert!(
+            trace.uops.iter().all(|u| u.class != UopClass::Gather),
+            "{engine:?}: the faulting gather emitted its µop"
+        );
+    }
+}
+
+#[test]
+fn unit_stride_store_faults_at_the_guard_page_mid_vector() {
+    // dst is one page long. Chunks start at i = 5 + 16k, so the chunk
+    // at 501 stores lanes 0..=10 to dst's last elements and lane 11 to
+    // the guard page after it.
+    let mut b = ProgramBuilder::new("copy_past_end");
+    let i = b.var("i", 0);
+    let src = b.array("src");
+    let dst = b.array("dst");
+    let p = b
+        .build_loop(i, c(5), c(600), vec![store(dst, var(i), ld(src, var(i)))])
+        .unwrap();
+    let mix = vectorize(&p, SpecRequest::Auto).unwrap().vprog.inst_mix();
+    assert_eq!((mix.unit_mem, mix.scatter), (2, 0), "{mix:?}");
+    let arrays = [(0..600).map(|x| 3 * x + 1).collect(), vec![0; 512]];
+    let (mem, ids) = memory(&arrays);
+    let (want, scalar_left, _) = run_to_fault(&p, &arrays, None);
+    assert_eq!(want.addr, mem.elem_addr(ids[1], 512));
+    for engine in ENGINES {
+        let (fault, left, _) = run_to_fault(&p, &arrays, Some(engine));
+        assert_eq!(fault, want, "{engine:?}");
+        assert!(
+            left == scalar_left,
+            "{engine:?}: arrays differ from the scalar run's"
         );
     }
 }

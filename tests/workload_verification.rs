@@ -3,13 +3,18 @@
 //! every array element) before reporting any number — this test runs
 //! that gate for all 18 workloads under both speculation mechanisms,
 //! sanity-checks the measured statistics, and pins the simulated cycle
-//! and µop counts in `tests/golden/sim_cycles.txt`.
+//! and µop counts in `tests/golden/sim_cycles.txt`, on the default
+//! compiled engine and on the native tier.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
 use flexvec::SpecRequest;
-use flexvec_workloads::{all, evaluate, Evaluation, Suite};
+use flexvec_sim::SimConfig;
+use flexvec_vm::Engine;
+use flexvec_workloads::{
+    all, evaluate, evaluate_with_engine, Evaluation, Suite, VectorMode, Workload,
+};
 
 /// Appends the golden line of one evaluation: workload, spec label, then
 /// the four simulated statistics.
@@ -26,7 +31,7 @@ fn record(actual: &mut String, spec: &str, e: &Evaluation) {
 /// `tests/golden/sim_cycles.txt`. Any change to the timing model or to
 /// the µop streams shows up here; on an intentional change, update the
 /// golden file from the `actual` text in the failure message.
-fn assert_matches_golden(spec: &str, actual: &str) {
+fn assert_matches_golden(spec: &str, engine: Engine, actual: &str) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sim_cycles.txt");
     let golden = std::fs::read_to_string(&path).expect("tests/golden/sim_cycles.txt exists");
     let expected: String = golden
@@ -36,46 +41,60 @@ fn assert_matches_golden(spec: &str, actual: &str) {
         .collect();
     assert_eq!(
         actual, expected,
-        "simulated statistics ({spec}) drifted from sim_cycles.txt;\n--- actual ---\n{actual}"
+        "simulated statistics ({spec}, {engine:?}) drifted from sim_cycles.txt;\n--- actual ---\n{actual}"
     );
+}
+
+/// The engines the golden statistics are checked on: the default
+/// compiled engine, and the native tier that serving promotes hot
+/// kernels to, whose helper calls run the compiled engine's memory and
+/// conflict arms. Off x86-64 the native tier falls back to bytecode.
+const ENGINES: [Engine; 2] = [Engine::Compiled, Engine::Native];
+
+fn evaluate_on(w: &Workload, spec: SpecRequest, engine: Engine) -> Evaluation {
+    evaluate_with_engine(w, spec, &SimConfig::table1(), VectorMode::FlexVec, engine)
+        .unwrap_or_else(|err| panic!("{} ({spec:?}, {engine:?}): {err}", w.name))
 }
 
 #[test]
 fn all_workloads_verify_under_first_faulting() {
-    let mut actual = String::new();
-    for w in all() {
-        let e = evaluate(&w, SpecRequest::Auto).unwrap_or_else(|err| panic!("{}: {err}", w.name));
-        record(&mut actual, "auto", &e);
-        assert!(
-            e.region_speedup > 0.5,
-            "{}: implausible region speedup {:.2}",
-            w.name,
-            e.region_speedup
-        );
-        assert!(e.overall_speedup >= 0.9, "{}: overall regression", w.name);
-        // Coverage scaling can only attenuate the region effect.
-        if e.region_speedup >= 1.0 {
-            assert!(e.overall_speedup <= e.region_speedup + 1e-9, "{}", w.name);
+    for engine in ENGINES {
+        let mut actual = String::new();
+        for w in all() {
+            let e = evaluate_on(&w, SpecRequest::Auto, engine);
+            record(&mut actual, "auto", &e);
+            assert!(
+                e.region_speedup > 0.5,
+                "{}: implausible region speedup {:.2}",
+                w.name,
+                e.region_speedup
+            );
+            assert!(e.overall_speedup >= 0.9, "{}: overall regression", w.name);
+            // Coverage scaling can only attenuate the region effect.
+            if e.region_speedup >= 1.0 {
+                assert!(e.overall_speedup <= e.region_speedup + 1e-9, "{}", w.name);
+            }
+            assert!(e.stats.chunks > 0, "{}: no vector chunks ran", w.name);
         }
-        assert!(e.stats.chunks > 0, "{}: no vector chunks ran", w.name);
+        assert_matches_golden("auto", engine, &actual);
     }
-    assert_matches_golden("auto", &actual);
 }
 
 #[test]
 fn all_workloads_verify_under_rtm() {
-    let mut actual = String::new();
-    for w in all() {
-        let e = evaluate(&w, SpecRequest::Rtm { tile: 192 })
-            .unwrap_or_else(|err| panic!("{} (RTM): {err}", w.name));
-        record(&mut actual, "rtm192", &e);
-        assert!(
-            e.stats.rtm_commits > 0,
-            "{}: no committed transactions",
-            w.name
-        );
+    for engine in ENGINES {
+        let mut actual = String::new();
+        for w in all() {
+            let e = evaluate_on(&w, SpecRequest::Rtm { tile: 192 }, engine);
+            record(&mut actual, "rtm192", &e);
+            assert!(
+                e.stats.rtm_commits > 0,
+                "{}: no committed transactions",
+                w.name
+            );
+        }
+        assert_matches_golden("rtm192", engine, &actual);
     }
-    assert_matches_golden("rtm192", &actual);
 }
 
 #[test]
