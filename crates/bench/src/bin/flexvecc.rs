@@ -17,12 +17,8 @@
 //! takes `--seed N`, `--iters N`, `--budget-ms N`
 //! and `--repro-dir PATH` (where divergence/mutant repros are written).
 //! `serve` takes `--addr`, `--metrics-addr` (or `off`), `--workers`,
-//! `--queue`, `--cache`, `--deadline-ms`, `--cache-dir PATH` (persist
-//! compiled kernels across restarts), `--cache-dir-max-bytes N`
-//! (bound the store, oldest evicted first), `--accept-mode
-//! auto|threads`, and `--cluster A,B,...` with `--advertise ADDR`
-//! (consistent-hash ring across daemons) plus `--gossip-interval-ms`
-//! and `--gossip-gc-rounds` (snapshot replication cadence); `client`
+//! `--queue`, `--cache`, `--deadline-ms` and `--accept-mode
+//! auto|threads`; its compile cache lives in memory only. `client`
 //! takes `--addr` plus the run flags, retrying refused connects with
 //! capped backoff. `--version` prints the build identity.
 //!
@@ -107,30 +103,6 @@ fn main() {
             ExtraFlag {
                 name: "deadline-ms",
                 help: "request deadline in ms for serve defaults / client requests",
-            },
-            ExtraFlag {
-                name: "cache-dir",
-                help: "serve persistent compile-cache directory (default off)",
-            },
-            ExtraFlag {
-                name: "cache-dir-max-bytes",
-                help: "byte bound on the serve cache dir, 0 = unbounded (default 0)",
-            },
-            ExtraFlag {
-                name: "cluster",
-                help: "comma-separated member list for serve cluster mode (default off)",
-            },
-            ExtraFlag {
-                name: "advertise",
-                help: "this node's address in the --cluster member list (default --addr)",
-            },
-            ExtraFlag {
-                name: "gossip-interval-ms",
-                help: "snapshot-manifest gossip period in cluster mode (default 1000)",
-            },
-            ExtraFlag {
-                name: "gossip-gc-rounds",
-                help: "gossip rounds a snapshot may stay memory-cold everywhere before disk GC, 0 = off (default 10)",
             },
             ExtraFlag {
                 name: "vl",
@@ -475,27 +447,6 @@ fn serve_cmd(flags: &CommonFlags) -> i32 {
             0 => None,
             n => Some(n),
         },
-        cache_dir: match flags.str_flag("cache-dir", "") {
-            s if s.is_empty() => None,
-            s => Some(s),
-        },
-        cache_dir_max_bytes: match flags.u64_flag("cache-dir-max-bytes", 0) {
-            0 => None,
-            n => Some(n),
-        },
-        cluster: flags
-            .str_flag("cluster", "")
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_owned)
-            .collect(),
-        advertise: match flags.str_flag("advertise", "") {
-            s if s.is_empty() => None,
-            s => Some(s),
-        },
-        gossip_interval_ms: flags.u64_flag("gossip-interval-ms", 1000),
-        gossip_gc_rounds: flags.u64_flag("gossip-gc-rounds", 10),
         accept_mode,
     };
     flexvec_serve::install_sigint_handler();

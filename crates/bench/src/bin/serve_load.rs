@@ -22,41 +22,32 @@
 //!
 //! A fourth phase demonstrates tiered execution end to end: one
 //! straight-line-heavy kernel is submitted with the engine omitted
-//! (`auto`), so the daemon's tier policy walks it cold→tree,
-//! warm→bytecode, hot→native across successive requests. The second
-//! hot request's `chunks_per_sec` (measured by the daemon around its own
-//! exec loop, so the wire cancels out; the first one verifies its new
-//! variant on the cycle model) is compared against a forced
-//! `"engine":"compiled"` bench of the same kernel, and on x86-64 hosts
-//! the run fails unless the promoted native tier beats the bytecode
-//! tier by a measurable margin.
+//! (`auto`), so the daemon's tier policy runs it on bytecode first and
+//! promotes it to native once it is hot. The second hot request's
+//! `chunks_per_sec` (measured by the daemon around its own exec loop,
+//! so the wire cancels out; the first one verifies its new variant on
+//! the cycle model) is compared against a forced `"engine":"compiled"`
+//! bench of the same kernel, and on x86-64 hosts the run fails unless
+//! the kernel was promoted and the native tier beats the bytecode tier
+//! by a measurable margin.
 //!
-//! Four further regression-failing scenarios cover the scale-out and
-//! adaptive layers:
+//! Two further regression-failing scenarios:
 //!
-//! * `--scenario warm-restart` — compiles a kernel set against a
-//!   `--cache-dir`, restarts the daemon, and requires the *first*
-//!   repeat-kernel request after the restart to be a disk-warm cache
-//!   hit (no recompilation); reports restart-to-first-response time.
-//! * `--scenario cluster` — drives skewed hot-key traffic at a 3-node
-//!   consistent-hash ring and fails unless aggregate throughput beats
-//!   the single-node baseline by ≥ 2.5× with bounded p99, and the
-//!   reactor holds `--idle-conns` (default 5000) idle connections
-//!   without spawning per-connection threads.
 //! * `--scenario autotune` — a mixed trace over three kernel families
 //!   with conflicting best specs (RTM-only, fault-tail, store-heavy)
 //!   against every fixed `(spec, tile)` in a sweep grid and against an
 //!   autotuned daemon; fails unless the autotuner beats *every* fixed
 //!   configuration on aggregate req/s, and unless explicit `--spec` /
 //!   `--engine` pins demonstrably bypass it.
-//! * `--scenario replica-warmup` — warms a 3-node ring, joins a fourth
-//!   node, and fails unless the joiner serves its owned working set
-//!   with zero recompiles (snapshots arrive via anti-entropy sync and
-//!   lazy peer pulls) and reaches steady-state p50 ≥ 3× faster than a
-//!   cold join that compiles the same set on first touch.
+//! * `--scenario idle-conns` — parks `--idle-conns` (default 5000) idle
+//!   connections on one daemon and fails unless the epoll reactor
+//!   accepts them all, reports them open, and holds them without
+//!   growing the process thread count. It needs about two descriptors
+//!   per connection and is skipped where there is no reactor (off
+//!   x86-64 Linux).
 //!
 //! ```text
-//! serve_load [--scenario warm-restart|cluster|autotune|replica-warmup]
+//! serve_load [--scenario autotune|idle-conns]
 //!            [--clients N] [--requests N] [--kernels K] [--workers N]
 //!            [--idle-conns N] [--warmup N] [--json]
 //! ```
@@ -81,27 +72,22 @@ const MIN_TIER_SPEEDUP: f64 = 1.05;
 /// production-sized kernels.
 const PATTERNS: u64 = 12;
 
-fn kernel_source(n: u64) -> String {
-    kernel_source_shaped(n, PATTERNS, 64)
-}
-
 /// Distinct constants give distinct ASTs (and so distinct cache keys);
 /// the shape is the paper's conditional-update minimum, repeated over
-/// `patterns` independent arrays with an `iters`-iteration loop —
-/// `patterns` scales the compile cost, `iters` the execution cost.
-fn kernel_source_shaped(n: u64, patterns: u64, iters: u64) -> String {
+/// [`PATTERNS`] independent arrays with a 64-iteration loop.
+fn kernel_source(n: u64) -> String {
     let mut src = format!("kernel k{n};\nvar i = 0;\n");
-    for p in 0..patterns {
+    for p in 0..PATTERNS {
         src.push_str(&format!("var b{p} = 9223372036854775807;\n"));
     }
-    for p in 0..patterns {
-        src.push_str(&format!("array a{p}[{iters}] = seed {};\n", n + p + 1));
+    for p in 0..PATTERNS {
+        src.push_str(&format!("array a{p}[64] = seed {};\n", n + p + 1));
     }
-    for p in 0..patterns {
+    for p in 0..PATTERNS {
         src.push_str(&format!("live_out b{p};\n"));
     }
-    src.push_str(&format!("for (i = 0; i < {iters}; i++) {{\n"));
-    for p in 0..patterns {
+    src.push_str("for (i = 0; i < 64; i++) {\n");
+    for p in 0..PATTERNS {
         src.push_str(&format!(
             "  if (a{p}[i] + {n} < b{p}) {{\n    b{p} = a{p}[i] + {n};\n  }}\n"
         ));
@@ -137,7 +123,7 @@ for (i = 0; i < 2048; i++) {
 /// What the tier-promotion phase observed.
 struct TierReport {
     /// Engine labels of the auto requests, in order (expected to walk
-    /// tree-walking → compiled → native on x86-64 hosts).
+    /// compiled → native on x86-64 hosts).
     labels: Vec<String>,
     /// Daemon-measured chunks/s of the final (hot) auto request.
     hot_cps: f64,
@@ -179,18 +165,18 @@ fn drive_tiers(addr: &str) -> TierReport {
         response
     };
 
-    // The policy promotes on cumulative run count (warm at 2, hot at
-    // 16), and each request counts `invocations` runs. Three auto
-    // requests therefore land on three different tiers: 0 runs seen →
-    // tree, 2 → bytecode, 16 → native (on hosts that have it).
+    // The policy starts a kernel on bytecode and promotes it on
+    // cumulative run count (hot at 16), and each request counts
+    // `invocations` runs. The first auto request therefore runs on
+    // bytecode with 0 runs seen, and the next ones on native with 16
+    // seen (on hosts that have it).
     let label = |r: &Json| {
         r.get("engine")
             .and_then(Json::as_str)
             .unwrap_or("?")
             .to_owned()
     };
-    let cold = bench(None, 2);
-    let warm = bench(None, 14);
+    let warm = bench(None, 16);
     // A new invocation count is a new variant, so the first hot
     // request verifies on the cycle model. The one after it reports
     // the stored cycles, like the forced-bytecode baseline below, so
@@ -201,7 +187,7 @@ fn drive_tiers(addr: &str) -> TierReport {
         .get("chunks_per_sec")
         .and_then(Json::as_f64)
         .unwrap_or(0.0);
-    let labels = vec![label(&cold), label(&warm), label(&hot)];
+    let labels = vec![label(&warm), label(&hot)];
 
     // Forced-bytecode baseline for the same kernel, same wire, same
     // daemon. Explicit engines bypass the tier policy, so this does
@@ -260,24 +246,12 @@ impl Phase {
 /// Fires `total` requests at the daemon from `clients` threads; the
 /// request body for global index `i` comes from `make`.
 fn drive(addr: &str, clients: usize, total: u64, make: impl Fn(u64) -> Json + Sync) -> Phase {
-    drive_multi(std::slice::from_ref(&addr.to_owned()), clients, total, make)
-}
-
-/// [`drive`] against a set of daemons: client `c` connects to
-/// `addrs[c % addrs.len()]`, so traffic spreads evenly over a cluster.
-fn drive_multi(
-    addrs: &[String],
-    clients: usize,
-    total: u64,
-    make: impl Fn(u64) -> Json + Sync,
-) -> Phase {
     let per_client = total.div_ceil(clients as u64);
     let started = Instant::now();
     let results: Vec<(Vec<Duration>, u64)> = std::thread::scope(|scope| {
         let make = &make;
         let handles: Vec<_> = (0..clients as u64)
             .map(|c| {
-                let addr = &addrs[(c as usize) % addrs.len()];
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connect load client");
                     let mut latencies = Vec::new();
@@ -350,12 +324,11 @@ fn main() {
             },
             ExtraFlag {
                 name: "scenario",
-                help: "alternate scenario: warm-restart | cluster | autotune | \
-                       replica-warmup (default: main load run)",
+                help: "alternate scenario: autotune | idle-conns (default: main load run)",
             },
             ExtraFlag {
                 name: "idle-conns",
-                help: "idle connections the cluster scenario parks on one node (default 5000)",
+                help: "idle connections the idle-conns scenario parks on one daemon (default 5000)",
             },
             ExtraFlag {
                 name: "warmup",
@@ -365,15 +338,10 @@ fn main() {
     );
     match flags.str_flag("scenario", "").as_str() {
         "" => {}
-        "warm-restart" => std::process::exit(scenario_warm_restart(&flags)),
-        "cluster" => std::process::exit(scenario_cluster(&flags)),
         "autotune" => std::process::exit(scenario_autotune(&flags)),
-        "replica-warmup" => std::process::exit(scenario_replica_warmup(&flags)),
+        "idle-conns" => std::process::exit(scenario_idle_conns(&flags)),
         other => {
-            eprintln!(
-                "serve_load: unknown scenario `{other}` \
-                 (expected warm-restart, cluster, autotune, or replica-warmup)"
-            );
+            eprintln!("serve_load: unknown scenario `{other}` (expected autotune or idle-conns)");
             std::process::exit(2);
         }
     }
@@ -459,8 +427,8 @@ fn main() {
         })
         .collect();
 
-    // Tier promotion: one hot kernel walks cold→tree, warm→bytecode,
-    // hot→native under the auto policy, then races the promoted tier
+    // Tier promotion: one hot kernel starts on bytecode and is promoted
+    // to native under the auto policy, then races the promoted tier
     // against a forced-bytecode baseline.
     let tiers = drive_tiers(&addr);
 
@@ -582,11 +550,12 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if tiers.promotions == 0 {
-        eprintln!("serve_load: the tier policy never promoted the hot kernel");
-        std::process::exit(1);
-    }
+    // A bytecode-only host has nothing to promote to.
     if tiers.native_supported {
+        if tiers.promotions == 0 {
+            eprintln!("serve_load: the tier policy never promoted the hot kernel");
+            std::process::exit(1);
+        }
         if tiers.labels.last().map(String::as_str) != Some("native") {
             eprintln!(
                 "serve_load: hot kernel was not promoted to the native tier \
@@ -606,8 +575,8 @@ fn main() {
     }
 }
 
-/// The shared single-node daemon shape: ephemeral port, no metrics
-/// listener, unbounded in-memory cache, standalone.
+/// The shared daemon shape: ephemeral port, no metrics listener,
+/// unbounded in-memory cache.
 fn base_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -616,150 +585,12 @@ fn base_config() -> ServerConfig {
         queue_capacity: 256,
         cache_capacity: 0,
         default_deadline_ms: None,
-        cache_dir: None,
-        cache_dir_max_bytes: None,
-        cluster: Vec::new(),
-        advertise: None,
-        gossip_interval_ms: 1000,
-        gossip_gc_rounds: 10,
         accept_mode: flexvec_serve::AcceptMode::Auto,
     }
 }
 
-/// A scratch directory under the system temp dir, unique per process.
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("serve-load-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Minimum cluster-over-single-node aggregate throughput the skewed
-/// hot-key scenario must demonstrate.
-const MIN_CLUSTER_SPEEDUP: f64 = 2.5;
-
-/// `--scenario warm-restart`: the first repeat-kernel request after a
-/// restart with `--cache-dir` must be a disk-warm cache hit, with no
-/// recompilation. Reports restart-to-first-response time. Exit 1 on
-/// regression.
-fn scenario_warm_restart(flags: &CommonFlags) -> i32 {
-    let kernels = flags.u64_flag("kernels", 8).max(1);
-    let dir = scratch_dir("warm");
-    let cache_dir = Some(dir.to_string_lossy().into_owned());
-
-    // First lifetime: compile the kernel set, snapshotting each.
-    let handle = start(ServerConfig {
-        cache_dir: cache_dir.clone(),
-        ..base_config()
-    })
-    .expect("start daemon");
-    let mut client = Client::connect(&handle.addr.to_string()).expect("connect");
-    let hashes: Vec<String> = (0..kernels)
-        .map(|n| {
-            let response = client
-                .request(&compile_request(kernel_source(n)))
-                .expect("seed compile");
-            assert_eq!(
-                response.get("ok").and_then(Json::as_bool),
-                Some(true),
-                "seed compile failed: {response}"
-            );
-            response
-                .get("hash")
-                .and_then(Json::as_str)
-                .expect("hash")
-                .to_owned()
-        })
-        .collect();
-    drop(client);
-    handle.shutdown();
-
-    // Restart against the same cache dir and time the path from
-    // "process decides to start" to "first repeat request answered".
-    let t0 = Instant::now();
-    let handle = start(ServerConfig {
-        cache_dir,
-        ..base_config()
-    })
-    .expect("restart daemon");
-    let mut client = Client::connect(&handle.addr.to_string()).expect("reconnect");
-    let first = client
-        .request(&Json::obj([
-            ("op", Json::from("run")),
-            ("hash", Json::from(hashes[0].as_str())),
-        ]))
-        .expect("first request after restart");
-    let restart_to_first = t0.elapsed();
-
-    let mut failed = false;
-    if first.get("ok").and_then(Json::as_bool) != Some(true) {
-        eprintln!("serve_load warm-restart: first request failed: {first}");
-        failed = true;
-    }
-    if first.get("cache_hit").and_then(Json::as_bool) != Some(true) {
-        eprintln!(
-            "serve_load warm-restart: REGRESSION — first repeat-kernel request \
-             after restart was not a cache hit: {first}"
-        );
-        failed = true;
-    }
-    // The rest of the set must also come back disk-warm.
-    for hash in &hashes[1..] {
-        let response = client
-            .request(&Json::obj([
-                ("op", Json::from("run")),
-                ("hash", Json::from(hash.as_str())),
-            ]))
-            .expect("repeat request");
-        if response.get("cache_hit").and_then(Json::as_bool) != Some(true) {
-            eprintln!("serve_load warm-restart: kernel {hash} missed after restart: {response}");
-            failed = true;
-        }
-    }
-    let compiles = handle.engine().cache().compiles();
-    if compiles != 0 {
-        eprintln!(
-            "serve_load warm-restart: REGRESSION — {compiles} recompilation(s) \
-             for kernels that have valid snapshots"
-        );
-        failed = true;
-    }
-
-    if flags.json {
-        println!(
-            "{{\"scenario\": \"warm-restart\", \"kernels\": {kernels}, \
-             \"restart_to_first_response_us\": {}, \"recompiles\": {compiles}, \
-             \"ok\": {}}}",
-            restart_to_first.as_micros(),
-            !failed
-        );
-    } else {
-        println!(
-            "serve_load warm-restart: {kernels} kernels disk-warm after restart; \
-             restart-to-first-response {restart_to_first:.2?}, {compiles} recompiles"
-        );
-    }
-    drop(client);
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    i32::from(failed)
-}
-
-/// The skewed request mix for the cluster scenario: 80% of requests
-/// hit one hot kernel, the rest spread over a small cold set — the
-/// worst case for naive ownership routing, where every non-owner
-/// would bottleneck on the hot key's one owner.
-fn skewed_request(i: u64) -> Json {
-    let n = if i % 10 < 8 { 0 } else { 1 + (i % 8) };
-    Json::obj([
-        ("op", Json::from("run")),
-        ("source", Json::from(kernel_source(n))),
-        ("invocations", Json::from(60u64)),
-    ])
-}
-
 /// Threads currently in this process, from `/proc/self/status`.
-#[cfg(target_os = "linux")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn process_threads() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
@@ -768,465 +599,90 @@ fn process_threads() -> Option<u64> {
         .and_then(|v| v.trim().parse().ok())
 }
 
-/// `--scenario cluster`: 3-node ring vs single node under skewed
-/// hot-key traffic, plus the idle-connection capacity check. Exit 1 on
-/// regression.
-fn scenario_cluster(flags: &CommonFlags) -> i32 {
-    let clients = flags.u64_flag("clients", 12).max(3) as usize;
-    let requests = flags.u64_flag("requests", 1500).max(clients as u64);
-    let workers = flags.u64_flag("workers", 2).max(1) as usize;
+/// `--scenario idle-conns`: parks `--idle-conns` idle connections on
+/// one daemon. The reactor must accept them all, report them open, and
+/// hold them without growing the process thread count, while a live
+/// request still gets through. Exit 1 on regression. Skipped where
+/// there is no reactor: thread-per-connection would start one thread
+/// per parked socket.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn scenario_idle_conns(flags: &CommonFlags) -> i32 {
     let idle_conns = flags.u64_flag("idle-conns", 5000);
+    let handle = start(base_config()).expect("start daemon");
+    let addr = handle.addr.to_string();
 
-    // Single-node baseline: same traffic, same total client count.
-    let single = start(ServerConfig {
-        workers,
-        ..base_config()
-    })
-    .expect("start single node");
-    let baseline = drive(&single.addr.to_string(), clients, requests, skewed_request);
-    single.shutdown();
-
-    // Three-node ring. Ports are reserved then released for the
-    // daemons to rebind (tiny reuse race — acceptable here).
-    let reserved: Vec<std::net::TcpListener> = (0..3)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port"))
-        .collect();
-    let members: Vec<String> = reserved
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").to_string())
-        .collect();
-    drop(reserved);
-    let handles: Vec<_> = members
-        .iter()
-        .map(|addr| {
-            start(ServerConfig {
-                addr: addr.clone(),
-                workers,
-                cluster: members.clone(),
-                advertise: Some(addr.clone()),
-                ..base_config()
-            })
-            .expect("start cluster node")
-        })
-        .collect();
-
-    let cluster = drive_multi(&members, clients, requests, skewed_request);
-
-    // Park idle connections on node 0: the reactor must hold them all
-    // without growing the process thread count. Only meaningful where
-    // the reactor exists; other hosts run thread-per-connection.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    let (idle_held, idle_ok) = {
-        let mut idle_ok = true;
-        let threads_before = process_threads();
-        let idle: Vec<std::net::TcpStream> = (0..idle_conns)
-            .filter_map(|_| std::net::TcpStream::connect(&members[0]).ok())
-            .collect();
-        let idle_held = idle.len() as u64;
-        if idle_held < idle_conns {
-            eprintln!(
-                "serve_load cluster: REGRESSION — only {idle_held}/{idle_conns} \
-                 idle connections accepted"
-            );
-            idle_ok = false;
-        }
-        // The reactor accepts asynchronously; give it a moment, then
-        // prove a live request still flows past the parked herd.
-        let mut probe = Client::connect(&members[0]).expect("probe connect");
-        let response = probe
-            .request(&Json::obj([("op", Json::from("stats"))]))
-            .expect("stats with idle herd");
-        let open = response
-            .get("open_connections")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if open < idle_held {
-            eprintln!(
-                "serve_load cluster: node 0 reports {open} open connections, \
-                 expected at least the {idle_held} parked ones"
-            );
-            idle_ok = false;
-        }
-        if let (Some(before), Some(after)) = (threads_before, process_threads()) {
-            // Thread-per-connection would add ~one thread per parked
-            // socket; the reactor must add none.
-            if after > before + 8 {
-                eprintln!(
-                    "serve_load cluster: REGRESSION — thread count grew {before} -> {after} \
-                     while parking {idle_held} idle connections"
-                );
-                idle_ok = false;
-            }
-        }
-        drop(idle);
-        (idle_held, idle_ok)
-    };
-    #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-    let (idle_held, idle_ok) = {
-        let _ = idle_conns;
-        eprintln!("serve_load cluster: no reactor on this target; idle-connection check skipped");
-        (0u64, true)
-    };
-
-    let forwards: u64 = handles
-        .iter()
-        .filter_map(|h| h.cluster())
-        .map(|c| c.counters.forwards.get())
-        .sum();
-    let adoptions: u64 = handles
-        .iter()
-        .filter_map(|h| h.cluster())
-        .map(|c| c.counters.adoptions.get())
-        .sum();
-    for handle in handles {
-        handle.shutdown();
-    }
-
-    let speedup = cluster.req_per_sec() / baseline.req_per_sec().max(1e-9);
-    let p99_bound = (baseline.percentile(0.99) * 10).max(Duration::from_millis(250));
-    let p99 = cluster.percentile(0.99);
-    let mut failed = !idle_ok;
-    if cluster.failures + baseline.failures > 0 {
-        eprintln!(
-            "serve_load cluster: {} request(s) failed",
-            cluster.failures + baseline.failures
-        );
-        failed = true;
-    }
-    // Aggregate scaling needs actual parallel hardware: three nodes on
-    // a starved container share one core and cannot beat one node.
-    // The assertion stays regression-failing wherever the cluster's
-    // worker pools can genuinely run side by side.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    if cores >= workers * 3 {
-        if speedup < MIN_CLUSTER_SPEEDUP {
-            eprintln!(
-                "serve_load cluster: REGRESSION — 3-node aggregate is only {speedup:.2}x \
-                 the single node (required {MIN_CLUSTER_SPEEDUP:.1}x)"
-            );
-            failed = true;
-        }
-        if p99 > p99_bound {
-            eprintln!(
-                "serve_load cluster: REGRESSION — p99 {p99:.2?} exceeds the bound {p99_bound:.2?}"
-            );
-            failed = true;
-        }
-    } else {
-        eprintln!(
-            "serve_load cluster: {cores} core(s) cannot host 3x{workers} workers; \
-             measured {speedup:.2}x / p99 {p99:.2?} are informational, scaling not asserted"
-        );
-    }
-
-    if flags.json {
-        println!(
-            "{{\"scenario\": \"cluster\", \"clients\": {clients}, \"requests\": {requests}, \
-             \"single_rps\": {}, \"cluster_rps\": {}, \"speedup\": {}, \
-             \"cluster_p99_us\": {}, \"forwards\": {forwards}, \"adoptions\": {adoptions}, \
-             \"idle_conns_held\": {idle_held}, \"ok\": {}}}",
-            json_f64(baseline.req_per_sec()),
-            json_f64(cluster.req_per_sec()),
-            json_f64(speedup),
-            p99.as_micros(),
-            !failed
-        );
-    } else {
-        println!(
-            "serve_load cluster: single {:.0} req/s -> 3-node {:.0} req/s ({speedup:.2}x); \
-             p99 {p99:.2?} (bound {p99_bound:.2?})",
-            baseline.req_per_sec(),
-            cluster.req_per_sec(),
-        );
-        println!(
-            "  ring: {forwards} forward(s), {adoptions} hot-key adoption(s); \
-             {idle_held} idle connection(s) parked on node 0"
-        );
-    }
-    i32::from(failed)
-}
-
-/// Minimum cold-join-over-warm-join time-to-steady-state ratio the
-/// replica-warmup scenario must demonstrate: a node joining a warmed
-/// ring (owned slice pre-pulled by anti-entropy sync) must reach
-/// steady-state p50 at least this much faster than a cold node that
-/// compiles the same working set on first touch.
-const MIN_WARMUP_SPEEDUP: f64 = 3.0;
-
-/// Serves `sources` round-robin at `addr` until one full sweep comes
-/// back entirely warm (every response a cache hit — memory, disk
-/// restore, or peer pull), then runs one more sweep for the
-/// steady-state p50. Returns `(time from first request to the end of
-/// the first all-warm sweep, steady-state p50, sweeps to steady)`.
-/// The engine is pinned to `compiled` so the tier policy's slow
-/// first-run tree walk doesn't mask the compile-vs-pull difference
-/// the scenario exists to measure.
-fn time_to_steady(addr: &str, sources: &[String]) -> (Duration, Duration, u64) {
-    let mut client = Client::connect(addr).expect("connect joiner");
-    let t0 = Instant::now();
-    let mut sweeps = 0u64;
-    loop {
-        sweeps += 1;
-        assert!(sweeps <= 16, "node never reached a fully-warm sweep");
-        let mut all_warm = true;
-        for source in sources {
-            let response = client
-                .request(&Json::obj([
-                    ("op", Json::from("run")),
-                    ("source", Json::from(source.as_str())),
-                    ("engine", Json::from("compiled")),
-                ]))
-                .expect("sweep request");
-            assert_eq!(
-                response.get("ok").and_then(Json::as_bool),
-                Some(true),
-                "sweep request failed: {response}"
-            );
-            all_warm &= response.get("cache_hit").and_then(Json::as_bool) == Some(true);
-        }
-        if all_warm {
-            break;
-        }
-    }
-    let steady = t0.elapsed();
-    let mut latencies: Vec<Duration> = sources
-        .iter()
-        .map(|source| {
-            let t = Instant::now();
-            client
-                .request(&Json::obj([
-                    ("op", Json::from("run")),
-                    ("source", Json::from(source.as_str())),
-                    ("engine", Json::from("compiled")),
-                ]))
-                .expect("steady sweep");
-            t.elapsed()
-        })
-        .collect();
-    latencies.sort();
-    let p50 = latencies[latencies.len() / 2];
-    (steady, p50, sweeps)
-}
-
-/// `--scenario replica-warmup`: a node joining a warmed 3-node ring
-/// must serve its owned working set with zero recompiles (anti-entropy
-/// sync plus lazy pulls) and reach steady-state p50 at least
-/// [`MIN_WARMUP_SPEEDUP`]× faster than the cold baseline — the same
-/// daemon shape with no ring and no snapshots to pull, i.e. exactly
-/// what a joining replica was before replication: every owned kernel
-/// compiles on first touch. Both joins are timed from serving start
-/// (a replica is not in the rotation until it reports ready; the warm
-/// node's anti-entropy sync runs before that and is reported
-/// separately). Exit 1 on regression.
-fn scenario_replica_warmup(flags: &CommonFlags) -> i32 {
-    let kernels = flags.u64_flag("kernels", 32).max(8);
-    let workers = flags.u64_flag("workers", 2).max(1) as usize;
-
-    // Reserve the full 4-member ring up front: three warm nodes plus
-    // the joiner, which stays down while the ring warms (forwards to
-    // it degrade to local compilation via the circuit breaker, so
-    // every kernel lands compiled and snapshotted on a live node).
-    let reserved: Vec<std::net::TcpListener> = (0..4)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port"))
-        .collect();
-    let members: Vec<String> = reserved
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").to_string())
-        .collect();
-    drop(reserved);
-    let joiner = members[3].clone();
-    let dirs: Vec<std::path::PathBuf> = (0..4)
-        .map(|i| scratch_dir(&format!("replica-{i}")))
-        .collect();
-    let node_config = |i: usize| ServerConfig {
-        addr: members[i].clone(),
-        workers,
-        cache_dir: Some(dirs[i].to_string_lossy().into_owned()),
-        cluster: members.clone(),
-        advertise: Some(members[i].clone()),
-        gossip_interval_ms: 50,
-        ..base_config()
-    };
-
-    // Cold baseline first (fully independent: standalone, no cache).
-    // Pick the joiner's owned slice off the ring the servers will
-    // build; generate extra kernels if the hash slice came up short.
-    let ring = flexvec_serve::Cluster::new(members.clone(), joiner.clone()).expect("build ring");
-    let mut owned_sources = Vec::new();
-    let mut warm_set = Vec::new();
-    let mut n = 0;
-    while n < kernels || owned_sources.len() < 8 {
-        assert!(n < kernels + 512, "ring never granted the joiner 8 keys");
-        // Compile-heavy, execution-light kernels (big AST, 8-iteration
-        // loops): the join cost is dominated by what replication
-        // actually removes — compilation — not by running the kernels.
-        let source = kernel_source_shaped(n, 48, 8);
-        let parsed = flexvec_front::parse_str("<warmup>", &source).expect("kernel parses");
-        if ring.owner_of(flexvec::program_hash(&parsed.program)) == joiner {
-            owned_sources.push(source.clone());
-        }
-        warm_set.push(source);
-        n += 1;
-    }
-    // Two independent cold trials, best taken: the numbers feed a
-    // ratio gate, and a single scheduler stall during one short sweep
-    // must not decide it. The same damping is applied to the warm
-    // side below.
-    let mut cold_steady = Duration::MAX;
-    let mut cold_p50 = Duration::MAX;
-    let mut cold_sweeps = 0;
-    let mut cold_compiles = 0;
-    for _ in 0..2 {
-        let cold = start(ServerConfig {
-            cache_dir: None,
-            ..base_config()
-        })
-        .expect("start cold baseline");
-        let (steady, p50, sweeps) = time_to_steady(&cold.addr.to_string(), &owned_sources);
-        if steady < cold_steady {
-            (cold_steady, cold_p50, cold_sweeps) = (steady, p50, sweeps);
-        }
-        cold_compiles = cold.engine().cache().compiles();
-        cold.shutdown();
-    }
-
-    // Warm the 3-node ring with the whole working set.
-    let warm_nodes: Vec<_> = (0..3)
-        .map(|i| start(node_config(i)).expect("start warm node"))
-        .collect();
-    let mut clients: Vec<Client> = members[..3]
-        .iter()
-        .map(|addr| Client::connect(addr).expect("connect warm node"))
-        .collect();
-    for (i, source) in warm_set.iter().enumerate() {
-        let response = clients[i % 3]
-            .request(&compile_request(source.clone()))
-            .expect("warm ring");
-        assert_eq!(
-            response.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "warming the ring failed: {response}"
-        );
-    }
-    let warm_node_compiles_before: u64 = warm_nodes
-        .iter()
-        .map(|h| h.engine().cache().compiles())
-        .sum();
-
-    // Join the fourth node and wait for anti-entropy sync: the node is
-    // not "in the rotation" until its owned slice is disk-and-memory
-    // warm, which is the protocol's whole point.
-    let join_started = Instant::now();
-    let warm = start(node_config(3)).expect("start joiner");
-    let repl = warm.replication().expect("replication on the joiner");
-    let sync_deadline = Instant::now() + Duration::from_secs(30);
-    while !repl.synced() {
-        assert!(
-            Instant::now() < sync_deadline,
-            "anti-entropy sync never finished"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let sync_time = join_started.elapsed();
-    // First measurement carries the semantic check (one sweep to
-    // steady); for a synced node every sweep is an all-hit sweep, so
-    // two re-measurements damp scheduler stalls the same way the cold
-    // trials do.
-    let (mut warm_steady, mut warm_p50, warm_sweeps) = time_to_steady(&joiner, &owned_sources);
-    for _ in 0..2 {
-        let (steady, p50, _) = time_to_steady(&joiner, &owned_sources);
-        if steady < warm_steady {
-            (warm_steady, warm_p50) = (steady, p50);
-        }
-    }
-
-    let warm_compiles = warm.engine().cache().compiles();
-    let store = warm.engine().snapshots().expect("joiner store");
-    let pulled = store
-        .counters
-        .pulled
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let warm_node_compiles_after: u64 = warm_nodes
-        .iter()
-        .map(|h| h.engine().cache().compiles())
-        .sum();
-
-    let ratio = cold_steady.as_secs_f64() / warm_steady.as_secs_f64().max(1e-9);
     let mut failed = false;
-    if warm_compiles != 0 {
+    let threads_before = process_threads();
+    let idle: Vec<std::net::TcpStream> = (0..idle_conns)
+        .filter_map(|_| std::net::TcpStream::connect(&addr).ok())
+        .collect();
+    let idle_held = idle.len() as u64;
+    if idle_held < idle_conns {
         eprintln!(
-            "serve_load replica-warmup: REGRESSION — the joining node compiled \
-             {warm_compiles} kernel(s) that warm peers hold snapshots for"
+            "serve_load idle-conns: REGRESSION — only {idle_held}/{idle_conns} \
+             idle connections accepted"
         );
         failed = true;
     }
-    if pulled < owned_sources.len() as u64 {
+    // The reactor accepts asynchronously; a live request queues behind
+    // the parked herd's accepts and proves requests still flow.
+    let mut probe = Client::connect(&addr).expect("probe connect");
+    let response = probe
+        .request(&Json::obj([("op", Json::from("stats"))]))
+        .expect("stats with idle herd");
+    let open = response
+        .get("open_connections")
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    if open < idle_held {
         eprintln!(
-            "serve_load replica-warmup: REGRESSION — only {pulled} snapshot pull(s) \
-             for {} owned kernels",
-            owned_sources.len()
+            "serve_load idle-conns: the daemon reports {open} open connections, \
+             expected at least the {idle_held} parked ones"
         );
         failed = true;
     }
-    if warm_node_compiles_after != warm_node_compiles_before {
-        eprintln!(
-            "serve_load replica-warmup: REGRESSION — warm nodes recompiled during the \
-             join ({warm_node_compiles_before} -> {warm_node_compiles_after}); \
-             pulls must be served from their snapshot stores"
-        );
-        failed = true;
+    let threads_after = process_threads();
+    if let (Some(before), Some(after)) = (threads_before, threads_after) {
+        // Thread-per-connection would add ~one thread per parked
+        // socket; the reactor must add none.
+        if after > before + 8 {
+            eprintln!(
+                "serve_load idle-conns: REGRESSION — thread count grew {before} -> {after} \
+                 while parking {idle_held} idle connections"
+            );
+            failed = true;
+        }
     }
-    if ratio < MIN_WARMUP_SPEEDUP {
-        eprintln!(
-            "serve_load replica-warmup: REGRESSION — warm join reached steady state only \
-             {ratio:.2}x faster than cold ({warm_steady:.2?} vs {cold_steady:.2?}, \
-             required {MIN_WARMUP_SPEEDUP:.1}x)"
-        );
-        failed = true;
-    }
+    drop(probe);
+    drop(idle);
+    handle.shutdown();
 
+    let threads = |t: Option<u64>| t.map_or_else(|| "null".to_owned(), |t| t.to_string());
     if flags.json {
         println!(
-            "{{\"scenario\": \"replica-warmup\", \"kernels\": {}, \"owned\": {}, \
-             \"cold_steady_us\": {}, \"warm_steady_us\": {}, \"warmup_speedup\": {}, \
-             \"sync_us\": {}, \"cold_p50_us\": {}, \"warm_p50_us\": {}, \
-             \"cold_sweeps\": {cold_sweeps}, \"warm_sweeps\": {warm_sweeps}, \
-             \"cold_compiles\": {cold_compiles}, \"joiner_compiles\": {warm_compiles}, \
-             \"snapshot_pulls\": {pulled}, \"ok\": {}}}",
-            warm_set.len(),
-            owned_sources.len(),
-            cold_steady.as_micros(),
-            warm_steady.as_micros(),
-            json_f64(ratio),
-            sync_time.as_micros(),
-            cold_p50.as_micros(),
-            warm_p50.as_micros(),
+            "{{\"scenario\": \"idle-conns\", \"idle_conns\": {idle_conns}, \
+             \"idle_conns_held\": {idle_held}, \"open_connections\": {open}, \
+             \"threads_before\": {}, \"threads_after\": {}, \"ok\": {}}}",
+            threads(threads_before),
+            threads(threads_after),
             !failed
         );
     } else {
         println!(
-            "serve_load replica-warmup: cold join steady in {cold_steady:.2?} \
-             ({cold_compiles} compiles), warm join steady in {warm_steady:.2?} \
-             ({ratio:.2}x faster; sync {sync_time:.2?}, {pulled} pulls, \
-             {warm_compiles} compiles) over {} owned kernels",
-            owned_sources.len()
+            "serve_load idle-conns: {idle_held}/{idle_conns} idle connection(s) parked, \
+             {open} reported open; threads {} -> {}",
+            threads(threads_before),
+            threads(threads_after),
         );
-        println!(
-            "  steady p50: cold {cold_p50:.2?}, warm {warm_p50:.2?}; \
-             warm-node compiles unchanged: {}",
-            warm_node_compiles_after == warm_node_compiles_before
-        );
-    }
-
-    drop(clients);
-    warm.shutdown();
-    for handle in warm_nodes {
-        handle.shutdown();
-    }
-    for dir in dirs {
-        let _ = std::fs::remove_dir_all(&dir);
     }
     i32::from(failed)
+}
+
+/// `--scenario idle-conns` where there is no reactor: nothing to check.
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+fn scenario_idle_conns(_flags: &CommonFlags) -> i32 {
+    eprintln!("serve_load idle-conns: no reactor on this target; scenario skipped");
+    0
 }
 
 /// Minimum autotuned-over-best-fixed aggregate throughput ratio the

@@ -88,28 +88,6 @@ pub fn verdict_summary(verdict: &Verdict) -> String {
     }
 }
 
-/// How a [`CompileCache::get_or_compile_restored`] submission was
-/// satisfied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Served from the in-memory cache.
-    Hit,
-    /// Miss satisfied by the restore hook (e.g. a disk snapshot) — no
-    /// pipeline run.
-    Restored,
-    /// Miss satisfied by running the full compile pipeline.
-    Compiled,
-}
-
-impl CacheOutcome {
-    /// Whether the request avoided a pipeline run (in-memory hit or
-    /// snapshot restore) — what the serving layer reports as
-    /// `cache_hit`.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, CacheOutcome::Compiled)
-    }
-}
-
 /// The pipeline memo map. Cheap to share by reference across the
 /// threads of a batch driver; create one per process (or per
 /// `flexvecc` invocation) and submit every kernel through it.
@@ -171,15 +149,6 @@ impl CompileCache {
         h.finish()
     }
 
-    /// Whether the cache currently holds `(program_hash, spec)`,
-    /// without touching hit/miss counters or recency (a routing probe,
-    /// not a lookup).
-    pub fn contains_hash(&self, program_hash: u64, spec: SpecRequest) -> bool {
-        self.entries
-            .peek(Self::key_for_hash(program_hash, spec))
-            .is_some()
-    }
-
     /// Returns the pipeline output for `program`, compiling at most
     /// once per distinct (AST, spec) pair. The boolean is `true` on a
     /// cache hit.
@@ -207,45 +176,6 @@ impl CompileCache {
         let key = Self::key(program, spec);
         self.entries
             .get_or_insert_coalesced(key, || self.compile(program, spec))
-    }
-
-    /// [`CompileCache::get_or_compile_coalesced`] with a restore hook:
-    /// on a miss, `restore` is consulted *before* the pipeline runs. A
-    /// `Some(kernel)` return (e.g. a validated disk snapshot) is
-    /// inserted without compiling — the compile counter stays put and
-    /// the outcome is [`CacheOutcome::Restored`]; `None` falls through
-    /// to the normal compile path. The snapshot store in `flexvec-serve`
-    /// is the intended caller.
-    pub fn get_or_compile_restored(
-        &self,
-        program: &Program,
-        spec: SpecRequest,
-        restore: impl FnOnce() -> Option<CompiledKernel>,
-    ) -> (Arc<CompiledKernel>, CacheOutcome) {
-        let key = Self::key(program, spec);
-        // `get_or_insert_coalesced` only reports hit/miss; the Cell
-        // records which miss path actually ran (at most one closure
-        // invocation, so at most one `set`).
-        let outcome = std::cell::Cell::new(CacheOutcome::Compiled);
-        // `Cell` because the coalesced closure is `Fn`: the restore hook
-        // is consumed on first invocation; a pathological re-run (the
-        // first computer panicked) falls back to a plain compile.
-        let restore = std::cell::Cell::new(Some(restore));
-        let (kernel, hit) =
-            self.entries
-                .get_or_insert_coalesced(key, || match restore.take().and_then(|r| r()) {
-                    Some(kernel) => {
-                        outcome.set(CacheOutcome::Restored);
-                        kernel
-                    }
-                    None => self.compile(program, spec),
-                });
-        let outcome = if hit {
-            CacheOutcome::Hit
-        } else {
-            outcome.get()
-        };
-        (kernel, outcome)
     }
 
     /// Runs the full analyze→vectorize→bytecode-compile pipeline (the
@@ -446,46 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_hook_is_tried_before_compiling() {
-        let cache = CompileCache::new();
-        let p = cond_min();
-
-        // A restore hook that declines: the pipeline must run.
-        let (_, outcome) = cache.get_or_compile_restored(&p, SpecRequest::Auto, || None);
-        assert_eq!(outcome, CacheOutcome::Compiled);
-        assert_eq!(cache.compiles(), 1);
-
-        // Same key again: in-memory hit, hook never consulted.
-        let (_, outcome) = cache.get_or_compile_restored(&p, SpecRequest::Auto, || {
-            panic!("hook must not run on a hit")
-        });
-        assert_eq!(outcome, CacheOutcome::Hit);
-        assert!(outcome.is_hit());
-
-        // A different spec with a willing hook: restored, no compile.
-        let donor = CompileCache::new();
-        let (k, _) = donor.get_or_compile(&p, SpecRequest::Rtm { tile: 16 });
-        let (restored, outcome) =
-            cache.get_or_compile_restored(&p, SpecRequest::Rtm { tile: 16 }, move || {
-                Some(CompiledKernel {
-                    program_hash: k.program_hash,
-                    analysis: k.analysis.clone(),
-                    plan: match &k.plan {
-                        Ok(plan) => Ok(CompiledPlan {
-                            vectorized: plan.vectorized.clone(),
-                            compiled: plan.compiled.clone(),
-                        }),
-                        Err(e) => Err(e.clone()),
-                    },
-                })
-            });
-        assert_eq!(outcome, CacheOutcome::Restored);
-        assert!(outcome.is_hit());
-        assert_eq!(cache.compiles(), 1, "restore skipped the pipeline");
-        assert_eq!(restored.program_hash, program_hash(&p));
-    }
-
-    #[test]
     fn respecialize_reuses_analysis_and_pins_protect_variants() {
         let cache = CompileCache::with_capacity(16); // 1 entry per shard
         let p = cond_min();
@@ -528,10 +418,10 @@ mod tests {
                 .unwrap();
             cache.get_or_compile(&churn, SpecRequest::Auto);
         }
-        assert!(
-            cache.contains_hash(rtm.program_hash, spec),
-            "pinned active variant survives eviction pressure"
-        );
+        let compiles = cache.compiles();
+        let (_, hit) = cache.get_or_respecialize(&p, &auto.analysis, spec);
+        assert!(hit, "pinned active variant survives eviction pressure");
+        assert_eq!(cache.compiles(), compiles);
         assert!(cache.unpin(rtm.program_hash, spec));
         assert_eq!(cache.stats().pinned, 0);
     }

@@ -57,7 +57,7 @@ mod lexer;
 mod parser;
 mod printer;
 
-pub use cache::{verdict_summary, CacheOutcome, CompileCache, CompiledKernel, CompiledPlan};
+pub use cache::{verdict_summary, CompileCache, CompiledKernel, CompiledPlan};
 pub use diag::{Diagnostic, Span};
 pub use lexer::{is_keyword, lex, TokKind, Token};
 pub use parser::{parse_str, seeded_array, ArrayInit, ArrayInput, ParsedKernel, DEFAULT_ARRAY_LEN};

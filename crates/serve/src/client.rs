@@ -3,7 +3,7 @@
 //! integration tests.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::json::{self, Json};
@@ -33,35 +33,6 @@ impl Client {
     pub fn connect(addr: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
-        })
-    }
-
-    /// [`Client::connect`] with a bounded connect and optional
-    /// read/write timeout — used for cluster forwards, where a dead
-    /// peer must fail fast instead of stalling a worker.
-    ///
-    /// # Errors
-    ///
-    /// Resolution, connect, and socket-option failures.
-    pub fn connect_timeout(
-        addr: &str,
-        connect: Duration,
-        io_timeout: Option<Duration>,
-    ) -> std::io::Result<Client> {
-        let sockaddr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("{addr} resolves to no address"),
-            )
-        })?;
-        let stream = TcpStream::connect_timeout(&sockaddr, connect)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(io_timeout)?;
-        stream.set_write_timeout(io_timeout)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),

@@ -36,13 +36,12 @@
 //! [`CompileCache::get_or_respecialize`], pinning the active variant
 //! against cache churn.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use flexvec::{program_hash, ShardedCache, SpecRequest};
-use flexvec_front::{parse_str, to_fv, CacheOutcome, CompileCache, CompiledKernel, ParsedKernel};
+use flexvec_front::{parse_str, CompileCache, CompiledKernel, ParsedKernel};
 use flexvec_mem::AddressSpace;
 use flexvec_profiler::{throughput_samples, vector_stat_samples, StatSample, ThroughputReport};
 use flexvec_sim::{OooSim, SimConfig};
@@ -58,8 +57,6 @@ use crate::autotune::{
 use crate::json::Json;
 use crate::metrics::ExternalSample;
 use crate::protocol::{hash_hex, ErrorKind, Op, ProtoError, Request};
-use crate::replicate::Replicator;
-use crate::snapshot::{RejectReason, SnapshotStore};
 
 /// Build identity, stamped by `build.rs` and reported by `--version`,
 /// the daemon startup line, and the `stats` op.
@@ -101,49 +98,11 @@ pub struct OpResult {
     pub exec_wall: Option<Duration>,
 }
 
-/// Where a served kernel came from, for the `cache` response field
-/// and the hit/miss metrics split: in-memory hit, disk-warm restore,
-/// peer-warm pull, or a fresh compile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheSource {
-    /// Already resident in the in-memory compile cache.
-    Hit,
-    /// Restored from a validated local snapshot.
-    Restored,
-    /// Pulled from a cluster peer and validated.
-    Pulled,
-    /// Compiled from source this request.
-    Compiled,
-}
-
-impl CacheSource {
-    /// The `cache` response-field value.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheSource::Hit => "hit",
-            CacheSource::Restored => "restored",
-            CacheSource::Pulled => "pulled",
-            CacheSource::Compiled => "compiled",
-        }
-    }
-
-    /// Whether the compile pipeline was skipped (anything but a fresh
-    /// compile counts as a hit for latency accounting).
-    pub fn is_hit(self) -> bool {
-        self != CacheSource::Compiled
-    }
-}
-
 /// The shared compile-and-execute core. Cheap to share behind an
 /// `Arc`; every method takes `&self`.
 pub struct ServeEngine {
     cache: CompileCache,
     registry: ShardedCache<ParsedKernel>,
-    snapshots: Option<Arc<SnapshotStore>>,
-    /// The cluster replication subsystem, wired in after construction
-    /// (`enable_replication`) because the replicator needs the
-    /// engine's snapshot store to exist first.
-    replication: OnceLock<Arc<Replicator>>,
     started: Instant,
     totals: Mutex<BTreeMap<&'static str, u64>>,
     tiers: Mutex<BTreeMap<u64, TierEntry>>,
@@ -155,8 +114,6 @@ pub struct ServeEngine {
     tune_cfg: AutotuneConfig,
 }
 
-/// A kernel becomes *warm* (bytecode tier) at this many runs.
-const TIER_WARM_RUNS: u64 = 2;
 /// A kernel becomes *hot* (native tier) at this many runs.
 const TIER_HOT_RUNS: u64 = 16;
 
@@ -247,15 +204,6 @@ impl ServeEngine {
     /// cache and the kernel registry (segmented-LRU eviction); `0`
     /// means unbounded, for short-lived in-process servers.
     pub fn new(cache_capacity: usize) -> Self {
-        Self::with_snapshots(cache_capacity, None)
-    }
-
-    /// [`ServeEngine::new`] with a persistent snapshot store: compiled
-    /// kernels are saved under `--cache-dir` and misses consult the
-    /// store (full validation, [`SnapshotStore::load`]) before running
-    /// the compile pipeline, so a restarted daemon's first
-    /// repeat-kernel request is a disk-warm cache hit.
-    pub fn with_snapshots(cache_capacity: usize, snapshots: Option<SnapshotStore>) -> Self {
         let (cache, registry) = if cache_capacity == 0 {
             (CompileCache::new(), ShardedCache::new())
         } else {
@@ -267,8 +215,6 @@ impl ServeEngine {
         ServeEngine {
             cache,
             registry,
-            snapshots: snapshots.map(Arc::new),
-            replication: OnceLock::new(),
             started: Instant::now(),
             // Tier and autotune counters are pre-seeded so `/metrics`
             // exports every row from the first scrape, even at zero —
@@ -344,19 +290,18 @@ impl ServeEngine {
 
     /// Picks the execution tier for one request and advances the
     /// kernel's run count. An explicit request engine is honored
-    /// as-is; otherwise the per-hash policy promotes cold → tree,
-    /// warm → bytecode, hot → native (bytecode where the host has no
-    /// native back end). Returns the engine and whether this request
-    /// crossed a promotion boundary.
+    /// as-is; otherwise the per-hash policy starts a kernel on
+    /// bytecode and promotes it to native once hot (it stays on
+    /// bytecode where the host has no native back end). The tree
+    /// walker runs only when a request names it. Returns the engine
+    /// and whether this request crossed a promotion boundary.
     fn resolve_engine(&self, hash: u64, req: &Request) -> (Engine, bool) {
         let mut tiers = self.tiers.lock().expect("tiers lock");
         let entry = tiers.entry(hash).or_default();
         let prior = entry.runs;
         entry.runs += req.invocations.max(1);
         let Some(explicit) = req.engine else {
-            let engine = if prior < TIER_WARM_RUNS {
-                Engine::TreeWalking
-            } else if prior < TIER_HOT_RUNS || !native_supported() {
+            let engine = if prior < TIER_HOT_RUNS || !native_supported() {
                 Engine::Compiled
             } else {
                 Engine::Native
@@ -390,147 +335,6 @@ impl ServeEngine {
     /// The shared compile cache (for stats and tests).
     pub fn cache(&self) -> &CompileCache {
         &self.cache
-    }
-
-    /// The persistent snapshot store, when `--cache-dir` is set.
-    pub fn snapshots(&self) -> Option<&SnapshotStore> {
-        self.snapshots.as_deref()
-    }
-
-    /// A shareable handle to the snapshot store (the replicator holds
-    /// one).
-    pub fn snapshots_arc(&self) -> Option<Arc<SnapshotStore>> {
-        self.snapshots.clone()
-    }
-
-    /// Wires in the replication subsystem. Once set, cache misses try
-    /// a lazy peer pull before compiling. A second call is ignored
-    /// (the first replicator wins).
-    pub fn enable_replication(&self, replicator: Arc<Replicator>) {
-        let _ = self.replication.set(replicator);
-    }
-
-    /// The replication subsystem, when cluster + `--cache-dir` are
-    /// both configured.
-    pub fn replication(&self) -> Option<&Arc<Replicator>> {
-        self.replication.get()
-    }
-
-    /// Whether `(program_hash, spec)` is already compiled in the
-    /// in-memory cache (a routing probe for cluster mode; does not
-    /// touch hit/miss counters or consult disk).
-    pub fn has_compiled(&self, program_hash: u64, spec: SpecRequest) -> bool {
-        self.cache.contains_hash(program_hash, spec)
-    }
-
-    /// Whether this node already holds a compiled plan for the variant
-    /// `req` would effectively run — the cluster-routing warmth probe.
-    /// For implicit-spec requests that is the locally autotuned
-    /// variant, not the wire default.
-    pub fn has_compiled_for(&self, program_hash: u64, req: &Request) -> bool {
-        self.cache
-            .contains_hash(program_hash, self.effective_spec(program_hash, req))
-    }
-
-    /// Whether this node can resolve `program_hash` without a peer
-    /// (registered in memory, or restorable from a snapshot's embedded
-    /// source).
-    pub fn knows_kernel(&self, program_hash: u64) -> bool {
-        if self.registry.peek(program_hash).is_some() {
-            return true;
-        }
-        self.snapshots
-            .as_ref()
-            .is_some_and(|s| s.find_source(program_hash).is_some())
-    }
-
-    /// Resolves the request far enough to know its kernel hash (used
-    /// by cluster routing before deciding where the request runs).
-    /// Inline source gets parsed and registered as a side effect.
-    ///
-    /// # Errors
-    ///
-    /// Source diagnostics and unknown hashes, as in
-    /// [`ServeEngine::handle`].
-    pub fn request_hash(&self, req: &Request) -> Result<u64, ProtoError> {
-        if let Some(hash) = req.hash {
-            return Ok(hash);
-        }
-        self.resolve(req).map(|k| program_hash(&k.program))
-    }
-
-    /// The cache lookup every compile/run/bench op goes through: the
-    /// coalesced in-memory path, with validated disk snapshots
-    /// consulted on a miss, then a lazy peer pull when replication is
-    /// on (restores and pulls count as hits — no compile ran), and
-    /// fresh compiles persisted when a store is configured.
-    ///
-    /// The restore hook runs *inside* the coalesced miss closure, so
-    /// N racers on one kernel cost one disk load / one peer pull / one
-    /// compile, and the pull path must never re-enter the cache (the
-    /// replicator only touches disk).
-    fn lookup_or_compile(
-        &self,
-        kernel: &ParsedKernel,
-        spec: SpecRequest,
-    ) -> (Arc<CompiledKernel>, CacheSource) {
-        let Some(store) = &self.snapshots else {
-            let (compiled, hit) = self.cache.get_or_compile_coalesced(&kernel.program, spec);
-            let src = if hit {
-                CacheSource::Hit
-            } else {
-                CacheSource::Compiled
-            };
-            return (compiled, src);
-        };
-        let hash = program_hash(&kernel.program);
-        let pulled = Cell::new(false);
-        let (compiled, outcome) = self
-            .cache
-            .get_or_compile_restored(&kernel.program, spec, || {
-                store.load(hash, spec).or_else(|| {
-                    let kernel = self.replication.get()?.pull_for(hash, spec)?;
-                    pulled.set(true);
-                    Some(kernel)
-                })
-            });
-        let src = match outcome {
-            CacheOutcome::Hit => CacheSource::Hit,
-            CacheOutcome::Restored if pulled.get() => CacheSource::Pulled,
-            CacheOutcome::Restored => CacheSource::Restored,
-            CacheOutcome::Compiled => CacheSource::Compiled,
-        };
-        if outcome == CacheOutcome::Compiled {
-            store.save(&to_fv(&kernel.program), spec, &compiled);
-        }
-        (compiled, src)
-    }
-
-    /// Admits peer-shipped snapshot bytes into *both* layers: the disk
-    /// store (full validation via [`SnapshotStore::admit_pulled`] — a
-    /// shipped snapshot is never trusted unvalidated) and the
-    /// in-memory registry + compile cache, so anti-entropy sync leaves
-    /// the kernel genuinely warm, not merely disk-warm.
-    ///
-    /// # Errors
-    ///
-    /// The validation gate that rejected the bytes; nothing is
-    /// admitted anywhere in that case.
-    pub fn admit_pulled_snapshot(
-        &self,
-        bytes: &[u8],
-        hash: u64,
-        spec: SpecRequest,
-    ) -> Result<(), RejectReason> {
-        let Some(store) = self.snapshots.as_deref() else {
-            return Err(RejectReason::Structure); // unreachable: replication requires a store
-        };
-        let (kernel, parsed) = store.admit_pulled(bytes, hash, spec)?;
-        let (parsed, _) = self.registry.get_or_insert_with(hash, || parsed);
-        let _ = self
-            .cache
-            .get_or_compile_restored(&parsed.program, spec, || Some(kernel));
-        Ok(())
     }
 
     /// The speculation request one request effectively runs under: an
@@ -622,31 +426,6 @@ impl ServeEngine {
         if let Some(kernel) = self.registry.peek(hash) {
             return Ok(kernel);
         }
-        // A restarted daemon's registry is empty, but a snapshot's
-        // embedded (checksummed) source can repopulate it — hash-only
-        // clients keep working across restarts with `--cache-dir`.
-        if let Some(source) = self.snapshots.as_ref().and_then(|s| s.find_source(hash)) {
-            if let Ok(kernel) = parse_str("<snapshot>", &source) {
-                if program_hash(&kernel.program) == hash {
-                    let (kernel, _) = self.registry.get_or_insert_with(hash, || kernel);
-                    return Ok(kernel);
-                }
-            }
-        }
-        // Last resort: a cluster peer may hold a snapshot of a kernel
-        // this node has never seen. A successful pull lands the
-        // snapshot (embedded checksummed source included) on local
-        // disk, where the find_source path above can now resolve it.
-        if self.replication.get().is_some_and(|r| r.pull_any(hash)) {
-            if let Some(source) = self.snapshots.as_ref().and_then(|s| s.find_source(hash)) {
-                if let Ok(kernel) = parse_str("<snapshot>", &source) {
-                    if program_hash(&kernel.program) == hash {
-                        let (kernel, _) = self.registry.get_or_insert_with(hash, || kernel);
-                        return Ok(kernel);
-                    }
-                }
-            }
-        }
         Err(ProtoError::new(
             ErrorKind::UnknownHash,
             format!(
@@ -710,17 +489,17 @@ impl ServeEngine {
                 let kernel = self.resolve(req)?;
                 let spec = self.effective_spec(program_hash(&kernel.program), req);
                 let t0 = Instant::now();
-                let (compiled, src) = self.lookup_or_compile(&kernel, spec);
+                let (compiled, hit) = self.cache.get_or_compile_coalesced(&kernel.program, spec);
                 let compile_wall = t0.elapsed();
-                let mut fields = kernel_fields(&kernel, &compiled, src);
+                let mut fields = kernel_fields(&kernel, &compiled, hit);
                 fields.push((
                     "compile_micros",
                     Json::from(compile_wall.as_micros() as u64),
                 ));
                 Ok(OpResult {
                     fields,
-                    cache_hit: Some(src.is_hit()),
-                    compile_wall: (!src.is_hit()).then_some(compile_wall),
+                    cache_hit: Some(hit),
+                    compile_wall: (!hit).then_some(compile_wall),
                     exec_wall: None,
                 })
             }
@@ -728,7 +507,7 @@ impl ServeEngine {
                 let kernel = self.resolve(req)?;
                 let spec = self.effective_spec(program_hash(&kernel.program), req);
                 let t0 = Instant::now();
-                let (compiled, src) = self.lookup_or_compile(&kernel, spec);
+                let (compiled, hit) = self.cache.get_or_compile_coalesced(&kernel.program, spec);
                 let compile_wall = t0.elapsed();
                 let t1 = Instant::now();
                 let outcome = self.execute(&kernel, &compiled, req, spec, cancel)?;
@@ -736,13 +515,13 @@ impl ServeEngine {
                 if !req.spec_explicit {
                     self.observe_and_tune(&kernel, &compiled, req, spec, &outcome);
                 }
-                let mut fields = kernel_fields(&kernel, &compiled, src);
+                let mut fields = kernel_fields(&kernel, &compiled, hit);
                 fields.push(("spec", Json::from(spec_label(spec))));
                 fields.extend(run_fields(&outcome, req));
                 Ok(OpResult {
                     fields,
-                    cache_hit: Some(src.is_hit()),
-                    compile_wall: (!src.is_hit()).then_some(compile_wall),
+                    cache_hit: Some(hit),
+                    compile_wall: (!hit).then_some(compile_wall),
                     exec_wall: Some(exec_wall),
                 })
             }
@@ -1155,50 +934,6 @@ impl ServeEngine {
                 value: self.cache.compiles(),
             },
         ]);
-        // Snapshot counters are pre-seeded (zero without a store) so
-        // the rows exist from the first scrape. Restore (disk-warm),
-        // pull (peer-warm), and write paths are distinct series, and
-        // rejections are labeled per validation gate.
-        let snap = |f: fn(&SnapshotStore) -> u64| self.snapshots.as_deref().map_or(0, f);
-        out.extend([
-            ExternalSample {
-                name: "flexvec_snapshot_restore_total",
-                value: snap(|s| {
-                    s.counters
-                        .restored
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                }),
-            },
-            ExternalSample {
-                name: "flexvec_snapshot_pull_total",
-                value: snap(|s| s.counters.pulled.load(std::sync::atomic::Ordering::Relaxed)),
-            },
-            ExternalSample {
-                name: "flexvec_snapshot_written_total",
-                value: snap(|s| {
-                    s.counters
-                        .written
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                }),
-            },
-            ExternalSample {
-                name: "flexvec_snapshot_evicted_total",
-                value: snap(|s| {
-                    s.counters
-                        .evicted
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                }),
-            },
-        ]);
-        for reason in RejectReason::ALL {
-            out.push(ExternalSample {
-                name: reason.metric_name(),
-                value: self
-                    .snapshots
-                    .as_deref()
-                    .map_or(0, |s| s.counters.reject_count(reason)),
-            });
-        }
         out
     }
 
@@ -1266,43 +1001,6 @@ impl ServeEngine {
                 Json::from(total("tier_promotions")),
             ),
             ("native_supported", Json::from(native_supported())),
-            (
-                "snapshot_dir",
-                match &self.snapshots {
-                    Some(s) => Json::from(s.dir().display().to_string()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "snapshots_restored",
-                Json::from(self.snapshots.as_ref().map_or(0, |s| {
-                    s.counters
-                        .restored
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                })),
-            ),
-            (
-                "snapshots_written",
-                Json::from(self.snapshots.as_ref().map_or(0, |s| {
-                    s.counters
-                        .written
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                })),
-            ),
-            (
-                "snapshots_pulled",
-                Json::from(self.snapshots.as_ref().map_or(0, |s| {
-                    s.counters.pulled.load(std::sync::atomic::Ordering::Relaxed)
-                })),
-            ),
-            (
-                "snapshots_evicted",
-                Json::from(self.snapshots.as_ref().map_or(0, |s| {
-                    s.counters
-                        .evicted
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                })),
-            ),
         ]);
         fields.extend([
             (
@@ -1417,15 +1115,15 @@ struct ExecOutcome {
 fn kernel_fields(
     kernel: &ParsedKernel,
     compiled: &CompiledKernel,
-    src: CacheSource,
+    hit: bool,
 ) -> Vec<(&'static str, Json)> {
     vec![
         ("kernel", Json::from(kernel.program.name.as_str())),
         ("hash", Json::from(hash_hex(compiled.program_hash))),
         ("verdict", Json::from(compiled.verdict_summary())),
         ("vectorizable", Json::from(compiled.plan.is_ok())),
-        ("cache_hit", Json::from(src.is_hit())),
-        ("cache", Json::from(src.label())),
+        ("cache_hit", Json::from(hit)),
+        ("cache", Json::from(if hit { "hit" } else { "compiled" })),
     ]
 }
 
@@ -1503,7 +1201,6 @@ for (i = 0; i < 64; i++) {
             vl: None,
             invocations: 1,
             deadline_ms: None,
-            forwarded: false,
         }
     }
 
@@ -1592,25 +1289,23 @@ for (i = 0; i < 64; i++) {
     }
 
     #[test]
-    fn tier_policy_promotes_cold_to_warm_to_hot() {
+    fn tier_policy_starts_on_bytecode_and_promotes_hot_kernels_to_native() {
         let engine = ServeEngine::new(0);
         let mut auto_req = req(Op::Run, Some(MINLOC), None);
         auto_req.engine = None;
 
         // One request = one run, so request k sees a prior count of
-        // k-1: tree below TIER_WARM_RUNS, bytecode below
-        // TIER_HOT_RUNS, native after (bytecode on hosts without the
-        // back end).
+        // k-1: bytecode below TIER_HOT_RUNS, native after (bytecode on
+        // hosts without the back end). The tree walker never runs
+        // unless a request names it.
         let labels: Vec<String> = (0..=TIER_HOT_RUNS)
             .map(|_| {
                 let r = engine.handle(&auto_req, None).unwrap();
                 field(&r.fields, "engine").as_str().unwrap().to_owned()
             })
             .collect();
-        let warm = TIER_WARM_RUNS as usize;
         let hot = TIER_HOT_RUNS as usize;
-        assert!(labels[..warm].iter().all(|l| l == "tree-walking"));
-        assert!(labels[warm..hot].iter().all(|l| l == "compiled"));
+        assert!(labels[..hot].iter().all(|l| l == "compiled"));
         assert_eq!(
             labels[hot],
             if native_supported() {
@@ -1622,23 +1317,29 @@ for (i = 0; i < 64; i++) {
 
         let stats = engine.stats_fields();
         let total = |name: &str| field(&stats, name).as_u64().unwrap();
-        assert_eq!(total("tier_tree_total"), TIER_WARM_RUNS);
+        assert_eq!(total("tier_tree_total"), 0);
         if native_supported() {
-            assert_eq!(total("tier_bytecode_total"), TIER_HOT_RUNS - TIER_WARM_RUNS);
+            assert_eq!(total("tier_bytecode_total"), TIER_HOT_RUNS);
             assert_eq!(total("tier_native_total"), 1);
-            assert_eq!(
-                total("tier_promotions_total"),
-                2,
-                "tree→bytecode and bytecode→native"
-            );
+            assert_eq!(total("tier_promotions_total"), 1, "bytecode→native");
         } else {
-            assert_eq!(
-                total("tier_bytecode_total"),
-                TIER_HOT_RUNS - TIER_WARM_RUNS + 1
-            );
+            assert_eq!(total("tier_bytecode_total"), TIER_HOT_RUNS + 1);
             assert_eq!(total("tier_native_total"), 0);
-            assert_eq!(total("tier_promotions_total"), 1, "tree→bytecode only");
+            assert_eq!(total("tier_promotions_total"), 0, "nothing to promote to");
         }
+
+        // An explicit tree request still runs on the tree walker and
+        // counts on its tier, without touching the promotion count.
+        let mut tree_req = auto_req.clone();
+        tree_req.engine = Some(Engine::TreeWalking);
+        let r = engine.handle(&tree_req, None).unwrap();
+        assert_eq!(field(&r.fields, "engine").as_str(), Some("tree-walking"));
+        let stats = engine.stats_fields();
+        assert_eq!(field(&stats, "tier_tree_total").as_u64(), Some(1));
+        assert_eq!(
+            field(&stats, "tier_promotions_total").as_u64(),
+            Some(u64::from(native_supported()))
+        );
     }
 
     #[test]
@@ -1938,7 +1639,7 @@ for (i = 0; i < 2048; i++) {
             .iter()
             .map(|out| field(&out.fields, "engine").as_str().unwrap())
             .collect();
-        assert!(engines.contains("tree-walking") && engines.contains("compiled"));
+        assert!(engines.contains("compiled") && !engines.contains("tree-walking"));
         assert_eq!(engines.contains("native"), native_supported());
         let first = reply_cycles(&replies[0].fields);
         for out in &replies {

@@ -28,26 +28,12 @@
 //!   requests finish (or hit their cancel token), queued work is
 //!   answered `shutting_down`, listeners close.
 //!
-//! Four scale-out subsystems extend the single resident daemon:
-//!
-//! * on x86-64 Linux the accept side is a **readiness-polled reactor**
-//!   ([`reactor`]) — one thread, raw `epoll`, slab-managed
-//!   connections — so thousands of idle clients cost descriptors, not
-//!   stacks (other targets keep thread-per-connection);
-//! * `--cache-dir` enables the **persistent compile cache**
-//!   ([`snapshot`]): content-addressed, checksummed snapshots of
-//!   compiled kernels that make the first repeat request after a
-//!   restart a disk-warm cache hit;
-//! * `--cluster` enables the **consistent-hash ring** ([`cluster`]):
-//!   misses forward to the owning member, per-peer circuit breakers
-//!   degrade a dead owner to local compilation, and hot keys are
-//!   adopted locally after repeated forwards;
-//! * cluster mode plus `--cache-dir` enables **snapshot replication**
-//!   ([`replicate`]): members gossip manifests of their snapshot
-//!   stores, cache misses lazily pull (and fully re-validate) peers'
-//!   compiled snapshots instead of recompiling, and a joining node
-//!   anti-entropy-syncs the ring slice it owns so it serves warm from
-//!   its first request.
+//! On x86-64 Linux the accept side is a **readiness-polled reactor**
+//! ([`reactor`]) — one thread, raw `epoll`, slab-managed connections —
+//! so thousands of idle clients cost descriptors, not stacks (other
+//! targets keep thread-per-connection). The compile cache lives in
+//! memory only: a restarted daemon recompiles each kernel on its first
+//! request, and an evicted kernel must be sent as source again.
 //!
 //! `flexvecc serve` / `flexvecc client` wrap [`server::start`] and
 //! [`client::Client`]; the `serve_load` bench binary drives a daemon
@@ -58,7 +44,6 @@
 
 pub mod autotune;
 pub mod client;
-pub mod cluster;
 pub mod engine;
 pub mod json;
 pub mod metrics;
@@ -71,13 +56,10 @@ pub mod queue;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[allow(unsafe_code)]
 pub mod reactor;
-pub mod replicate;
 pub mod server;
 pub mod signal;
-pub mod snapshot;
 
 pub use client::{fetch_metrics, Client};
-pub use cluster::Cluster;
 pub use engine::{build_info, BuildInfo, ServeEngine};
 pub use json::Json;
 pub use metrics::ServeMetrics;
@@ -86,7 +68,5 @@ pub use protocol::{
     Request,
 };
 pub use queue::BoundedQueue;
-pub use replicate::Replicator;
 pub use server::{start, startup_line, AcceptMode, ServerConfig, ServerHandle};
 pub use signal::{install_sigint_handler, interrupted, reset_interrupted};
-pub use snapshot::{epoch_word, ManifestEntry, RejectReason, SnapshotStore, SNAPSHOT_EPOCH};

@@ -18,22 +18,6 @@
 //! — bad JSON, unknown ops, missing fields — always produces a
 //! structured `bad_request`/`parse_error` response, never a dropped
 //! connection and never a panic.
-//!
-//! Cluster members exchange two additional replication ops on the same
-//! framing, intercepted before request validation (their payloads
-//! don't fit [`Request`]; see `crate::replicate` for the field-level
-//! format):
-//!
-//! ```text
-//! {"op":"gossip","id":1,"from":"127.0.0.1:9001","round":7,"manifest":[...]}
-//! {"op":"pull","id":2,"hash":"00c0ffee00c0ffee","spec":"ff"}
-//! ```
-//!
-//! Both are **terminal**: a gossip reply carries the receiver's own
-//! manifest (push-pull exchange) and a pull is answered from local
-//! disk only — `found:false` rather than relayed onward — the same
-//! loop-guard discipline the `forwarded` flag enforces for request
-//! forwarding, so a stale ring can never create message loops.
 
 use flexvec::SpecRequest;
 use flexvec_vm::Engine;
@@ -173,8 +157,8 @@ pub struct Request {
     pub spec_explicit: bool,
     /// Execution engine. `None` (the wire value `auto`, and the
     /// default) lets the daemon's tier policy pick: kernels start on
-    /// the tree walker and are promoted to bytecode and then native
-    /// code as their per-hash run count grows.
+    /// bytecode and are promoted to native code once their per-hash
+    /// run count makes them hot. The tree walker runs only when named.
     pub engine: Option<Engine>,
     /// Vector length the kernel executes at. `None` (the default)
     /// means the daemon's ambient width
@@ -186,10 +170,6 @@ pub struct Request {
     pub invocations: u64,
     /// Per-request deadline in milliseconds, measured from admission.
     pub deadline_ms: Option<u64>,
-    /// Set by a cluster peer relaying this request to the ring owner of
-    /// its kernel hash. A forwarded request is always served locally —
-    /// never forwarded again — so a stale ring cannot create loops.
-    pub forwarded: bool,
 }
 
 /// Parses `spec` wire values — same vocabulary as `flexvecc --spec`.
@@ -260,19 +240,6 @@ impl Request {
     pub fn parse(line: &str) -> Result<Request, (u64, ProtoError)> {
         let value = json::parse(line)
             .map_err(|e| (0, ProtoError::new(ErrorKind::ParseError, e.to_string())))?;
-        Self::from_json(&value)
-    }
-
-    /// Validates an already-parsed JSON value as a request. Split from
-    /// [`Request::parse`] so the dispatcher can parse each line once,
-    /// intercept replication ops (`gossip`/`pull`, whose manifest
-    /// payloads don't fit this struct) on the raw JSON, and only then
-    /// apply request validation.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Request::parse`].
-    pub fn from_json(value: &Json) -> Result<Request, (u64, ProtoError)> {
         let id = value.get("id").and_then(Json::as_u64).unwrap_or(0);
         let bad = |message: String| (id, ProtoError::new(ErrorKind::BadRequest, message));
 
@@ -348,12 +315,6 @@ impl Request {
                     .ok_or_else(|| bad("`deadline_ms` must be a positive integer".to_owned()))?,
             ),
         };
-        let forwarded = match value.get("forwarded") {
-            None | Some(Json::Null) => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| bad("`forwarded` must be a boolean".to_owned()))?,
-        };
         Ok(Request {
             id,
             op,
@@ -365,54 +326,7 @@ impl Request {
             vl,
             invocations,
             deadline_ms,
-            forwarded,
         })
-    }
-
-    /// Serializes the request back to its wire form — the cluster
-    /// forwarding path relays requests to the ring owner with this
-    /// (plus `forwarded: true`). `Request::parse(r.to_json(...)
-    /// .to_string())` reproduces `r` field for field.
-    pub fn to_json(&self, forwarded: bool) -> Json {
-        let mut pairs = vec![
-            ("op", Json::from(self.op.name())),
-            ("id", Json::from(self.id)),
-        ];
-        if let Some(source) = &self.source {
-            pairs.push(("source", Json::from(source.as_str())));
-        }
-        if let Some(hash) = self.hash {
-            pairs.push(("hash", Json::from(hash_hex(hash))));
-        }
-        // `spec` goes on the wire only when the client sent one: a
-        // forwarded request must stay autotunable on the peer, and an
-        // emitted `spec` field would read back as explicit.
-        if self.spec_explicit {
-            let spec = match self.spec {
-                SpecRequest::Auto => "ff".to_owned(),
-                SpecRequest::Rtm { tile } => format!("rtm:{tile}"),
-            };
-            pairs.push(("spec", Json::from(spec)));
-        }
-        if let Some(engine) = self.engine {
-            let engine = match engine {
-                Engine::TreeWalking => "tree",
-                Engine::Compiled => "compiled",
-                Engine::Native => "native",
-            };
-            pairs.push(("engine", Json::from(engine)));
-        }
-        if let Some(vl) = self.vl {
-            pairs.push(("vl", Json::from(vl as u64)));
-        }
-        pairs.push(("invocations", Json::from(self.invocations)));
-        if let Some(ms) = self.deadline_ms {
-            pairs.push(("deadline_ms", Json::from(ms)));
-        }
-        if forwarded {
-            pairs.push(("forwarded", Json::from(true)));
-        }
-        Json::obj(pairs)
     }
 }
 
@@ -567,54 +481,12 @@ mod tests {
     }
 
     #[test]
-    fn forwarded_flag_parses_and_defaults_off() {
-        let r = Request::parse(r#"{"op":"run","source":"k","forwarded":true}"#).unwrap();
-        assert!(r.forwarded);
-        let r = Request::parse(r#"{"op":"run","source":"k"}"#).unwrap();
-        assert!(!r.forwarded);
-        let (_, err) = Request::parse(r#"{"op":"run","source":"k","forwarded":7}"#).unwrap_err();
-        assert_eq!(err.kind, ErrorKind::BadRequest);
-    }
-
-    #[test]
-    fn to_json_round_trips_through_parse() {
-        let line = r#"{"op":"bench","id":9,"hash":"00000000000000ff","spec":"rtm:64","engine":"tree","invocations":32,"deadline_ms":250}"#;
-        let r = Request::parse(line).unwrap();
-        let relayed = Request::parse(&r.to_json(true).to_string()).unwrap();
-        assert_eq!(relayed.id, r.id);
-        assert_eq!(relayed.op, r.op);
-        assert_eq!(relayed.hash, r.hash);
-        assert_eq!(relayed.spec, r.spec);
-        assert_eq!(relayed.engine, r.engine);
-        assert_eq!(relayed.invocations, r.invocations);
-        assert_eq!(relayed.deadline_ms, r.deadline_ms);
-        assert!(relayed.forwarded, "relay sets the loop-stopper");
-
-        let r = Request::parse(r#"{"op":"run","source":"kernel k;"}"#).unwrap();
-        let relayed = Request::parse(&r.to_json(false).to_string()).unwrap();
-        assert_eq!(relayed.source.as_deref(), Some("kernel k;"));
-        assert!(!relayed.forwarded);
-        assert!(
-            !relayed.spec_explicit,
-            "an implicit spec stays implicit across a relay"
-        );
-
-        let r = Request::parse(r#"{"op":"run","source":"k","spec":"auto"}"#).unwrap();
-        assert!(r.spec_explicit, "even `auto` counts when actually sent");
-        let relayed = Request::parse(&r.to_json(true).to_string()).unwrap();
-        assert!(relayed.spec_explicit);
-        assert_eq!(relayed.spec, SpecRequest::Auto);
-    }
-
-    #[test]
-    fn vl_parses_validates_and_relays() {
+    fn vl_parses_and_validates() {
         let r = Request::parse(r#"{"op":"run","source":"k"}"#).unwrap();
         assert_eq!(r.vl, None, "omitted vl means the daemon default");
         for vl in flexvec_isa::SUPPORTED_VLENS {
             let r = Request::parse(&format!(r#"{{"op":"run","source":"k","vl":{vl}}}"#)).unwrap();
             assert_eq!(r.vl, Some(vl));
-            let relayed = Request::parse(&r.to_json(true).to_string()).unwrap();
-            assert_eq!(relayed.vl, Some(vl), "vl survives a cluster relay");
         }
     }
 

@@ -9,14 +9,10 @@
 //! behavior. Either way, a request line is validated and either
 //! answered inline (`stats`, malformed input, shed) or enqueued on the
 //! bounded admission queue. A fixed worker pool pops jobs, re-checks
-//! the deadline, routes cluster misses to their ring owner
-//! ([`crate::cluster`]), and runs local work through the shared
-//! [`ServeEngine`] with a [`CancelToken`] carrying the deadline plus
-//! the daemon's drain flag.
-//!
-//! With `--cache-dir`, compiled kernels persist as validated snapshots
-//! ([`crate::snapshot`]) and a restarted daemon's first repeat-kernel
-//! request is a disk-warm cache hit instead of a recompile.
+//! the deadline, and runs them through the shared [`ServeEngine`] with
+//! a [`CancelToken`] carrying the deadline plus the daemon's drain
+//! flag. The compile cache is memory-only: a restarted daemon
+//! recompiles each kernel on its first request.
 //!
 //! Everything blocking polls: the acceptors/reactor wake on a short
 //! timeout, connection reads carry a timeout, and workers wake on
@@ -33,16 +29,13 @@ use std::time::{Duration, Instant};
 
 use flexvec_vm::CancelToken;
 
-use crate::cluster::Cluster;
 use crate::engine::{build_info, ServeEngine};
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::metrics::ServeMetrics;
 use crate::protocol::{
     err_response, line_too_long_response, ok_response, ErrorKind, Op, ProtoError, Request, MAX_LINE,
 };
 use crate::queue::{BoundedQueue, PushError};
-use crate::replicate::Replicator;
-use crate::snapshot::SnapshotStore;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use crate::reactor::{self, Completions, ReactorMetrics};
@@ -80,28 +73,8 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline_ms: Option<u64>,
-    /// Persistent snapshot directory; `None` keeps the cache
-    /// memory-only.
-    pub cache_dir: Option<String>,
-    /// Full cluster member list (including this node); empty disables
-    /// cluster mode.
-    pub cluster: Vec<String>,
-    /// This node's name in the cluster list. Defaults to the bound
-    /// request address, which only works when `addr` names a concrete
-    /// port the peers were also given.
-    pub advertise: Option<String>,
     /// How connections are accepted (reactor vs. connection threads).
     pub accept_mode: AcceptMode,
-    /// Byte bound on the snapshot directory (`--cache-dir-max-bytes`);
-    /// writes sweep oldest-generation snapshots past it. `None` leaves
-    /// the store unbounded.
-    pub cache_dir_max_bytes: Option<u64>,
-    /// Snapshot-manifest gossip period for cluster replication
-    /// (requires both `cluster` and `cache_dir`).
-    pub gossip_interval_ms: u64,
-    /// Gossip rounds a snapshot may be memory-resident on no member
-    /// before distributed GC deletes it from disk (0 disables GC).
-    pub gossip_gc_rounds: u64,
 }
 
 impl Default for ServerConfig {
@@ -113,13 +86,7 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_capacity: 1024,
             default_deadline_ms: None,
-            cache_dir: None,
-            cluster: Vec::new(),
-            advertise: None,
             accept_mode: AcceptMode::Auto,
-            cache_dir_max_bytes: None,
-            gossip_interval_ms: 1000,
-            gossip_gc_rounds: 10,
         }
     }
 }
@@ -159,8 +126,6 @@ struct Shared {
     queue: BoundedQueue<Job>,
     shutdown_flag: Arc<AtomicBool>,
     default_deadline_ms: Option<u64>,
-    cluster: Option<Arc<Cluster>>,
-    replication: Option<Arc<Replicator>>,
 }
 
 /// A running daemon. Dropping the handle without calling
@@ -187,17 +152,6 @@ impl ServerHandle {
         &self.shared.engine
     }
 
-    /// The cluster state, when `--cluster` is configured.
-    pub fn cluster(&self) -> Option<&Cluster> {
-        self.shared.cluster.as_deref()
-    }
-
-    /// The replication subsystem, when cluster mode and `--cache-dir`
-    /// are both configured.
-    pub fn replication(&self) -> Option<&Arc<Replicator>> {
-        self.shared.replication.as_ref()
-    }
-
     /// Whether a drain has been requested.
     pub fn draining(&self) -> bool {
         self.shared.shutdown_flag.load(Ordering::Relaxed)
@@ -220,14 +174,12 @@ impl ServerHandle {
     }
 }
 
-/// Starts the daemon: binds the listeners, opens the snapshot store
-/// and cluster ring when configured, spawns the worker pool and the
-/// reactor (or acceptor) thread, and returns immediately.
+/// Starts the daemon: binds the listeners, spawns the worker pool and
+/// the reactor (or acceptor) thread, and returns immediately.
 ///
 /// # Errors
 ///
-/// I/O errors binding either listener or creating `--cache-dir`, and
-/// invalid cluster configuration.
+/// I/O errors binding either listener.
 pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
@@ -246,51 +198,15 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .map(TcpListener::local_addr)
         .transpose()?;
 
-    let snapshots = match &config.cache_dir {
-        Some(dir) => Some(SnapshotStore::open_bounded(
-            dir,
-            config.cache_dir_max_bytes,
-        )?),
-        None => None,
-    };
-    let cluster = if config.cluster.is_empty() {
-        None
-    } else {
-        let advertise = config.advertise.clone().unwrap_or_else(|| addr.to_string());
-        Some(Arc::new(
-            Cluster::new(config.cluster.clone(), advertise)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?,
-        ))
-    };
-
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     let _ = reactor::raise_nofile_limit();
 
-    let engine = ServeEngine::with_snapshots(config.cache_capacity, snapshots);
-    // Replication needs both a ring (who to gossip with) and a
-    // snapshot store (what to gossip about); with either missing the
-    // daemon runs exactly as before.
-    let replication = match (&cluster, engine.snapshots_arc()) {
-        (Some(cluster), Some(store)) => {
-            let repl = Arc::new(Replicator::new(
-                Arc::clone(cluster),
-                store,
-                config.gossip_gc_rounds,
-            ));
-            engine.enable_replication(Arc::clone(&repl));
-            Some(repl)
-        }
-        _ => None,
-    };
-
     let shared = Arc::new(Shared {
-        engine,
+        engine: ServeEngine::new(config.cache_capacity),
         metrics: ServeMetrics::default(),
         queue: BoundedQueue::new(config.queue_capacity),
         shutdown_flag: Arc::new(AtomicBool::new(false)),
         default_deadline_ms: config.default_deadline_ms,
-        cluster,
-        replication,
     });
     let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let mut threads = Vec::new();
@@ -319,32 +235,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
                 .expect("spawn metrics listener"),
         );
     }
-    if let Some(repl) = shared.replication.clone() {
-        // Gossip thread: one anti-entropy sync at startup (the joining
-        // node pulls its owned ring slice warm), then periodic
-        // manifest rounds with distributed aging. The listener is
-        // already accepting, so peers can answer our pulls and we
-        // theirs during sync.
-        let shared = Arc::clone(&shared);
-        let interval = Duration::from_millis(config.gossip_interval_ms.max(10));
-        threads.push(
-            std::thread::Builder::new()
-                .name("serve-gossip".to_owned())
-                .spawn(move || {
-                    repl.anti_entropy_sync(&shared.engine);
-                    let mut last = Instant::now();
-                    while !shared.shutdown_flag.load(Ordering::Relaxed) {
-                        std::thread::sleep(POLL);
-                        if last.elapsed() >= interval {
-                            repl.gossip_round(&shared.engine);
-                            last = Instant::now();
-                        }
-                    }
-                })
-                .expect("spawn gossip thread"),
-        );
-    }
-
     Ok(ServerHandle {
         addr,
         metrics_addr,
@@ -559,43 +449,7 @@ fn finish_line(bytes: Vec<u8>, line: &mut String) -> ReadOutcome {
 /// arrives through that reply later.
 fn dispatch(line: &str, shared: &Arc<Shared>, make_reply: impl FnOnce() -> Reply) -> Option<Json> {
     shared.metrics.requests_total.inc();
-    let value = match json::parse(line) {
-        Ok(v) => v,
-        Err(e) => {
-            shared.metrics.requests_failed.inc();
-            return Some(err_response(
-                0,
-                &ProtoError::new(ErrorKind::ParseError, e.to_string()),
-            ));
-        }
-    };
-    // Replication ops are intercepted on the raw JSON (their manifest
-    // payloads don't fit the request struct) and answered inline:
-    // gossip/pull replies read only local state and local disk, so
-    // they must not compete with compile jobs for the worker pool — a
-    // pool saturated with pulls waiting on each other's pools would
-    // deadlock a small cluster.
-    if let Some(op) = value.get("op").and_then(Json::as_str) {
-        if op == "gossip" || op == "pull" {
-            let id = value.get("id").and_then(Json::as_u64).unwrap_or(0);
-            let Some(repl) = &shared.replication else {
-                shared.metrics.requests_failed.inc();
-                return Some(err_response(
-                    id,
-                    &ProtoError::new(
-                        ErrorKind::BadRequest,
-                        "replication is not enabled here (needs --cluster and --cache-dir)",
-                    ),
-                ));
-            };
-            return Some(if op == "gossip" {
-                repl.handle_gossip(&value, &shared.engine)
-            } else {
-                repl.handle_pull(&value)
-            });
-        }
-    }
-    let request = match Request::from_json(&value) {
+    let request = match Request::parse(line) {
         Ok(r) => r,
         Err((id, e)) => {
             shared.metrics.requests_failed.inc();
@@ -618,20 +472,6 @@ fn dispatch(line: &str, shared: &Arc<Shared>, make_reply: impl FnOnce() -> Reply
             "open_connections",
             Json::from(shared.metrics.open_connections.get()),
         ));
-        if let Some(cluster) = &shared.cluster {
-            fields.push((
-                "cluster_members",
-                Json::from(cluster.members().len() as u64),
-            ));
-            fields.push(("cluster_advertise", Json::from(cluster.advertise())));
-            fields.push((
-                "cluster_forwards",
-                Json::from(cluster.counters.forwards.get()),
-            ));
-        }
-        if let Some(repl) = &shared.replication {
-            fields.extend(repl.stats_fields());
-        }
         return Some(ok_response(id, fields));
     }
 
@@ -672,47 +512,6 @@ fn dispatch(line: &str, shared: &Arc<Shared>, make_reply: impl FnOnce() -> Reply
     }
 }
 
-/// Cluster routing for one admitted job: `Some(response)` when the
-/// request was forwarded to its ring owner and answered there, `None`
-/// when it should be served locally (we own it, we already have it
-/// compiled, it's an adopted hot key, the peer is dead, or cluster
-/// mode is off).
-fn route_cluster(shared: &Shared, job: &Job) -> Option<Json> {
-    let cluster = shared.cluster.as_ref()?;
-    let req = &job.request;
-    if req.forwarded || req.op == Op::Stats {
-        return None;
-    }
-    // Resolving registers inline source locally, so an adopted key can
-    // actually be compiled here later.
-    let hash = shared.engine.request_hash(req).ok()?;
-    if cluster.is_local(hash) {
-        return None;
-    }
-    if shared.engine.has_compiled_for(hash, req) {
-        return None; // already warm locally; forwarding would be slower
-    }
-    if cluster.note_forward(hash) && shared.engine.knows_kernel(hash) {
-        return None; // hot key: compile locally from the known source
-    }
-    // When a peer's gossiped manifest claims a snapshot of this
-    // kernel, serving locally is better than forwarding: the miss
-    // path lazily pulls the compiled artifact (one transfer, then
-    // this node is warm forever) instead of paying a network hop per
-    // request.
-    if shared
-        .replication
-        .as_ref()
-        .is_some_and(|r| r.peer_claims(hash))
-    {
-        return None;
-    }
-    let owner = cluster.owner_of(hash).to_owned();
-    // A failed forward (breaker open, peer dead) degrades to local
-    // service rather than surfacing an error to the client.
-    cluster.forward(&owner, req).ok()
-}
-
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         shared.metrics.queue_depth.set(shared.queue.len() as u64);
@@ -735,11 +534,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 id,
                 &ProtoError::new(ErrorKind::Deadline, "deadline expired while queued"),
             ));
-            continue;
-        }
-
-        if let Some(response) = route_cluster(shared, &job) {
-            job.reply.send(response);
             continue;
         }
 
@@ -787,14 +581,7 @@ fn metrics_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 }
                 let path = request_line.split_whitespace().nth(1).unwrap_or("");
                 let response = if path == "/metrics" || path.starts_with("/metrics?") {
-                    let mut samples = shared.engine.metric_samples();
-                    if let Some(cluster) = &shared.cluster {
-                        samples.extend(cluster.metric_samples());
-                    }
-                    if let Some(repl) = &shared.replication {
-                        samples.extend(repl.metric_samples());
-                    }
-                    let body = shared.metrics.render(&samples);
+                    let body = shared.metrics.render(&shared.engine.metric_samples());
                     format!(
                         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
                          Content-Length: {}\r\nConnection: close\r\n\r\n{}",
@@ -826,25 +613,9 @@ pub fn startup_line(handle: &ServerHandle, config: &ServerConfig) -> String {
     let metrics = handle
         .metrics_addr
         .map_or_else(|| "disabled".to_owned(), |a| a.to_string());
-    let persist = config
-        .cache_dir
-        .as_deref()
-        .map_or_else(|| "memory-only".to_owned(), str::to_owned);
-    let cluster = handle.shared.cluster.as_ref().map_or_else(
-        || "off".to_owned(),
-        |c| format!("{} members as {}", c.members().len(), c.advertise()),
-    );
-    let replication = if handle.shared.replication.is_some() {
-        format!(
-            ", replication: gossip every {}ms",
-            config.gossip_interval_ms
-        )
-    } else {
-        String::new()
-    };
     format!(
         "flexvec-serve {info} listening on {} (metrics: {metrics}, workers: {}, \
-         queue: {}, cache: {}, cache-dir: {persist}, cluster: {cluster}{replication})",
+         queue: {}, cache: {})",
         handle.addr,
         config.workers.max(1),
         config.queue_capacity,

@@ -343,37 +343,6 @@ impl CompiledVProg {
         &self.templates
     }
 
-    /// The serializable parts: `(code, templates, scratch_proto,
-    /// num_counters)`. The native tier is deliberately absent — machine
-    /// code is never persisted; it is rebuilt with
-    /// [`CompiledVProg::enable_native`] after a snapshot load.
-    pub(crate) fn parts(&self) -> (&[Instr], &[Uop], &[Uop], usize) {
-        (
-            &self.code,
-            &self.templates,
-            &self.scratch_proto,
-            self.num_counters,
-        )
-    }
-
-    /// Reassembles a program from deserialized parts (`native` starts
-    /// detached). The serial module validates internal consistency
-    /// before calling this.
-    pub(crate) fn from_parts(
-        code: Vec<Instr>,
-        templates: Vec<Uop>,
-        scratch_proto: Vec<Uop>,
-        num_counters: usize,
-    ) -> Self {
-        CompiledVProg {
-            code,
-            templates,
-            scratch_proto,
-            num_counters,
-            native: None,
-        }
-    }
-
     /// Number of bytecode instructions.
     pub fn len(&self) -> usize {
         self.code.len()

@@ -28,7 +28,6 @@ mod compiled;
 #[allow(unsafe_code)]
 mod jit;
 mod scalar;
-mod serial;
 mod trace;
 mod vector;
 
@@ -37,9 +36,6 @@ pub use compiled::{CompiledVProg, ExecScratch};
 pub use jit::native_supported;
 pub use scalar::{
     run_scalar, run_scalar_cancellable, Bindings, ExecError, RunResult, ScalarMachine, StepOutcome,
-};
-pub use serial::{
-    deserialize_compiled, serialize_compiled, SerialError, SerialLimits, SERIAL_VERSION,
 };
 pub use trace::{CountingSink, Tok, TraceSink, Uop, UopClass, VecSink, TEMP_BASE};
 pub use vector::{
