@@ -9,6 +9,10 @@
 //! the compiled engine is expected to be ≥2× the tree walker, and the
 //! native tier ≥1.5× the compiled engine on the straight-line kernel.
 //!
+//! Every printed row is timed over [`PASSES`] passes and shows the
+//! median with the quartiles in brackets; the expectations above are
+//! checked on the medians.
+//!
 //! The chunk rows feed a `CountingSink`. The `ns/uop` rows run the
 //! scalar interpreter and the compiled engine on both a `CountingSink`
 //! and the Table 1 `OooSim`, the sink that every serve run and the
@@ -27,6 +31,47 @@ use flexvec_vm::{
     Bindings, CompiledVProg, CountingSink, Engine, ExecScratch, TraceSink,
 };
 use flexvec_workloads::{Suite, Workload};
+
+/// Timed passes behind each printed row.
+const PASSES: usize = 5;
+
+/// The median and quartiles of [`PASSES`] measurements.
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(mut measure: impl FnMut() -> f64) -> Spread {
+        let mut values: Vec<f64> = (0..PASSES).map(|_| measure()).collect();
+        values.sort_by(f64::total_cmp);
+        Spread {
+            q1: values[PASSES / 4],
+            median: values[PASSES / 2],
+            q3: values[3 * PASSES / 4],
+        }
+    }
+
+    /// `median [q1-q3]`, each value rendered by `fmt`.
+    fn show(&self, fmt: impl Fn(f64) -> String) -> String {
+        format!("{} [{}-{}]", fmt(self.median), fmt(self.q1), fmt(self.q3))
+    }
+}
+
+fn rate(x: f64) -> String {
+    format!("{x:.3e}")
+}
+
+fn ns(x: f64) -> String {
+    format!("{x:.1}")
+}
+
+/// Whether a ratio of medians meets its expectation, for the report.
+fn verdict(ratio: f64, expected: f64) -> String {
+    let met = if ratio >= expected { "meets" } else { "BELOW" };
+    format!("{ratio:.2}x of medians, {met} the {expected}x expectation")
+}
 
 struct Prepared {
     workload: Workload,
@@ -196,38 +241,46 @@ fn bench_engines(c: &mut Criterion) {
             (c, scratch)
         });
 
-        // One-shot ratio report (the acceptance numbers), outside the
-        // criterion timing loops.
-        let tree = chunks_per_sec(&mut p, &mut tree_engine, 40);
-        let comp = chunks_per_sec(&mut p, &mut compiled_engine, 40);
+        // Ratio report (the acceptance numbers), outside the criterion
+        // timing loops.
+        let tree = Spread::of(|| chunks_per_sec(&mut p, &mut tree_engine, 40));
+        let comp = Spread::of(|| chunks_per_sec(&mut p, &mut compiled_engine, 40));
         println!(
-            "{name}: tree-walking {tree:.3e} chunks/s, compiled {comp:.3e} chunks/s \
-             ({:.2}x)",
-            comp / tree
+            "{name}: tree-walking {} chunks/s, compiled {} chunks/s ({})",
+            tree.show(rate),
+            comp.show(rate),
+            verdict(comp.median / tree.median, 2.0)
         );
         for (label, engine) in [("scalar", &mut None), ("compiled", &mut compiled_engine)] {
-            let counting = ns_per_uop(&mut p, engine, false, 40);
-            let ooo = ns_per_uop(&mut p, engine, true, 40);
+            let counting = Spread::of(|| ns_per_uop(&mut p, engine, false, 40));
+            let ooo = Spread::of(|| ns_per_uop(&mut p, engine, true, 40));
             println!(
-                "{name}: {label} {counting:.1} ns/uop on CountingSink, \
-                 {ooo:.1} ns/uop on OooSim"
+                "{name}: {label} {} ns/uop on CountingSink, {} ns/uop on OooSim",
+                counting.show(ns),
+                ooo.show(ns)
             );
         }
         if let Some((plan, _)) = &native_engine {
             let (segments, inline_ops, helper_ops, code_bytes) = plan.native_info();
-            let nat = chunks_per_sec(&mut p, &mut native_engine, 40);
+            let nat = Spread::of(|| chunks_per_sec(&mut p, &mut native_engine, 40));
+            let ratio = nat.median / comp.median;
+            let over = if name == "straightline" {
+                verdict(ratio, 1.5)
+            } else {
+                format!("{ratio:.2}x of medians")
+            };
             println!(
-                "{name}: native {nat:.3e} chunks/s ({:.2}x over compiled; \
+                "{name}: native {} chunks/s ({over} over compiled; \
                  {segments} segments, {inline_ops} inline / {helper_ops} helper ops, \
                  {code_bytes} code bytes)",
-                nat / comp
+                nat.show(rate)
             );
         }
 
         // Width sweep: the bytecode is width-independent, so one
         // compile is re-executed at every supported vector length the
         // kernel's analysis ceiling allows (wider vl → fewer, fatter
-        // chunks). One-shot report plus criterion entries per width.
+        // chunks). Report plus criterion entries per width.
         for vl in flexvec_isa::SUPPORTED_VLENS {
             if vl > p.vectorized.vprog.max_vl {
                 println!(
@@ -242,8 +295,8 @@ fn bench_engines(c: &mut Criterion) {
                     let scratch = c.scratch();
                     Some((c, scratch))
                 };
-                let cps = chunks_per_sec(&mut p, &mut engine, 20);
-                println!("{name}: compiled @ vl {vl:>2}: {cps:.3e} chunks/s");
+                let cps = Spread::of(|| chunks_per_sec(&mut p, &mut engine, 20));
+                println!("{name}: compiled @ vl {vl:>2}: {} chunks/s", cps.show(rate));
             });
         }
         if name == "straightline" {

@@ -540,8 +540,8 @@ fn client_cmd(flags: &CommonFlags, args: &[String]) -> i32 {
                 ),
             ];
             // A *present* spec field pins the variant on the daemon and
-            // bypasses its autotuner (even `--spec ff`); without
-            // --spec the kernel stays autotunable.
+            // bypasses its choice by cycles (even `--spec ff`); without
+            // --spec the daemon chooses.
             if flags.spec_explicit {
                 let spec = match flags.spec {
                     flexvec::SpecRequest::Auto => "ff".to_owned(),

@@ -33,12 +33,14 @@
 //!
 //! Two further regression-failing scenarios:
 //!
-//! * `--scenario autotune` — a mixed trace over three kernel families
-//!   with conflicting best specs (RTM-only, fault-tail, store-heavy)
-//!   against every fixed `(spec, tile)` in a sweep grid and against an
-//!   autotuned daemon; fails unless the autotuner beats *every* fixed
-//!   configuration on aggregate req/s, and unless explicit `--spec` /
-//!   `--engine` pins demonstrably bypass it.
+//! * `--scenario autotune` — five kernel families (RTM-only, fault-tail,
+//!   store-heavy, and two RTM-only kernels whose stores overflow the
+//!   transaction write set at the larger tiles) run once under every
+//!   fixed `(spec, tile)` pin of a grid, then as a mixed trace on an
+//!   autotuned daemon; fails unless every autotuned reply after
+//!   exploring reports exactly the fewest vector cycles of any pin, the
+//!   RTM-only families settle on `rtm:1024`, `rtm:64` and `rtm:16`, and
+//!   explicit `spec` and `engine` pins are honored.
 //! * `--scenario idle-conns` — parks `--idle-conns` (default 5000) idle
 //!   connections on one daemon and fails unless the epoll reactor
 //!   accepts them all, reports them open, and holds them without
@@ -49,7 +51,7 @@
 //! ```text
 //! serve_load [--scenario autotune|idle-conns]
 //!            [--clients N] [--requests N] [--kernels K] [--workers N]
-//!            [--idle-conns N] [--warmup N] [--json]
+//!            [--idle-conns N] [--json]
 //! ```
 
 use std::time::{Duration, Instant};
@@ -329,10 +331,6 @@ fn main() {
             ExtraFlag {
                 name: "idle-conns",
                 help: "idle connections the idle-conns scenario parks on one daemon (default 5000)",
-            },
-            ExtraFlag {
-                name: "warmup",
-                help: "autotune scenario: warmup requests per kernel family (default 20)",
             },
         ],
     );
@@ -685,16 +683,11 @@ fn scenario_idle_conns(_flags: &CommonFlags) -> i32 {
     0
 }
 
-/// Minimum autotuned-over-best-fixed aggregate throughput ratio the
-/// autotune scenario must demonstrate against *every* fixed
-/// `(spec, tile)` configuration in [`AUTOTUNE_GRID`].
-const MIN_AUTOTUNE_SPEEDUP: f64 = 1.1;
-
-/// The fixed configurations the autotuned daemon has to beat. `"ff"`
-/// pins first-faulting (the compiler's `Auto`); the rest pin RTM at a
-/// fixed tile. No single entry is best for all three kernel families
-/// below, which is the point: a per-kernel adaptive choice wins where
-/// any uniform static choice loses somewhere.
+/// The fixed configurations the autotuned daemon is checked against.
+/// `"ff"` pins first-faulting (the compiler's `Auto`); the rest pin RTM
+/// at a fixed tile. No single entry is best for all the kernel
+/// families below: RTM is the only way to vectorize three of them, each
+/// at a different tile, and the slower choice for the other two.
 const AUTOTUNE_GRID: [&str; 5] = ["ff", "rtm:16", "rtm:64", "rtm:256", "rtm:1024"];
 
 /// Family A — RTM-only: a store between a speculative load and its
@@ -731,7 +724,7 @@ for (i = 0; i < 4096; i++) {
 /// runs past the array, so the speculative tail load faults on every
 /// invocation. FF masks the fault and falls back for one chunk; a
 /// fixed RTM tile aborts the whole enclosing transaction and reruns it
-/// scalar — the larger the tile, the larger the rerun.
+/// scalar.
 const FAMILY_FAULT_TAIL: &str = "\
 // Early-exit scan with a faulting speculative tail.
 kernel fault_tail;
@@ -755,9 +748,8 @@ for (i = 0; i < 2100; i++) {
 
 /// Family C — store-heavy: a non-speculative scatter over a bin range
 /// wide enough that intra-chunk conflicts are rare. `Auto` needs no
-/// speculation at all and vectorizes clean; a pinned RTM daemon routes
-/// every scatter through the transaction write-set journal (and every
-/// gather through its read hook) and pays for it on each element.
+/// speculation at all and vectorizes clean; a pinned RTM tile wraps
+/// the same work in transactions.
 const FAMILY_STORE_HEAVY: &str = "\
 // Low-conflict histogram: every iteration scatters into a wide bin range.
 kernel store_heavy;
@@ -771,36 +763,83 @@ for (i = 0; i < 4096; i++) {
 }
 ";
 
-/// The interleaving of the mixed trace, as indices into the family
-/// set `[rtm_win, fault_tail, store_heavy]`.
-const AUTOTUNE_TRACE: [usize; 4] = [0, 1, 2, 2];
-
-/// One measured pass of the mixed-family trace against a fresh daemon.
-struct AutotuneRun {
-    rps: f64,
-    failures: u64,
-    /// `stats` response after the measured phase.
-    stats: Json,
-    /// `spec` field echoed on the last warmup response per family.
-    specs: Vec<String>,
+/// Families D and E — wide stores: the RTM-only shape of family A,
+/// but the guard almost always holds and every taken iteration stores
+/// `u` into `stores` arrays. A tile that writes more distinct elements
+/// than the transaction's 4096-element write set aborts and reruns
+/// scalar, so the best tile is the largest one that fits: with 20
+/// stores a 256-iteration tile writes 5120 elements and `rtm:64` wins;
+/// with 70 stores a 64-iteration tile writes 4480 and `rtm:16` wins.
+fn family_wide_stores(stores: usize) -> String {
+    let mut src = format!(
+        "// Conditional-update scan storing into {stores} arrays per iteration.\n\
+         kernel wide_stores_{stores};\n\n\
+         var i = 0;\nvar t = 0;\nvar u = 0;\nvar best = 1048576;\n\
+         array a[512] = seed 7;\narray aux[512] = seed 9;\n"
+    );
+    for k in 0..stores {
+        src.push_str(&format!("array o{k}[512];\n"));
+    }
+    src.push_str(
+        "live_out best;\n\n\
+         for (i = 0; i < 512; i++) {\n  t = a[i] * 3 + i;\n  if (t < best + 1000000) {\n    \
+         u = aux[t & 511];\n",
+    );
+    for k in 0..stores {
+        src.push_str(&format!("    o{k}[i] = u;\n"));
+    }
+    src.push_str("    if (u < best) {\n      best = u;\n    }\n  }\n}\n");
+    src
 }
 
-/// Starts a fresh daemon, registers the three families, warms each one
-/// round-robin from a single connection (so per-kernel run counts — and
-/// with them autotune decision points — advance deterministically),
-/// then measures the interleaved trace. `spec` pins every request to a
-/// fixed configuration; `None` leaves the daemon free to autotune.
-fn autotune_pass(spec: Option<&str>, requests: u64, warmup: u64, invocations: u64) -> AutotuneRun {
-    let families = [FAMILY_RTM_WIN, FAMILY_FAULT_TAIL, FAMILY_STORE_HEAVY];
-    let handle = start(base_config()).expect("start autotune daemon");
-    let addr = handle.addr.to_string();
+/// The families in trace-index order: name, source and the spec the
+/// daemon must settle on.
+fn families() -> [(&'static str, String, &'static str); 5] {
+    [
+        ("rtm_win", FAMILY_RTM_WIN.to_owned(), "rtm:1024"),
+        ("fault_tail", FAMILY_FAULT_TAIL.to_owned(), "auto"),
+        ("store_heavy", FAMILY_STORE_HEAVY.to_owned(), "auto"),
+        ("wide_stores_20", family_wide_stores(20), "rtm:64"),
+        ("wide_stores_70", family_wide_stores(70), "rtm:16"),
+    ]
+}
 
-    let mut client = Client::connect(&addr).expect("connect autotune client");
-    let hashes: Vec<String> = families
+/// The interleaving of the mixed trace, as indices into [`families`].
+const AUTOTUNE_TRACE: [usize; 6] = [0, 1, 2, 2, 3, 4];
+
+/// Requests a kernel may spend exploring its candidates: the length of
+/// the daemon's ladder (`Auto` plus four RTM tiles).
+const EXPLORE_RUNS: u64 = 5;
+
+/// Invocations per request in the autotune scenario.
+const AUTOTUNE_INVOCATIONS: u64 = 3;
+
+/// One `run` of a registered family; `spec` pins it, `None` leaves the
+/// choice to the daemon. Panics on a transport error; returns the reply.
+fn autotune_run(client: &mut Client, hash: &str, spec: Option<&str>) -> Json {
+    let mut fields = vec![
+        ("op", Json::from("run")),
+        ("hash", Json::from(hash)),
+        ("invocations", Json::from(AUTOTUNE_INVOCATIONS)),
+    ];
+    if let Some(spec) = spec {
+        fields.push(("spec", Json::from(spec)));
+    }
+    client.request(&Json::obj(fields)).expect("autotune run")
+}
+
+/// Registers `families` on a fresh daemon, returning the daemon, a
+/// connection to it and the kernel hashes in order.
+fn autotune_daemon(
+    families: &[(&str, String, &str)],
+) -> (flexvec_serve::ServerHandle, Client, Vec<String>) {
+    let handle = start(base_config()).expect("start autotune daemon");
+    let mut client = Client::connect(&handle.addr.to_string()).expect("connect autotune client");
+    let hashes = families
         .iter()
-        .map(|src| {
+        .map(|(_, src, _)| {
             let response = client
-                .request(&compile_request((*src).to_owned()))
+                .request(&compile_request(src.clone()))
                 .expect("register family");
             assert_eq!(
                 response.get("ok").and_then(Json::as_bool),
@@ -814,226 +853,164 @@ fn autotune_pass(spec: Option<&str>, requests: u64, warmup: u64, invocations: u6
                 .to_owned()
         })
         .collect();
+    (handle, client, hashes)
+}
 
-    // Store-heavy traffic is weighted double: scatter-into-bins is the
-    // common shape in real mixes, and it is exactly where a uniform RTM
-    // pin bleeds per-element write-set overhead on every request.
-    let family_at = |i: u64| AUTOTUNE_TRACE[(i % AUTOTUNE_TRACE.len() as u64) as usize];
-    let trace = |i: u64| {
-        let mut fields = vec![
-            ("op", Json::from("run")),
-            ("hash", Json::from(hashes[family_at(i)].as_str())),
-            ("invocations", Json::from(invocations)),
-        ];
-        if let Some(spec) = spec {
-            fields.push(("spec", Json::from(spec)));
-        }
-        Json::obj(fields)
+/// `--scenario autotune`. One daemon runs each family once under every
+/// pin in [`AUTOTUNE_GRID`]; its `autotune_respecialize_total` must stay
+/// 0. A fresh daemon then serves the interleaved trace with no spec on
+/// the wire: after each family's first [`EXPLORE_RUNS`] requests, every
+/// reply must report exactly the fewest vector cycles of any pin, and
+/// each family must settle on the spec [`families`] names. Last, an
+/// explicit `"engine":"tree"` must be honored on a fresh daemon. Exit 1
+/// on any miss.
+fn scenario_autotune(flags: &CommonFlags) -> i32 {
+    let families = families();
+    let min_requests = AUTOTUNE_TRACE.len() as u64 * (EXPLORE_RUNS + 1);
+    let requests = flags.u64_flag("requests", 240).max(min_requests);
+    let mut failed = false;
+    let mut fail = |message: String| {
+        eprintln!("serve_load autotune: REGRESSION — {message}");
+        failed = true;
     };
+    let u64_field = |r: &Json, name: &str| r.get(name).and_then(Json::as_u64).unwrap_or(u64::MAX);
+    let str_field =
+        |r: &Json, name: &str| r.get(name).and_then(Json::as_str).unwrap_or("").to_owned();
 
-    let mut specs = vec![String::new(); families.len()];
-    for i in 0..warmup * AUTOTUNE_TRACE.len() as u64 {
-        let response = client.request(&trace(i)).expect("warmup run");
-        assert_eq!(
-            response.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "warmup run failed: {response}"
-        );
-        if let Some(s) = response.get("spec").and_then(Json::as_str) {
-            specs[family_at(i)] = s.to_owned();
-        }
-    }
-
-    // Measured phase: three single-connection passes over the
-    // interleaved trace, reduced to per-family median latencies and
-    // the best median across passes. On a shared (often single-core)
-    // host the noise is one-sided — a request can only be slowed down
-    // by unrelated load, never sped up — so min-of-medians is the
-    // faithful estimate of each daemon's sustained service time, and
-    // a single connection keeps request index `j` = trace slot `j`.
-    let mut best = [f64::INFINITY; 3];
-    let mut failures = 0;
-    for _ in 0..3 {
-        let phase = drive(&addr, 1, requests, trace);
-        failures += phase.failures;
-        let mut by_family: [Vec<Duration>; 3] = Default::default();
-        for (j, lat) in phase.latencies.iter().enumerate() {
-            by_family[family_at(j as u64)].push(*lat);
-        }
-        for (f, lats) in by_family.iter_mut().enumerate() {
-            if !lats.is_empty() {
-                lats.sort();
-                best[f] = best[f].min(lats[lats.len() / 2].as_secs_f64());
+    // The grid: vector cycles of every family under every pin.
+    let (handle, mut client, hashes) = autotune_daemon(&families);
+    let mut pinned = vec![[0u64; AUTOTUNE_GRID.len()]; families.len()];
+    for (f, hash) in hashes.iter().enumerate() {
+        for (g, config) in AUTOTUNE_GRID.iter().enumerate() {
+            let reply = autotune_run(&mut client, hash, Some(config));
+            let want = if *config == "ff" { "auto" } else { config };
+            if reply.get("ok").and_then(Json::as_bool) != Some(true)
+                || str_field(&reply, "spec") != want
+            {
+                fail(format!(
+                    "pinned `{config}` run of {} answered {reply}",
+                    families[f].0
+                ));
             }
+            pinned[f][g] = u64_field(&reply, "vector_cycles");
         }
     }
-    // Aggregate req/s over one weighted trace cycle.
-    let cycle: f64 = AUTOTUNE_TRACE.iter().map(|&f| best[f]).sum();
-    let rps = AUTOTUNE_TRACE.len() as f64 / cycle.max(1e-9);
     let stats = client
         .request(&Json::obj([("op", Json::from("stats"))]))
         .expect("stats request");
+    let pinned_respec = u64_field(&stats, "autotune_respecialize_total");
+    if pinned_respec != 0 {
+        fail(format!(
+            "pinned requests moved autotune_respecialize_total to {pinned_respec}"
+        ));
+    }
     drop(client);
     handle.shutdown();
-    AutotuneRun {
-        rps,
-        failures,
-        stats,
-        specs,
-    }
-}
 
-/// `--scenario autotune`: the sweep grid of fixed `(spec, tile)`
-/// daemons vs one autotuned daemon on the same mixed trace. Exit 1
-/// unless the autotuner beats every fixed configuration by
-/// [`MIN_AUTOTUNE_SPEEDUP`] and explicit `--spec`/`--engine` pins
-/// demonstrably bypass it.
-fn scenario_autotune(flags: &CommonFlags) -> i32 {
-    let requests = flags.u64_flag("requests", 240).max(30);
-    let warmup = flags.u64_flag("warmup", 20).max(10);
-    let invocations = 3;
-    let mut failed = false;
-
-    // The sweep: one fresh daemon per fixed configuration, every
-    // request pinned. A pinned daemon must never respecialize — that
-    // is the `--spec` bypass contract, asserted here on live traffic.
-    let mut fixed: Vec<(&str, AutotuneRun)> = Vec::new();
-    for config in AUTOTUNE_GRID {
-        let run = autotune_pass(Some(config), requests, warmup, invocations);
-        let respec = run
-            .stats
-            .get("autotune_respecialize_total")
-            .and_then(Json::as_u64)
-            .unwrap_or(u64::MAX);
-        if respec != 0 {
-            eprintln!(
-                "serve_load autotune: REGRESSION — pinned `{config}` daemon \
-                 respecialized {respec} kernel(s); explicit --spec must bypass the autotuner"
-            );
-            failed = true;
+    // The autotuned daemon: the interleaved trace over one connection,
+    // so each family's request order is deterministic.
+    let (handle, mut client, hashes) = autotune_daemon(&families);
+    let mut seen = vec![0u64; families.len()];
+    let mut last = vec![(String::new(), 0u64); families.len()];
+    for i in 0..requests {
+        let f = AUTOTUNE_TRACE[(i % AUTOTUNE_TRACE.len() as u64) as usize];
+        let reply = autotune_run(&mut client, &hashes[f], None);
+        seen[f] += 1;
+        if reply.get("ok").and_then(Json::as_bool) != Some(true) {
+            fail(format!(
+                "autotuned run of {} failed: {reply}",
+                families[f].0
+            ));
+            continue;
         }
-        let want = if config == "ff" { "auto" } else { config };
-        for (family, got) in run.specs.iter().enumerate() {
-            if got != want {
-                eprintln!(
-                    "serve_load autotune: REGRESSION — pinned `{config}` daemon answered \
-                     family {family} with spec `{got}` (expected `{want}`)"
-                );
-                failed = true;
-            }
+        let cycles = u64_field(&reply, "vector_cycles");
+        let fewest = *pinned[f].iter().min().expect("nonempty grid");
+        if seen[f] > EXPLORE_RUNS && cycles != fewest {
+            fail(format!(
+                "{} reply {} ran `{}` at {cycles} vector cycles; the fewest of any pin is {fewest}",
+                families[f].0,
+                seen[f],
+                str_field(&reply, "spec")
+            ));
         }
-        if run.failures > 0 {
-            eprintln!(
-                "serve_load autotune: {} request(s) failed under pinned `{config}`",
-                run.failures
-            );
-            failed = true;
+        last[f] = (str_field(&reply, "spec"), cycles);
+    }
+    for ((name, _, want), (spec, _)) in families.iter().zip(&last) {
+        if spec != want {
+            fail(format!("{name} settled on `{spec}`, not {want}"));
         }
-        fixed.push((config, run));
     }
+    let stats = client
+        .request(&Json::obj([("op", Json::from("stats"))]))
+        .expect("stats request");
+    let respec = u64_field(&stats, "autotune_respecialize_total");
+    let want_respec = families.iter().filter(|(_, _, w)| *w != "auto").count() as u64;
+    if respec != want_respec {
+        fail(format!(
+            "the autotuned daemon counted {respec} choice(s) other than auto; expected {want_respec}"
+        ));
+    }
+    drop(client);
+    handle.shutdown();
 
-    // The autotuned daemon: same trace, no spec on the wire. The
-    // warmup must carry every family past the tuner's decision points.
-    let tuned = autotune_pass(None, requests, warmup, invocations);
-    if tuned.failures > 0 {
-        eprintln!(
-            "serve_load autotune: {} request(s) failed on the autotuned daemon",
-            tuned.failures
-        );
-        failed = true;
-    }
-    let respec = tuned
-        .stats
-        .get("autotune_respecialize_total")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    if respec == 0 {
-        eprintln!(
-            "serve_load autotune: REGRESSION — the autotuned daemon never respecialized \
-             (expected at least the RTM unlock for the rtm_win family)"
-        );
-        failed = true;
-    }
-    if !tuned.specs[0].starts_with("rtm") {
-        eprintln!(
-            "serve_load autotune: REGRESSION — rtm_win family still served as \
-             `{}` after {warmup} warmup runs (expected an rtm:TILE variant)",
-            tuned.specs[0]
-        );
-        failed = true;
-    }
-
-    // Ratios against every fixed configuration.
-    let mut min_ratio = f64::INFINITY;
-    for (config, run) in &fixed {
-        let ratio = tuned.rps / run.rps.max(1e-9);
-        min_ratio = min_ratio.min(ratio);
-        let verdict = if ratio >= MIN_AUTOTUNE_SPEEDUP {
-            "ok"
-        } else {
-            failed = true;
-            "REGRESSION"
-        };
-        println!(
-            "serve_load autotune: fixed {config:<8} {:>7.1} req/s -> autotuned {:>7.1} req/s \
-             ({ratio:.2}x, {verdict})",
-            run.rps, tuned.rps
-        );
-    }
-    if min_ratio < MIN_AUTOTUNE_SPEEDUP {
-        eprintln!(
-            "serve_load autotune: REGRESSION — worst ratio {min_ratio:.2}x is below the \
-             required {MIN_AUTOTUNE_SPEEDUP:.2}x over every fixed configuration"
-        );
-    }
-
-    // `--engine` bypass: a fresh daemon would tier this hot kernel to
+    // `engine` bypass: a fresh daemon would tier this kernel to
     // bytecode/native; an explicit engine pin must be honored verbatim.
     let handle = start(base_config()).expect("start engine-pin daemon");
     let mut client = Client::connect(&handle.addr.to_string()).expect("connect engine pin");
-    let response = client
+    let reply = client
         .request(&Json::obj([
             ("op", Json::from("run")),
             ("source", Json::from(FAMILY_STORE_HEAVY)),
             ("engine", Json::from("tree")),
         ]))
         .expect("engine-pinned run");
-    let engine = response
-        .get("engine")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_owned();
+    let engine = str_field(&reply, "engine");
     if engine != "tree-walking" {
-        eprintln!(
-            "serve_load autotune: REGRESSION — explicit engine pin answered `{engine}` \
-             (expected `tree-walking`)"
-        );
-        failed = true;
+        fail(format!(
+            "explicit engine pin answered `{engine}` (expected `tree-walking`)"
+        ));
     }
     drop(client);
     handle.shutdown();
 
     if flags.json {
-        let mut grid = String::new();
-        for (config, run) in &fixed {
-            if !grid.is_empty() {
-                grid.push_str(", ");
-            }
-            grid.push_str(&format!("\"{config}\": {}", json_f64(run.rps)));
+        let families = families.iter().enumerate().map(|(f, (name, _, _))| {
+            let pins = AUTOTUNE_GRID.iter().zip(pinned[f]);
+            let family = Json::obj([
+                (
+                    "pinned_vector_cycles",
+                    Json::obj(pins.map(|(config, cycles)| (*config, Json::from(cycles)))),
+                ),
+                ("autotuned_spec", Json::from(last[f].0.as_str())),
+                ("autotuned_vector_cycles", Json::from(last[f].1)),
+            ]);
+            (*name, family)
+        });
+        let report = Json::obj([
+            ("scenario", Json::from("autotune")),
+            ("requests", Json::from(requests)),
+            ("families", Json::obj(families)),
+            ("respecializations", Json::from(respec)),
+            ("pinned_respecializations", Json::from(pinned_respec)),
+            ("ok", Json::from(!failed)),
+        ]);
+        println!("{report}");
+    } else {
+        for (f, (name, _, _)) in families.iter().enumerate() {
+            let pins: Vec<String> = AUTOTUNE_GRID
+                .iter()
+                .zip(pinned[f])
+                .map(|(config, cycles)| format!("{config} {cycles}"))
+                .collect();
+            println!(
+                "serve_load autotune: {name:<14} pinned [{}] -> autotuned {} at {} vector cycles",
+                pins.join(", "),
+                last[f].0,
+                last[f].1
+            );
         }
         println!(
-            "{{\"scenario\": \"autotune\", \"requests\": {requests}, \
-             \"warmup\": {warmup}, \"fixed_rps\": {{{grid}}}, \"autotuned_rps\": {}, \
-             \"min_ratio\": {}, \"respecializations\": {respec}, \"ok\": {}}}",
-            json_f64(tuned.rps),
-            json_f64(min_ratio),
-            !failed
-        );
-    } else {
-        println!(
-            "serve_load autotune: {respec} respecialization(s); worst margin {min_ratio:.2}x \
-             over the {} fixed config(s)",
-            fixed.len()
+            "serve_load autotune: {respec} choice(s) other than auto; pinned requests {pinned_respec}"
         );
     }
     i32::from(failed)

@@ -74,9 +74,6 @@ pub struct CacheStats {
     /// key instead of starting their own
     /// (see [`ShardedCache::get_or_insert_coalesced`]).
     pub coalesced: u64,
-    /// Entries currently pinned (evict-exempt; see
-    /// [`ShardedCache::pin`]).
-    pub pinned: u64,
 }
 
 impl CacheStats {
@@ -96,11 +93,6 @@ impl CacheStats {
 enum Seg {
     Probation,
     Protected,
-    /// Outside the order books entirely: never an eviction victim and
-    /// never aged. Used for a kernel's *active* plan variant, which
-    /// must not be flushed by a burst of distinct keys while its stale
-    /// sibling variants stay ordinarily evictable.
-    Pinned,
 }
 
 #[derive(Debug)]
@@ -148,16 +140,9 @@ impl<V> Shard<V> {
     fn touch(&mut self, key: u64, cap: Option<usize>) {
         let entry = self.map.get_mut(&key).expect("touched key is resident");
         match entry.seg {
-            Seg::Probation => {
-                self.probation.remove(&entry.stamp);
-            }
-            Seg::Protected => {
-                self.protected.remove(&entry.stamp);
-            }
-            // Pinned entries live outside the order books; a hit needs
-            // no recency bookkeeping.
-            Seg::Pinned => return,
-        }
+            Seg::Probation => self.probation.remove(&entry.stamp),
+            Seg::Protected => self.protected.remove(&entry.stamp),
+        };
         self.clock += 1;
         entry.seg = Seg::Protected;
         entry.stamp = self.clock;
@@ -181,79 +166,35 @@ impl<V> Shard<V> {
     fn insert(&mut self, key: u64, value: Arc<V>, cap: Option<usize>) {
         self.clock += 1;
         let stamp = self.clock;
-        let mut seg = Seg::Probation;
-        if let Some(old) = self.map.get(&key) {
-            // Same key re-inserted (a coalesced race, or a refreshed
-            // plan variant): drop the stale order-book entry and keep a
-            // pinned key pinned.
+        let entry = Entry {
+            value,
+            seg: Seg::Probation,
+            stamp,
+        };
+        if let Some(old) = self.map.insert(key, entry) {
+            // Same key re-inserted (a coalesced race): drop the stale
+            // order-book entry.
             match old.seg {
-                Seg::Probation => {
-                    self.probation.remove(&old.stamp);
-                }
-                Seg::Protected => {
-                    self.protected.remove(&old.stamp);
-                }
-                Seg::Pinned => seg = Seg::Pinned,
-            }
+                Seg::Probation => self.probation.remove(&old.stamp),
+                Seg::Protected => self.protected.remove(&old.stamp),
+            };
         }
-        self.map.insert(key, Entry { value, seg, stamp });
-        if seg == Seg::Probation {
-            self.probation.insert(stamp, key);
-        }
+        self.probation.insert(stamp, key);
         if let Some(cap) = cap {
             while self.map.len() > cap {
-                let victim = if let Some((&s, &k)) = self.probation.iter().next() {
-                    self.probation.remove(&s);
-                    k
-                } else if let Some((&s, &k)) = self.protected.iter().next() {
-                    self.protected.remove(&s);
-                    k
-                } else {
-                    // Every resident entry is pinned: tolerate the
-                    // over-capacity rather than evict an active plan.
+                // Every resident entry is in one of the two order books,
+                // so an over-capacity shard always has a victim.
+                let Some((_, victim)) = self
+                    .probation
+                    .pop_first()
+                    .or_else(|| self.protected.pop_first())
+                else {
                     break;
                 };
                 self.map.remove(&victim);
                 self.evictions += 1;
             }
         }
-    }
-
-    /// Moves `key` to the pinned segment (no-op if absent or already
-    /// pinned). Returns whether the key was resident.
-    fn pin(&mut self, key: u64) -> bool {
-        let Some(entry) = self.map.get_mut(&key) else {
-            return false;
-        };
-        match entry.seg {
-            Seg::Probation => {
-                self.probation.remove(&entry.stamp);
-            }
-            Seg::Protected => {
-                self.protected.remove(&entry.stamp);
-            }
-            Seg::Pinned => return true,
-        }
-        entry.seg = Seg::Pinned;
-        true
-    }
-
-    /// Returns a pinned `key` to the probation segment as the most
-    /// recently used entry (no-op if absent or not pinned). Returns
-    /// whether the key was resident.
-    fn unpin(&mut self, key: u64) -> bool {
-        self.clock += 1;
-        let stamp = self.clock;
-        let Some(entry) = self.map.get_mut(&key) else {
-            return false;
-        };
-        if entry.seg != Seg::Pinned {
-            return true;
-        }
-        entry.seg = Seg::Probation;
-        entry.stamp = stamp;
-        self.probation.insert(stamp, key);
-        true
     }
 }
 
@@ -441,24 +382,6 @@ impl<V> ShardedCache<V> {
         Some(v)
     }
 
-    /// Pins `key`: the entry leaves the LRU order books and becomes
-    /// exempt from eviction until [`ShardedCache::unpin`]. Pinning is
-    /// sticky across re-insertion of the same key. Returns whether the
-    /// key was resident. At most a handful of keys should be pinned at
-    /// a time (one active plan variant per served kernel): every pinned
-    /// entry shrinks the evictable pool, and a shard whose residents
-    /// are all pinned is allowed to exceed its capacity bound.
-    pub fn pin(&self, key: u64) -> bool {
-        self.shard(key).lock().expect("cache shard").pin(key)
-    }
-
-    /// Reverses [`ShardedCache::pin`]: the entry re-enters the
-    /// probation segment as most recently used, becoming ordinarily
-    /// evictable again. Returns whether the key was resident.
-    pub fn unpin(&self, key: u64) -> bool {
-        self.shard(key).lock().expect("cache shard").unpin(key)
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.shards
@@ -502,7 +425,6 @@ impl<V> ShardedCache<V> {
             stats.misses += shard.misses;
             stats.entries += shard.map.len() as u64;
             stats.evictions += shard.evictions;
-            stats.pinned += shard.map.values().filter(|e| e.seg == Seg::Pinned).count() as u64;
         }
         stats.coalesced = self.inflight.lock().expect("inflight table").coalesced;
         stats
@@ -659,61 +581,6 @@ mod tests {
             assert_eq!(*v, i as u64);
         }
         assert!(cache.stats().entries <= 4);
-    }
-
-    #[test]
-    fn pinned_entries_survive_eviction_pressure() {
-        // Shard capacity 1 (8 total / 16 shards): every insert on shard
-        // 0 would evict the previous resident — unless it is pinned.
-        let cache: ShardedCache<u64> = ShardedCache::with_capacity(8);
-        let hot = shard0_key(0);
-        cache.get_or_insert_with(hot, || 111);
-        assert!(cache.pin(hot));
-        for i in 1..6 {
-            cache.get_or_insert_with(shard0_key(i), || i as u64);
-        }
-        assert_eq!(cache.peek(hot).as_deref(), Some(&111), "pinned survives");
-        assert_eq!(cache.stats().pinned, 1);
-        // Unpinning makes it an ordinary (most-recent) probation entry:
-        // the next two inserts churn it out of the cap-1 shard.
-        assert!(cache.unpin(hot));
-        assert_eq!(cache.stats().pinned, 0);
-        for i in 6..8 {
-            cache.get_or_insert_with(shard0_key(i), || i as u64);
-        }
-        assert!(cache.peek(hot).is_none(), "unpinned entry evicts again");
-    }
-
-    #[test]
-    fn pin_is_sticky_across_reinsert_and_all_pinned_overflows() {
-        let cache: ShardedCache<u64> = ShardedCache::with_capacity(8);
-        let k = shard0_key(0);
-        cache.get_or_insert_with(k, || 1);
-        cache.pin(k);
-        // Re-inserting the same key (a refreshed plan variant) must not
-        // silently lose the pin.
-        {
-            let mut shard = cache.shard(k).lock().unwrap();
-            shard.insert(k, Arc::new(2), Some(1));
-        }
-        assert_eq!(cache.peek(k).as_deref(), Some(&2));
-        assert_eq!(cache.stats().pinned, 1);
-        // A second pinned key on the cap-1 shard (inserted without the
-        // capacity trim, as a freshly-pinned respecialized variant
-        // would be): nothing is evictable, so the shard runs over
-        // capacity instead of dropping a pin.
-        let k2 = shard0_key(1);
-        {
-            let mut shard = cache.shard(k2).lock().unwrap();
-            shard.insert(k2, Arc::new(3), None);
-            shard.pin(k2);
-        }
-        cache.get_or_insert_with(shard0_key(2), || 4);
-        assert!(cache.peek(k).is_some());
-        assert!(cache.peek(k2).is_some());
-        assert_eq!(cache.stats().pinned, 2);
-        assert!(!cache.pin(999), "absent keys report non-resident");
-        assert!(!cache.unpin(999));
     }
 
     #[test]

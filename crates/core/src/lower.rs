@@ -67,6 +67,10 @@ pub enum VectorizeError {
     NotVectorizable(String),
     /// The analysis accepted it but this code generator cannot express it.
     Unsupported(String),
+    /// Stores inside a VPL that also needs first-faulting speculation:
+    /// refused under [`SpecRequest::Auto`], lowered under
+    /// [`SpecRequest::Rtm`], whose transaction buffers the stores.
+    RtmOnly,
 }
 
 impl core::fmt::Display for VectorizeError {
@@ -74,6 +78,10 @@ impl core::fmt::Display for VectorizeError {
         match self {
             VectorizeError::NotVectorizable(r) => write!(f, "loop is not vectorizable: {r}"),
             VectorizeError::Unsupported(r) => write!(f, "unsupported by the code generator: {r}"),
+            VectorizeError::RtmOnly => f.write_str(
+                "unsupported by the code generator: stores inside a VPL that also needs \
+                 first-faulting speculation; use the RTM code path for this loop",
+            ),
         }
     }
 }
@@ -88,24 +96,22 @@ impl std::error::Error for VectorizeError {}
 ///
 /// [`VectorizeError::NotVectorizable`] if the analysis rejects the loop;
 /// [`VectorizeError::Unsupported`] for accepted loops whose shape the
-/// lowering cannot express (see the error text).
+/// lowering cannot express (see the error text), and
+/// [`VectorizeError::RtmOnly`] for one it can express only under RTM.
 pub fn vectorize(program: &Program, spec: SpecRequest) -> Result<Vectorized, VectorizeError> {
     let analysis = analyze(program);
     vectorize_with(program, &analysis, spec)
 }
 
-/// Re-lowers an already analyzed loop under a (possibly different)
-/// speculation request. This is the serving tier's respecialization entry
-/// point: the analysis (PDG construction + pattern detection) is reused
-/// and only code generation runs again, so switching a hot kernel between
-/// FF and RTM — or resizing its RTM tile — costs one lowering pass, not a
-/// full recompile.
+/// Lowers an already analyzed loop under `spec`: only code generation
+/// runs, the analysis (PDG construction + pattern detection) is the
+/// caller's.
 ///
 /// # Errors
 ///
 /// Same contract as [`vectorize`]; note that the supported shape set
-/// depends on `spec` (some store-carrying VPLs lower only under RTM), so
-/// a respecialization attempt can fail where the original spec succeeded.
+/// depends on `spec`: a loop refused with [`VectorizeError::RtmOnly`]
+/// under `Auto` lowers under `Rtm`.
 pub fn vectorize_with(
     program: &Program,
     analysis: &LoopAnalysis,
@@ -187,11 +193,7 @@ fn check_shape(
                 .iter()
                 .any(|n| !n.writes.is_empty());
             if has_store_in_vpl {
-                return Err(VectorizeError::Unsupported(
-                    "stores inside a VPL that also needs first-faulting speculation; \
-                     use the RTM code path for this loop"
-                        .to_owned(),
-                ));
+                return Err(VectorizeError::RtmOnly);
             }
         }
     }

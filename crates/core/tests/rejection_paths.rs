@@ -257,3 +257,45 @@ fn error_messages_are_displayable() {
     let text = err.to_string();
     assert!(text.contains("not vectorizable"), "{text}");
 }
+
+#[test]
+fn stores_inside_a_speculative_vpl_lower_only_under_rtm() {
+    // A store between a speculative load and its conditional update:
+    // first-faulting fallback would replay the committed store, while
+    // an RTM transaction buffers it.
+    let mut b = ProgramBuilder::new("rtm_only");
+    let i = b.var("i", 0);
+    let t = b.var("t", 0);
+    let u = b.var("u", 0);
+    let best = b.var("best", 1 << 20);
+    let a = b.array("a");
+    let aux = b.array("aux");
+    let out = b.array("out");
+    b.live_out(best);
+    let p = b
+        .build_loop(
+            i,
+            c(0),
+            c(256),
+            vec![
+                assign(t, add(mul(ld(a, var(i)), c(3)), var(i))),
+                if_(
+                    lt(var(t), var(best)),
+                    vec![
+                        assign(u, ld(aux, band(var(t), c(255)))),
+                        store(out, var(i), var(u)),
+                        if_(lt(var(u), var(best)), vec![assign(best, var(u))]),
+                    ],
+                ),
+            ],
+        )
+        .unwrap();
+    let err = vectorize(&p, SpecRequest::Auto).unwrap_err();
+    assert_eq!(err, VectorizeError::RtmOnly);
+    assert_eq!(
+        err.to_string(),
+        "unsupported by the code generator: stores inside a VPL that also needs \
+         first-faulting speculation; use the RTM code path for this loop"
+    );
+    assert!(vectorize(&p, SpecRequest::Rtm { tile: 64 }).is_ok());
+}

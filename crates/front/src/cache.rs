@@ -131,14 +131,8 @@ impl CompileCache {
     /// mixed with the speculation request (an RTM plan differs from a
     /// first-faulting plan, so they cache separately).
     pub fn key(program: &Program, spec: SpecRequest) -> u64 {
-        Self::key_for_hash(program_hash(program), spec)
-    }
-
-    /// [`CompileCache::key`] when only the stable AST hash is at hand
-    /// (e.g. a request that names a kernel by hash).
-    pub fn key_for_hash(program_hash: u64, spec: SpecRequest) -> u64 {
         let mut h = StableHasher::new();
-        h.write_u64(program_hash);
+        h.write_u64(program_hash(program));
         match spec {
             SpecRequest::Auto => h.tag(0x51),
             SpecRequest::Rtm { tile } => {
@@ -181,21 +175,9 @@ impl CompileCache {
     /// Runs the full analyze→vectorize→bytecode-compile pipeline (the
     /// cache-miss path).
     fn compile(&self, program: &Program, spec: SpecRequest) -> CompiledKernel {
-        let analysis = analyze(program);
-        self.compile_with(program, &analysis, spec)
-    }
-
-    /// The lowering half of the pipeline against an already-computed
-    /// analysis (the dependence analysis is spec-independent, so a
-    /// respecialization reuses it).
-    fn compile_with(
-        &self,
-        program: &Program,
-        analysis: &LoopAnalysis,
-        spec: SpecRequest,
-    ) -> CompiledKernel {
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let plan = vectorize_with(program, analysis, spec).map(|vectorized| {
+        let analysis = analyze(program);
+        let plan = vectorize_with(program, &analysis, spec).map(|vectorized| {
             let compiled = CompiledVProg::compile(&vectorized.vprog);
             CompiledPlan {
                 vectorized,
@@ -204,41 +186,9 @@ impl CompileCache {
         });
         CompiledKernel {
             program_hash: program_hash(program),
-            analysis: analysis.clone(),
+            analysis,
             plan,
         }
-    }
-
-    /// Builds (or returns) the plan variant for `program` under a *new*
-    /// speculation request, reusing the dependence analysis of an
-    /// already-compiled sibling variant instead of re-analyzing — the
-    /// serving autotuner's re-lowering path. The boolean is `true` when
-    /// the variant was already cached.
-    pub fn get_or_respecialize(
-        &self,
-        program: &Program,
-        analysis: &LoopAnalysis,
-        spec: SpecRequest,
-    ) -> (Arc<CompiledKernel>, bool) {
-        let key = Self::key(program, spec);
-        self.entries
-            .get_or_insert_coalesced(key, || self.compile_with(program, analysis, spec))
-    }
-
-    /// Pins the `(program_hash, spec)` variant: exempt from LRU
-    /// eviction until unpinned (see [`ShardedCache::pin`]). The serving
-    /// layer pins each kernel's *active* variant so traffic bursts
-    /// cannot flush the plan the autotuner selected, while stale
-    /// variants age out normally. Returns whether the variant was
-    /// resident.
-    pub fn pin(&self, program_hash: u64, spec: SpecRequest) -> bool {
-        self.entries.pin(Self::key_for_hash(program_hash, spec))
-    }
-
-    /// Reverses [`CompileCache::pin`] for the `(program_hash, spec)`
-    /// variant, making it ordinarily evictable again.
-    pub fn unpin(&self, program_hash: u64, spec: SpecRequest) -> bool {
-        self.entries.unpin(Self::key_for_hash(program_hash, spec))
     }
 
     /// How many times the full analyze→vectorize→compile pipeline
@@ -373,57 +323,6 @@ mod tests {
         let (k, _) = cache.get_or_compile_coalesced(&programs[0], SpecRequest::Auto);
         assert!(k.plan.is_ok());
         assert!(cache.compiles() >= before);
-    }
-
-    #[test]
-    fn respecialize_reuses_analysis_and_pins_protect_variants() {
-        let cache = CompileCache::with_capacity(16); // 1 entry per shard
-        let p = cond_min();
-        let (auto, _) = cache.get_or_compile(&p, SpecRequest::Auto);
-        assert_eq!(cache.compiles(), 1);
-
-        // Respecialize to an RTM variant off the cached analysis: one
-        // more lowering, and the variant caches under its own key.
-        let spec = SpecRequest::Rtm { tile: 128 };
-        let (rtm, hit) = cache.get_or_respecialize(&p, &auto.analysis, spec);
-        assert!(!hit);
-        assert_eq!(cache.compiles(), 2);
-        assert!(rtm.plan.is_ok());
-        assert_eq!(rtm.program_hash, auto.program_hash);
-        let (rtm2, hit2) = cache.get_or_respecialize(&p, &auto.analysis, spec);
-        assert!(hit2, "variant is cached");
-        assert!(Arc::ptr_eq(&rtm, &rtm2));
-
-        // Pin the RTM variant, then churn its shard with distinct
-        // kernels: the pinned variant survives where an unpinned one
-        // would age out.
-        assert!(cache.pin(rtm.program_hash, spec));
-        assert!(
-            !cache.pin(rtm.program_hash, SpecRequest::Rtm { tile: 64 }),
-            "absent variants report non-resident"
-        );
-        for n in 0..64 {
-            let mut b = ProgramBuilder::new(&format!("churn{n}"));
-            let i = b.var("i", 0);
-            let s = b.var("s", 0);
-            let a = b.array("a");
-            b.live_out(s);
-            let churn = b
-                .build_loop(
-                    i,
-                    c(0),
-                    c(64),
-                    vec![assign(s, add(var(s), add(ld(a, var(i)), c(n))))],
-                )
-                .unwrap();
-            cache.get_or_compile(&churn, SpecRequest::Auto);
-        }
-        let compiles = cache.compiles();
-        let (_, hit) = cache.get_or_respecialize(&p, &auto.analysis, spec);
-        assert!(hit, "pinned active variant survives eviction pressure");
-        assert_eq!(cache.compiles(), compiles);
-        assert!(cache.unpin(rtm.program_hash, spec));
-        assert_eq!(cache.stats().pinned, 0);
     }
 
     #[test]

@@ -38,7 +38,8 @@ use crate::lexer::{lex, TokKind, Token};
 /// an order of magnitude deeper than any real kernel nests.
 const MAX_DEPTH: usize = 64;
 
-/// Largest declarable array length — bounds what
+/// Largest declarable array length, and the most elements a kernel's
+/// arrays may declare together — bounds what
 /// [`ParsedKernel::materialize_arrays`] will allocate.
 const MAX_ARRAY_LEN: u64 = 1 << 20;
 
@@ -96,6 +97,17 @@ pub fn seeded_array(len: usize, seed: u64) -> Vec<i64> {
             (((state >> 33) as i64) % 1000).abs()
         })
         .collect()
+}
+
+impl ArrayInit {
+    /// How many elements the recipe produces.
+    fn elements(&self) -> u64 {
+        match self {
+            ArrayInit::Default => DEFAULT_ARRAY_LEN as u64,
+            ArrayInit::Len(len) | ArrayInit::Seeded { len, .. } => *len as u64,
+            ArrayInit::Explicit(values) => values.len() as u64,
+        }
+    }
 }
 
 impl ParsedKernel {
@@ -248,6 +260,7 @@ impl Parser<'_> {
         let mut vars: Vec<(String, VarId)> = Vec::new();
         let mut arrays: Vec<(String, ArraySym)> = Vec::new();
         let mut inputs: Vec<ArrayInput> = Vec::new();
+        let mut elements = 0u64;
 
         loop {
             if self.eat(&TokKind::KwVar) {
@@ -266,6 +279,16 @@ impl Parser<'_> {
                     return Err(self.error(format!("array `{name}` declared twice"), span));
                 }
                 let init = self.array_init()?;
+                elements += init.elements();
+                if elements > MAX_ARRAY_LEN {
+                    return Err(self.error(
+                        format!(
+                            "arrays declare {elements} elements in total, over the maximum \
+                             {MAX_ARRAY_LEN} per kernel"
+                        ),
+                        span,
+                    ));
+                }
                 let id = builder.array(&name);
                 arrays.push((name.clone(), id));
                 inputs.push(ArrayInput { name, init });
@@ -793,6 +816,64 @@ for (i = 0; i < 1; i++) {
         assert_eq!(data[0], vec![0; DEFAULT_ARRAY_LEN]);
         assert_eq!(data[1], vec![0; 10]);
         assert_eq!(data[3], vec![1, -2, 3]);
+    }
+
+    #[test]
+    fn one_array_may_not_exceed_the_maximum_length() {
+        let kernel = |len: u64| {
+            format!(
+                "kernel t;\nvar i = 0;\narray a[{len}] = seed 1;\nfor (i = 0; i < 1; i++) {{\n}}\n"
+            )
+        };
+        let k = parse_str("t.fv", &kernel(MAX_ARRAY_LEN)).expect("at the limit");
+        assert_eq!(k.inputs[0].init.elements(), MAX_ARRAY_LEN);
+        let err = parse_str("t.fv", &kernel(MAX_ARRAY_LEN + 1)).unwrap_err();
+        assert!(
+            err.message.contains("exceeds the maximum"),
+            "{}",
+            err.message
+        );
+        assert_eq!((err.span.line, err.span.col), (3, 9), "carets the length");
+    }
+
+    #[test]
+    fn arrays_together_may_not_exceed_the_maximum_length() {
+        // Each declaration is legal on its own; the parser stops at the
+        // one that takes the kernel's total past the bound and never
+        // looks at the rest. Parsing materializes nothing.
+        let half = MAX_ARRAY_LEN / 2;
+        let mut src = String::from("kernel t;\nvar i = 0;\n");
+        for k in 0..3000 {
+            src.push_str(&format!("array a{k}[{}] = seed {k};\n", MAX_ARRAY_LEN));
+        }
+        src.push_str("for (i = 0; i < 1; i++) {\n}\n");
+        let err = parse_str("t.fv", &src).unwrap_err();
+        assert!(
+            err.message.contains("in total, over the maximum"),
+            "{}",
+            err.message
+        );
+        assert_eq!(
+            (err.span.line, err.span.col),
+            (4, 7),
+            "carets the second array"
+        );
+
+        // Two halves fill the budget exactly; one more element is over.
+        let two = |extra: &str| {
+            format!(
+                "kernel t;\nvar i = 0;\narray a[{half}];\narray b[{half}];\n{extra}\
+                 for (i = 0; i < 1; i++) {{\n}}\n"
+            )
+        };
+        assert!(parse_str("t.fv", &two("")).is_ok());
+        let err = parse_str("t.fv", &two("array c = [7];\n")).unwrap_err();
+        assert!(
+            err.message.contains(&format!("{}", MAX_ARRAY_LEN + 1)),
+            "{}",
+            err.message
+        );
+        assert_eq!(err.span.line, 5);
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl ThroughputReport {
     /// Accumulates one invocation's [`VectorStats`]: chunk count plus
     /// the speculation-profile counters (partitions, FF fallbacks, RTM
     /// commits/aborts) every execution tier reports identically —
-    /// they're what the serving layer's autotuner consumes.
+    /// they feed the serving layer's `/metrics` engine counters.
     pub fn add_stats(&mut self, stats: &VectorStats) {
         self.chunks += stats.chunks;
         self.vpl_iterations += stats.vpl_iterations;

@@ -1,13 +1,12 @@
 //! Speculation-counter crosscheck across all three execution tiers.
 //!
-//! The serve autotuner steers on [`ThroughputReport`]'s fault, conflict
-//! and partition counters, and the daemon may promote a kernel from the
-//! tree walker through bytecode to the native JIT *while the profile is
-//! accumulating*. A tier that under- or over-reported `ff_fallbacks`,
-//! `rtm_aborts` or `vpl_iterations` would silently skew the tuner's
-//! decisions after a promotion, so every tier must report bit-identical
-//! counts for the same program and input — asserted here for one shape
-//! per counter family.
+//! The daemon's `/metrics` engine counters sum [`ThroughputReport`]'s
+//! fault, conflict and partition counters, and the daemon may promote a
+//! kernel from bytecode to the native JIT *while they accumulate*. A
+//! tier that under- or over-reported `ff_fallbacks`, `rtm_aborts` or
+//! `vpl_iterations` would silently skew them after a promotion, so
+//! every tier must report bit-identical counts for the same program and
+//! input — asserted here for one shape per counter family.
 
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
@@ -117,8 +116,8 @@ fn run_all_engines(
 }
 
 /// Asserts that every engine produced the same live-out, memory, raw
-/// stats, and — the part the autotuner consumes — the same report
-/// counters and derived rates as the tree-walking reference.
+/// stats, and the same report counters and derived rates as the
+/// tree-walking reference.
 fn assert_tiers_agree(runs: &[(i64, Vec<Vec<i64>>, VectorStats, ThroughputReport)]) {
     let (ref_out, ref_mem, ref_stats, ref_report) = &runs[0];
     for (engine, (out, mem, stats, report)) in ENGINES.iter().zip(runs).skip(1) {
@@ -155,7 +154,7 @@ fn assert_tiers_agree(runs: &[(i64, Vec<Vec<i64>>, VectorStats, ThroughputReport
                 ref_report.rtm_abort_rate().to_bits(),
                 ref_report.partitions_per_chunk().to_bits(),
             ),
-            "{engine:?}: derived autotune rates differ"
+            "{engine:?}: derived rates differ"
         );
     }
 }

@@ -23,25 +23,27 @@
 //! A periodic audit re-simulates both sides and must reproduce the
 //! stored cycles exactly; a mismatch fails the request and drops the
 //! entry. Requests that pin `spec` explicitly share the memo and its
-//! audits — the pin bypasses *adaptation*, not verification — so a
+//! audits — the pin bypasses the *choice*, not verification — so a
 //! fixed-spec daemon and an autotuned one are comparable like-for-like.
 //! Every run goes through the
 //! *cancellable* executor entry points so a request deadline or a
 //! daemon drain stops the VPL loop at the next chunk boundary.
 //!
-//! Implicit-spec traffic also feeds the [`crate::autotune`] state
-//! machine: per kernel hash the engine keeps a decaying runtime
-//! profile and, when the profile demands it, re-specializes the cached
-//! plan (Auto ↔ RTM, tile resizing) through
-//! [`CompileCache::get_or_respecialize`], pinning the active variant
-//! against cache churn.
+//! Implicit-spec requests run the speculation [`crate::autotune`]
+//! chooses per kernel hash and `(vl, invocations)`: the candidate
+//! whose verifying run simulated the fewest vector cycles. Until every
+//! candidate has run, each request explores the next one. Candidates
+//! compile through [`CompileCache::get_or_compile_coalesced`] like any
+//! plan; the choice lives in the profile, so an evicted plan simply
+//! recompiles on its next request.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use flexvec::{program_hash, ShardedCache, SpecRequest};
+use flexvec::{program_hash, ShardedCache, SpecRequest, VectorizeError};
 use flexvec_front::{parse_str, CompileCache, CompiledKernel, ParsedKernel};
+use flexvec_ir::Program;
 use flexvec_mem::AddressSpace;
 use flexvec_profiler::{throughput_samples, vector_stat_samples, StatSample, ThroughputReport};
 use flexvec_sim::{OooSim, SimConfig};
@@ -51,9 +53,7 @@ use flexvec_vm::{
     TraceSink, VectorStats,
 };
 
-use crate::autotune::{
-    AutotuneConfig, KernelProfile, Observation, VariantCycles, VariantKey, DECISION_REASONS,
-};
+use crate::autotune::{KernelProfile, Pick, VariantCycles, VariantKey, LADDER};
 use crate::json::Json;
 use crate::metrics::ExternalSample;
 use crate::protocol::{hash_hex, ErrorKind, Op, ProtoError, Request};
@@ -111,7 +111,6 @@ pub struct ServeEngine {
     /// memory is bounded by configuration, not by the number of
     /// distinct kernels ever seen.
     tracked_capacity: usize,
-    tune_cfg: AutotuneConfig,
 }
 
 /// A kernel becomes *hot* (native tier) at this many runs.
@@ -172,31 +171,19 @@ fn prom_name(name: &'static str) -> &'static str {
         "tier_native" => "flexvec_tier_native_total",
         "tier_promotions" => "flexvec_tier_promotions_total",
         "autotune_respecialize" => "flexvec_autotune_respecialize_total",
-        "autotune_reason_rtm_unlock" => "flexvec_autotune_reason_rtm_unlock_total",
-        "autotune_reason_ff_pressure" => "flexvec_autotune_reason_ff_pressure_total",
-        "autotune_reason_halve_tile" => "flexvec_autotune_reason_halve_tile_total",
-        "autotune_reason_grow_tile" => "flexvec_autotune_reason_grow_tile_total",
-        "autotune_reason_rtm_bailout" => "flexvec_autotune_reason_rtm_bailout_total",
-        "autotune_reason_latency_regress" => "flexvec_autotune_reason_latency_regress_total",
-        "autotune_reason_rtm_adopt" => "flexvec_autotune_reason_rtm_adopt_total",
         "autotune_vector_only" => "flexvec_autotune_vector_only_total",
         "autotune_verified" => "flexvec_autotune_verified_total",
         other => other,
     }
 }
 
-/// The pre-seeded totals key counting decisions with this reason.
-fn autotune_reason_counter(reason: &str) -> &'static str {
-    match reason {
-        "rtm_unlock" => "autotune_reason_rtm_unlock",
-        "ff_pressure" => "autotune_reason_ff_pressure",
-        "halve_tile" => "autotune_reason_halve_tile",
-        "grow_tile" => "autotune_reason_grow_tile",
-        "rtm_bailout" => "autotune_reason_rtm_bailout",
-        "latency_regress" => "autotune_reason_latency_regress",
-        "rtm_adopt" => "autotune_reason_rtm_adopt",
-        other => unreachable!("unknown autotune decision reason {other:?}"),
-    }
+/// The plan one request runs, and the candidate it explores, if it
+/// explores one: its ladder index and the kernel's candidate set.
+struct Planned {
+    spec: SpecRequest,
+    explore: Option<(usize, &'static [SpecRequest])>,
+    compiled: Arc<CompiledKernel>,
+    hit: bool,
 }
 
 impl ServeEngine {
@@ -220,21 +207,15 @@ impl ServeEngine {
             // exports every row from the first scrape, even at zero —
             // scrape consumers and the CI smoke test key off their
             // presence.
-            totals: Mutex::new({
-                let mut totals = BTreeMap::from([
-                    ("tier_tree", 0),
-                    ("tier_bytecode", 0),
-                    ("tier_native", 0),
-                    ("tier_promotions", 0),
-                    ("autotune_respecialize", 0),
-                    ("autotune_vector_only", 0),
-                    ("autotune_verified", 0),
-                ]);
-                for reason in DECISION_REASONS {
-                    totals.insert(autotune_reason_counter(reason), 0);
-                }
-                totals
-            }),
+            totals: Mutex::new(BTreeMap::from([
+                ("tier_tree", 0),
+                ("tier_bytecode", 0),
+                ("tier_native", 0),
+                ("tier_promotions", 0),
+                ("autotune_respecialize", 0),
+                ("autotune_vector_only", 0),
+                ("autotune_verified", 0),
+            ])),
             tiers: Mutex::new(BTreeMap::new()),
             profiles: Mutex::new(BTreeMap::new()),
             tracked_capacity: if cache_capacity == 0 {
@@ -242,14 +223,13 @@ impl ServeEngine {
             } else {
                 // Twice the cache: tier/profile state is tiny next to a
                 // compiled plan, and surviving a round of cache churn
-                // keeps the autotuner's memory of a kernel intact.
+                // keeps a kernel's choices and memo intact.
                 cache_capacity.saturating_mul(2)
             },
-            tune_cfg: AutotuneConfig::default(),
         }
     }
 
-    /// Kernels currently tracked by the tier policy and the autotuner
+    /// Kernels currently tracked by the tier policy and the profiles
     /// — `(tiers, profiles)` map sizes, both bounded by the tracking
     /// cap.
     pub fn tracked_kernels(&self) -> (usize, usize) {
@@ -337,77 +317,96 @@ impl ServeEngine {
         &self.cache
     }
 
-    /// The speculation request one request effectively runs under: an
-    /// explicit `spec` (even `"auto"`) is honored verbatim and bypasses
-    /// the autotuner; implicit requests run whatever variant the
-    /// kernel's profile currently holds active.
-    fn effective_spec(&self, hash: u64, req: &Request) -> SpecRequest {
+    /// The plan one request runs. An explicit `spec` (even `"auto"`)
+    /// is honored verbatim. An implicit one runs the kernel's choice at
+    /// the request's `(vl, invocations)`; until that is settled, a run
+    /// explores the next candidate and a compile uses `Auto`.
+    fn plan(&self, program: &Program, req: &Request) -> Planned {
+        let compile = |spec, explore| {
+            let (compiled, hit) = self.cache.get_or_compile_coalesced(program, spec);
+            Planned {
+                spec,
+                explore,
+                compiled,
+                hit,
+            }
+        };
         if req.spec_explicit {
-            return req.spec;
+            return compile(req.spec, None);
         }
-        self.profiles
-            .lock()
-            .expect("profiles lock")
-            .get(&hash)
-            .map_or(SpecRequest::Auto, |p| p.active)
+        let hash = program_hash(program);
+        let (vl, invocations) = (flexvec_isa::vlen(), req.invocations.max(1));
+        let pick = || {
+            self.profiles
+                .lock()
+                .expect("profiles lock")
+                .get(&hash)
+                .map_or(Pick::Explore(0), |p| p.pick(vl, invocations))
+        };
+        if let Pick::Chosen(spec) = pick() {
+            return compile(spec, None);
+        }
+        let auto = compile(SpecRequest::Auto, None);
+        if req.op == Op::Compile {
+            return auto;
+        }
+        // Only a kernel that `Auto` refuses for its stores inside a
+        // first-faulting VPL has RTM candidates.
+        let candidates = match auto.compiled.plan {
+            Err(VectorizeError::RtmOnly) => &LADDER[..],
+            _ => &LADDER[..1],
+        };
+        loop {
+            let index = match pick() {
+                Pick::Chosen(spec) => return compile(spec, None),
+                // `Auto` is never skipped: a width it cannot run at is
+                // the request's error, and records nothing.
+                Pick::Explore(0) => {
+                    return Planned {
+                        explore: Some((0, candidates)),
+                        ..auto
+                    }
+                }
+                Pick::Explore(index) => index,
+            };
+            let planned = compile(candidates[index], Some((index, candidates)));
+            let runs_here = match &planned.compiled.plan {
+                Ok(plan) => vl <= plan.vectorized.vprog.max_vl,
+                Err(_) => false,
+            };
+            if runs_here {
+                return planned;
+            }
+            self.record_candidate(hash, req, candidates, index, None);
+        }
     }
 
-    /// Feeds one implicit-spec run into the kernel's profile and
-    /// applies whatever the decision state machine asks for: counters
-    /// always, plus an eager re-lowering (reusing the sibling variant's
-    /// dependence analysis) and a pin swap when the active spec
-    /// changed.
-    fn observe_and_tune(
+    /// Records the vector cycles of the candidate an implicit-spec
+    /// request explored (`None`: it cannot run at the request's width),
+    /// counting a choice other than `Auto` once it settles.
+    fn record_candidate(
         &self,
-        kernel: &ParsedKernel,
-        compiled: &CompiledKernel,
+        hash: u64,
         req: &Request,
-        spec: SpecRequest,
-        outcome: &ExecOutcome,
+        candidates: &'static [SpecRequest],
+        index: usize,
+        cycles: Option<u64>,
     ) {
-        let hash = compiled.program_hash;
-        let rtm_hint = compiled
-            .plan
-            .as_ref()
-            .err()
-            .is_some_and(|e| e.to_string().contains("RTM code path"));
-        let obs = Observation {
-            spec,
-            vectorized: compiled.plan.is_ok(),
-            rtm_hint,
-            invocations: req.invocations.max(1),
-            wall_micros: outcome.throughput.wall.as_micros() as u64,
-            simulated: outcome.simulated,
-            report: &outcome.throughput,
-        };
-        let decision = self
+        let vl = flexvec_isa::vlen();
+        let settled = self
             .profiles
             .lock()
             .expect("profiles lock")
             .entry(hash)
             .or_default()
-            .observe(&obs, &self.tune_cfg);
-        let Some(decision) = decision else { return };
-        {
-            let mut totals = self.totals.lock().expect("totals lock");
-            *totals
-                .entry(autotune_reason_counter(decision.reason))
+            .record(vl, req.invocations.max(1), candidates, index, cycles);
+        if settled.is_some_and(|spec| spec != SpecRequest::Auto) {
+            *self
+                .totals
+                .lock()
+                .expect("totals lock")
+                .entry("autotune_respecialize")
                 .or_insert(0) += 1;
-            if decision.to.is_some() {
-                *totals.entry("autotune_respecialize").or_insert(0) += 1;
-            }
-        }
-        let Some(to) = decision.to else { return };
-        // Build the new variant now (off the request that triggered the
-        // decision, not the next one) and pin it so cache churn cannot
-        // flush the plan the autotuner selected; the abandoned variant
-        // becomes ordinarily evictable again.
-        let _ = self
-            .cache
-            .get_or_respecialize(&kernel.program, &compiled.analysis, to);
-        self.cache.pin(hash, to);
-        if to != spec {
-            self.cache.unpin(hash, spec);
         }
     }
 
@@ -487,9 +486,8 @@ impl ServeEngine {
             }),
             Op::Compile => {
                 let kernel = self.resolve(req)?;
-                let spec = self.effective_spec(program_hash(&kernel.program), req);
                 let t0 = Instant::now();
-                let (compiled, hit) = self.cache.get_or_compile_coalesced(&kernel.program, spec);
+                let Planned { compiled, hit, .. } = self.plan(&kernel.program, req);
                 let compile_wall = t0.elapsed();
                 let mut fields = kernel_fields(&kernel, &compiled, hit);
                 fields.push((
@@ -505,15 +503,20 @@ impl ServeEngine {
             }
             Op::Run | Op::Bench => {
                 let kernel = self.resolve(req)?;
-                let spec = self.effective_spec(program_hash(&kernel.program), req);
                 let t0 = Instant::now();
-                let (compiled, hit) = self.cache.get_or_compile_coalesced(&kernel.program, spec);
+                let Planned {
+                    spec,
+                    explore,
+                    compiled,
+                    hit,
+                } = self.plan(&kernel.program, req);
                 let compile_wall = t0.elapsed();
                 let t1 = Instant::now();
                 let outcome = self.execute(&kernel, &compiled, req, spec, cancel)?;
                 let exec_wall = t1.elapsed();
-                if !req.spec_explicit {
-                    self.observe_and_tune(&kernel, &compiled, req, spec, &outcome);
+                if let Some((index, candidates)) = explore {
+                    let (hash, cycles) = (compiled.program_hash, outcome.vector_cycles);
+                    self.record_candidate(hash, req, candidates, index, Some(cycles));
                 }
                 let mut fields = kernel_fields(&kernel, &compiled, hit);
                 fields.push(("spec", Json::from(spec_label(spec))));
@@ -596,7 +599,7 @@ impl ServeEngine {
             .expect("profiles lock")
             .entry(hash)
             .or_default()
-            .replay(&key, &self.tune_cfg);
+            .replay(&key);
         let simulate = replay.is_none();
 
         // The scalar program runs when this run verifies, and on every
@@ -654,13 +657,11 @@ impl ServeEngine {
                 kind: "scalar-only",
                 // The scalar run is the answer: nothing to verify.
                 verified: true,
-                simulated: simulate,
                 scalar_cycles: cycles.scalar,
                 vector_cycles: cycles.vector,
                 stats: VectorStats::default(),
-                // The wall is the scalar loop's: it is the latency an
-                // implicit-spec request actually paid, which is what
-                // the autotuner's Auto-variant EWMA must see.
+                // The wall is the scalar loop's: the latency the request
+                // actually paid.
                 throughput: ThroughputReport::new("scalar", base.wall, 0, base.uops),
                 live_outs,
             });
@@ -800,7 +801,6 @@ impl ServeEngine {
                 flexvec::VectorizedKind::FlexVec => "flexvec",
             },
             verified: simulate,
-            simulated: simulate,
             scalar_cycles: cycles.scalar,
             vector_cycles: cycles.vector,
             stats: last_stats,
@@ -880,21 +880,20 @@ impl ServeEngine {
                 value: *value,
             })
             .collect();
-        // Active-spec breakdown across autotuned kernels: one labeled
-        // gauge family, both rows always present. A profile the
-        // autotuner never observed (explicit-spec traffic only) holds
-        // just the variant memo and is not counted.
+        // Settled choices, one per kernel and `(vl, invocations)`, by
+        // mode: one labeled gauge family, both rows always present.
         let (mut autos, mut rtms) = (0u64, 0u64);
-        for p in self
+        for choice in self
             .profiles
             .lock()
             .expect("profiles lock")
             .values()
-            .filter(|p| p.runs > 0)
+            .flat_map(KernelProfile::choices)
         {
-            match p.active {
-                SpecRequest::Auto => autos += 1,
-                SpecRequest::Rtm { .. } => rtms += 1,
+            match choice.chosen() {
+                Some(SpecRequest::Auto) => autos += 1,
+                Some(SpecRequest::Rtm { .. }) => rtms += 1,
+                None => {}
             }
         }
         out.extend([
@@ -944,27 +943,45 @@ impl ServeEngine {
         let stats = self.cache.stats();
         let totals = self.totals.lock().expect("totals lock");
         let total = |name: &str| totals.get(name).copied().unwrap_or(0);
-        // Per-kernel autotune state, keyed by kernel hash: what the
-        // autotuner currently runs and why (`flexvecc client stats
-        // --json` surfaces this verbatim). Kernels it never observed
-        // are left out, as in the active-spec gauge.
+        // Per kernel hash, the table behind each `(vl, invocations)`
+        // choice: every explored candidate's vector cycles (null where
+        // it cannot run at that width) and the spec chosen (null while
+        // exploring). Kernels that only saw explicit specs are left out.
         let autotune_kernels: BTreeMap<String, Json> = self
             .profiles
             .lock()
             .expect("profiles lock")
             .iter()
-            .filter(|(_, p)| p.runs > 0)
-            .map(|(hash, p)| {
-                (
-                    hash_hex(*hash),
-                    Json::Obj(BTreeMap::from([
-                        ("spec".to_owned(), Json::from(spec_label(p.active))),
-                        ("tile".to_owned(), Json::from(u64::from(p.active_tile()))),
-                        ("last_reason".to_owned(), Json::from(p.last_reason)),
-                        ("runs".to_owned(), Json::from(p.runs)),
-                        ("verified".to_owned(), Json::from(p.is_verified(p.active))),
-                    ])),
-                )
+            .filter(|(_, p)| !p.choices().is_empty())
+            .map(|(&hash, p)| {
+                let choices = p.choices().iter().map(|choice| {
+                    let cycles = choice
+                        .table()
+                        .map(|(spec, cycles)| {
+                            (spec_label(spec), cycles.map_or(Json::Null, Json::from))
+                        })
+                        .collect();
+                    Json::obj([
+                        ("vl", Json::from(choice.vl as u64)),
+                        ("invocations", Json::from(choice.invocations)),
+                        (
+                            "spec",
+                            choice
+                                .chosen()
+                                .map_or(Json::Null, |s| Json::from(spec_label(s))),
+                        ),
+                        ("vector_cycles", Json::Obj(cycles)),
+                    ])
+                });
+                let kernel = self
+                    .registry
+                    .peek(hash)
+                    .map_or(Json::Null, |k| Json::from(k.program.name.as_str()));
+                let entry = Json::obj([
+                    ("kernel", kernel),
+                    ("choices", Json::Arr(choices.collect())),
+                ]);
+                (hash_hex(hash), entry)
             })
             .collect();
         let mut fields = Vec::from([
@@ -1103,8 +1120,6 @@ struct ExecOutcome {
     /// scalar baseline (first run of a variant, or an audit), or the
     /// plan is scalar-only and the scalar run is the answer.
     verified: bool,
-    /// Whether the run fed the cycle model.
-    simulated: bool,
     scalar_cycles: u64,
     vector_cycles: u64,
     stats: VectorStats,
@@ -1359,8 +1374,8 @@ for (i = 0; i < 64; i++) {
     }
 
     /// Store between a speculative load and its conditional update:
-    /// rejected under Auto (store inside an FF VPL) with the RTM hint,
-    /// clean under RTM.
+    /// rejected under Auto (store inside an FF VPL) as RTM-only, clean
+    /// under RTM.
     const RTM_WIN: &str = "\
 kernel rtm_win;
 var i = 0;
@@ -1386,8 +1401,7 @@ for (i = 0; i < 256; i++) {
     /// Same shape, but five stored arrays and a floor keeping `best`
     /// (and so the guard) high: every iteration stores, so a
     /// 1024-iteration RTM tile buffers 5120 writes — past the
-    /// 4096-element transaction capacity. The explore tile aborts on
-    /// every tile and must halve (512 × 5 = 2560 fits).
+    /// 4096-element transaction capacity — and aborts on every tile.
     const CONFLICTY: &str = "\
 kernel conflicty;
 var i = 0;
@@ -1428,40 +1442,73 @@ for (i = 0; i < 2048; i++) {
             .expect("kernel profiled")
     }
 
+    fn choices<'a>(fields: &'a [(&'static str, Json)], hash: &str) -> &'a [Json] {
+        match kernel_state(fields, hash).get("choices") {
+            Some(Json::Arr(choices)) => choices,
+            other => panic!("no choices: {other:?}"),
+        }
+    }
+
+    /// Runs `r` and returns the reply's `(spec, verified)`.
+    fn run_spec(engine: &ServeEngine, r: &Request) -> (String, bool) {
+        let out = engine.handle(r, None).unwrap();
+        (
+            field(&out.fields, "spec").as_str().unwrap().to_owned(),
+            field(&out.fields, "verified").as_bool().unwrap(),
+        )
+    }
+
     #[test]
-    fn autotuner_unlocks_rtm_for_hinted_scalar_only_kernel() {
+    fn rtm_only_kernel_explores_the_ladder_and_runs_the_fewest_cycles() {
         let engine = ServeEngine::new(0);
         let r = req(Op::Run, Some(RTM_WIN), None);
-        let cooldown = engine.tune_cfg.cooldown_runs as usize;
-        // Under Auto the kernel is scalar-only, and stays so through
-        // the cooldown window.
+        // One candidate per request, in ladder order, each verifying.
+        // `Auto` leaves the kernel scalar-only.
         let mut hash = String::new();
-        for _ in 0..cooldown {
+        for spec in ["auto", "rtm:1024", "rtm:256", "rtm:64", "rtm:16"] {
             let out = engine.handle(&r, None).unwrap();
-            assert_eq!(field(&out.fields, "kind").as_str(), Some("scalar-only"));
-            assert_eq!(field(&out.fields, "spec").as_str(), Some("auto"));
+            assert_eq!(field(&out.fields, "spec").as_str(), Some(spec));
+            assert_eq!(field(&out.fields, "verified").as_bool(), Some(true));
+            let kind = if spec == "auto" {
+                "scalar-only"
+            } else {
+                "flexvec"
+            };
+            assert_eq!(field(&out.fields, "kind").as_str(), Some(kind));
             hash = field(&out.fields, "hash").as_str().unwrap().to_owned();
         }
-        // The cooldown-closing run fired the rtm_unlock decision: the
-        // next implicit request runs the re-specialized RTM variant,
-        // fully verified (first run of the variant)...
-        let out = engine.handle(&r, None).unwrap();
-        assert_eq!(field(&out.fields, "kind").as_str(), Some("flexvec"));
-        assert_eq!(field(&out.fields, "spec").as_str(), Some("rtm:1024"));
-        assert_eq!(field(&out.fields, "verified").as_bool(), Some(true));
-        // ...and the run after that is vector-only steady state.
-        let out = engine.handle(&r, None).unwrap();
-        assert_eq!(field(&out.fields, "verified").as_bool(), Some(false));
+        // rtm:1024 and rtm:256 tie on the fewest cycles; the earlier
+        // candidate wins, and its stored cycles answer from now on.
+        for _ in 0..3 {
+            assert_eq!(run_spec(&engine, &r), ("rtm:1024".to_owned(), false));
+        }
 
         let stats = engine.stats_fields();
         assert_eq!(stat_u64(&stats, "autotune_respecialize_total"), 1);
-        assert!(stat_u64(&stats, "autotune_vector_only_total") >= 1);
-        let k = kernel_state(&stats, &hash);
-        assert_eq!(k.get("spec").and_then(Json::as_str), Some("rtm:1024"));
+        // The scalar-only `Auto` run is an answer, not a verification.
+        assert_eq!(stat_u64(&stats, "autotune_verified_total"), 4);
         assert_eq!(
-            k.get("last_reason").and_then(Json::as_str),
-            Some("rtm_unlock")
+            kernel_state(&stats, &hash)
+                .get("kernel")
+                .and_then(Json::as_str),
+            Some("rtm_win")
         );
+        let [choice] = choices(&stats, &hash) else {
+            panic!("one (vl, invocations) pair")
+        };
+        assert_eq!(choice.get("spec").and_then(Json::as_str), Some("rtm:1024"));
+        assert_eq!(choice.get("vl").and_then(Json::as_u64), Some(16));
+        let Some(Json::Obj(table)) = choice.get("vector_cycles") else {
+            panic!("no table: {choice}")
+        };
+        assert_eq!(table.len(), LADDER.len());
+        let cycles = |spec: &str| table[spec].as_u64().unwrap();
+        assert!(cycles("rtm:1024") < cycles("auto"));
+        assert_eq!(cycles("rtm:1024"), cycles("rtm:256"));
+        assert!(table
+            .values()
+            .all(|c| c.as_u64() >= Some(cycles("rtm:1024"))));
+
         let samples = engine.metric_samples();
         let sample = |name: &str| {
             samples
@@ -1471,19 +1518,25 @@ for (i = 0; i < 2048; i++) {
                 .unwrap_or_else(|| panic!("missing sample {name}"))
         };
         assert_eq!(sample("flexvec_autotune_respecialize_total"), 1);
-        assert_eq!(sample("flexvec_autotune_reason_rtm_unlock_total"), 1);
         assert_eq!(sample("flexvec_autotune_active_spec{mode=\"rtm\"}"), 1);
+        assert_eq!(sample("flexvec_autotune_active_spec{mode=\"auto\"}"), 0);
+
+        // A compile follows the choice.
+        let out = engine
+            .handle(&req(Op::Compile, Some(RTM_WIN), None), None)
+            .unwrap();
+        assert_eq!(field(&out.fields, "vectorizable").as_bool(), Some(true));
     }
 
     #[test]
-    fn explicit_spec_bypasses_the_autotuner_and_always_verifies() {
+    fn explicit_spec_bypasses_the_choice_and_always_verifies() {
         let engine = ServeEngine::new(0);
         let mut r = req(Op::Run, Some(RTM_WIN), None);
         r.spec_explicit = true;
-        // Explicit "auto" stays scalar-only forever: no profile is fed,
-        // no decision ever fires, and every reply is verified (the
-        // scalar run is the answer).
-        for _ in 0..3 * engine.tune_cfg.cooldown_runs {
+        // Explicit "auto" stays scalar-only forever: nothing is
+        // explored, and every reply is verified (the scalar run is the
+        // answer).
+        for _ in 0..2 * LADDER.len() {
             let out = engine.handle(&r, None).unwrap();
             assert_eq!(field(&out.fields, "kind").as_str(), Some("scalar-only"));
             assert_eq!(field(&out.fields, "verified").as_bool(), Some(true));
@@ -1492,74 +1545,154 @@ for (i = 0; i < 2048; i++) {
         assert_eq!(stat_u64(&stats, "autotune_respecialize_total"), 0);
         assert!(
             matches!(field(&stats, "autotune_kernels"), Json::Obj(m) if m.is_empty()),
-            "explicit scalar-only requests never feed the profile map"
+            "explicit requests open no choice"
         );
 
-        // Pinning an RTM tile is honored verbatim, but only the
-        // verification bookkeeping is shared: after the first verified
-        // run the pinned variant goes vector-only, and the tuner still
-        // never fires a decision.
-        let mut rtm = req(Op::Run, Some(RTM_WIN), None);
-        rtm.spec = SpecRequest::Rtm { tile: 1024 };
-        rtm.spec_explicit = true;
-        let first = engine.handle(&rtm, None).unwrap();
-        assert_eq!(field(&first.fields, "spec").as_str(), Some("rtm:1024"));
-        assert_eq!(field(&first.fields, "verified").as_bool(), Some(true));
-        for _ in 0..2 * engine.tune_cfg.cooldown_runs {
-            let out = engine.handle(&rtm, None).unwrap();
-            assert_eq!(field(&out.fields, "spec").as_str(), Some("rtm:1024"));
-            assert_eq!(field(&out.fields, "verified").as_bool(), Some(false));
+        // Pinning an RTM tile is honored verbatim and shares the memo:
+        // after the first verified run the variant goes vector-only.
+        // Pins never count as choices.
+        for tile in [1024, 16] {
+            let mut rtm = req(Op::Run, Some(RTM_WIN), None);
+            rtm.spec = SpecRequest::Rtm { tile };
+            rtm.spec_explicit = true;
+            let label = format!("rtm:{tile}");
+            assert_eq!(run_spec(&engine, &rtm), (label.clone(), true));
+            for _ in 0..2 * LADDER.len() {
+                assert_eq!(run_spec(&engine, &rtm), (label.clone(), false));
+            }
         }
         let stats = engine.stats_fields();
         assert_eq!(stat_u64(&stats, "autotune_respecialize_total"), 0);
     }
 
     #[test]
-    fn autotuner_halves_aborting_rtm_tile_and_leaves_clean_kernel_alone() {
+    fn conflicty_settles_on_auto() {
         let engine = ServeEngine::new(0);
-        let cooldown = engine.tune_cfg.cooldown_runs as usize;
-
-        // Conflict-heavy kernel: unlock at 1024, abort storm (write-set
-        // capacity overflow), halved to 512 at the next decision point.
+        // Every RTM tile buffers five stores per iteration; no tile beats
+        // the scalar-only plan's cycles, so after exploring, every
+        // request runs `Auto`.
         let conflicty = req(Op::Run, Some(CONFLICTY), None);
-        let mut hash_c = String::new();
-        for _ in 0..2 * cooldown {
-            let out = engine.handle(&conflicty, None).unwrap();
-            hash_c = field(&out.fields, "hash").as_str().unwrap().to_owned();
-        }
-        let stats = engine.stats_fields();
-        let k = kernel_state(&stats, &hash_c);
-        assert_eq!(k.get("spec").and_then(Json::as_str), Some("rtm:512"));
+        let explored: Vec<_> = (0..LADDER.len())
+            .map(|_| run_spec(&engine, &conflicty).0)
+            .collect();
         assert_eq!(
-            k.get("last_reason").and_then(Json::as_str),
-            Some("halve_tile")
+            explored,
+            ["auto", "rtm:1024", "rtm:256", "rtm:64", "rtm:16"]
         );
-        // The halved tile fits the transaction: the next run commits.
-        let out = engine.handle(&conflicty, None).unwrap();
-        assert_eq!(field(&out.fields, "spec").as_str(), Some("rtm:512"));
-        assert_eq!(field(&out.fields, "kind").as_str(), Some("flexvec"));
+        for _ in 0..4 {
+            let out = engine.handle(&conflicty, None).unwrap();
+            assert_eq!(field(&out.fields, "spec").as_str(), Some("auto"));
+            assert_eq!(field(&out.fields, "kind").as_str(), Some("scalar-only"));
+        }
         let samples = engine.metric_samples();
         assert!(samples
             .iter()
             .any(|s| s.name == "flexvec_engine_rtm_aborts_total" && s.value > 0));
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "flexvec_autotune_reason_halve_tile_total" && s.value == 1));
+        let stats = engine.stats_fields();
+        assert_eq!(stat_u64(&stats, "autotune_respecialize_total"), 0);
 
-        // Clean single-store kernel: unlocked to rtm:1024 and NOT
-        // halved — its writes fit the transaction.
-        let clean = req(Op::Run, Some(RTM_WIN), None);
-        let mut hash_k = String::new();
-        for _ in 0..2 * cooldown - 1 {
-            let out = engine.handle(&clean, None).unwrap();
-            hash_k = field(&out.fields, "hash").as_str().unwrap().to_owned();
+        // A kernel that `Auto` vectorizes has one candidate.
+        let minloc = req(Op::Run, Some(MINLOC), None);
+        for _ in 0..3 {
+            assert_eq!(run_spec(&engine, &minloc).0, "auto");
+        }
+    }
+
+    /// RTM-only like [`RTM_WIN`], plus a store-to-load dependence at
+    /// distance 16 that caps the RTM plans at vl 16.
+    const RTM_NARROW: &str = "\
+kernel rtm_narrow;
+var i = 0;
+var t = 0;
+var u = 0;
+var v = 0;
+var best = 1048576;
+array a[256] = seed 7;
+array aux[256] = seed 9;
+array out[256];
+array d[272] = seed 3;
+live_out best, v;
+for (i = 16; i < 256; i++) {
+  v = d[i - 16] + 1;
+  d[i] = v;
+  t = a[i] * 3 + i;
+  if (t < best) {
+    u = aux[t & 255];
+    out[i] = u;
+    if (u < best) {
+      best = u;
+    }
+  }
+}
+";
+
+    #[test]
+    fn candidates_too_narrow_for_the_width_are_skipped() {
+        let engine = ServeEngine::new(0);
+        let mut r = req(Op::Run, Some(RTM_NARROW), None);
+        r.vl = Some(32);
+        // At vl 32 no RTM plan can run: the second request skips all
+        // four tiles and settles on the scalar-only `Auto`, with no
+        // error on the wire.
+        let mut hash = String::new();
+        for _ in 0..3 {
+            let out = engine.handle(&r, None).unwrap();
+            assert_eq!(field(&out.fields, "spec").as_str(), Some("auto"));
+            hash = field(&out.fields, "hash").as_str().unwrap().to_owned();
         }
         let stats = engine.stats_fields();
-        let k = kernel_state(&stats, &hash_k);
-        assert_eq!(k.get("spec").and_then(Json::as_str), Some("rtm:1024"));
+        let [choice] = choices(&stats, &hash) else {
+            panic!("one (vl, invocations) pair")
+        };
+        assert_eq!(choice.get("spec").and_then(Json::as_str), Some("auto"));
+        let Some(Json::Obj(table)) = choice.get("vector_cycles") else {
+            panic!("no table: {choice}")
+        };
+        assert_eq!(table.len(), LADDER.len());
+        assert_eq!(table.values().filter(|c| **c == Json::Null).count(), 4);
+        assert_eq!(stat_u64(&stats, "autotune_respecialize_total"), 0);
+
+        // At vl 16 the tiles run, and one beats the scalar plan.
+        r.vl = Some(16);
+        for _ in 0..LADDER.len() {
+            engine.handle(&r, None).unwrap();
+        }
+        assert!(run_spec(&engine, &r).0.starts_with("rtm:"));
+    }
+
+    #[test]
+    fn mixed_widths_and_invocations_stop_verifying_once_each_pair_has_chosen() {
+        let engine = ServeEngine::new(0);
+        let pairs = [(16, 1), (32, 3), (16, 3), (32, 1)];
+        let run = |vl: usize, invocations: u64| {
+            let mut r = req(Op::Run, Some(RTM_WIN), None);
+            r.vl = Some(vl);
+            r.invocations = invocations;
+            run_spec(&engine, &r)
+        };
+        let verified = || stat_u64(&engine.stats_fields(), "autotune_verified_total");
+        // Interleaved exploration: twenty variants pass through the
+        // eight-entry memo, so a chosen variant may have been evicted
+        // and verifies once more on the next round.
+        for _ in 0..LADDER.len() {
+            for (vl, invocations) in pairs {
+                run(vl, invocations);
+            }
+        }
+        assert_eq!(verified(), ((LADDER.len() - 1) * pairs.len()) as u64);
+        for (vl, invocations) in pairs {
+            assert_eq!(run(vl, invocations).0, "rtm:1024");
+        }
+        let settled = verified();
+        for _ in 0..10 {
+            for (vl, invocations) in pairs {
+                assert_eq!(run(vl, invocations), ("rtm:1024".to_owned(), false));
+            }
+        }
+        assert_eq!(verified(), settled, "steady state verifies nothing");
         assert_eq!(
-            k.get("last_reason").and_then(Json::as_str),
-            Some("rtm_unlock")
+            stat_u64(&engine.stats_fields(), "autotune_respecialize_total"),
+            pairs.len() as u64
         );
     }
 
@@ -1671,7 +1804,7 @@ for (i = 0; i < 2048; i++) {
             profile.settle(key, bogus).unwrap();
         }
         // Steady-state runs report the (corrupted) stored cycles...
-        for _ in 0..engine.tune_cfg.audit_every {
+        for _ in 0..crate::autotune::AUDIT_EVERY {
             let out = engine.handle(&r, None).unwrap();
             assert_eq!(field(&out.fields, "verified").as_bool(), Some(false));
             assert_eq!(stat_u64(&out.fields, "scalar_cycles"), bogus.scalar);
@@ -1729,6 +1862,14 @@ for (i = 16; i < 128; i++) {
             "{}",
             err.message
         );
+        // The refused width opens no choice: only vl 16 has a table.
+        let hash = field(&out.fields, "hash").as_str().unwrap().to_owned();
+        let stats = engine.stats_fields();
+        let widths: Vec<_> = choices(&stats, &hash)
+            .iter()
+            .map(|c| c.get("vl").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(widths, [Some(16)]);
     }
 
     #[test]

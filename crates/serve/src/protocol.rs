@@ -151,9 +151,9 @@ pub struct Request {
     /// Speculation strategy (`ff`/`auto`, `rtm`, `rtm:TILE`).
     pub spec: SpecRequest,
     /// Whether the client actually sent a `spec` field. An explicit
-    /// spec — even `"auto"` — bypasses the daemon's autotuner; an
-    /// omitted one lets the per-kernel profile pick the speculation
-    /// strategy.
+    /// spec — even `"auto"` — bypasses the daemon's choice; an omitted
+    /// one runs the spec with the fewest simulated cycles (see
+    /// [`crate::autotune`]).
     pub spec_explicit: bool,
     /// Execution engine. `None` (the wire value `auto`, and the
     /// default) lets the daemon's tier policy pick: kernels start on
@@ -379,7 +379,7 @@ mod tests {
         let r = Request::parse(r#"{"op":"run","source":"kernel k;"}"#).unwrap();
         assert_eq!(r.id, 0);
         assert_eq!(r.spec, SpecRequest::Auto);
-        assert!(!r.spec_explicit, "omitted spec means the autotuner");
+        assert!(!r.spec_explicit, "omitted spec means the daemon chooses");
         assert_eq!(r.engine, None, "omitted engine means the tier policy");
         assert_eq!(r.invocations, 1);
         assert_eq!(r.deadline_ms, None);
