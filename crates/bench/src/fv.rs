@@ -2,24 +2,22 @@
 //!
 //! Mirrors the workload harness in `flexvec-workloads`: every kernel is
 //! executed scalar (the baseline) and — when the vectorizer accepts it —
-//! as FlexVec vector code on the Table 1 out-of-order model, with the
-//! two executions verified against each other (live-outs and every array
-//! element). The analyze→vectorize→bytecode-compile middle of the
-//! pipeline goes through a shared [`CompileCache`], so resubmitting a
-//! corpus in the same process is pure cache hits.
+//! as FlexVec vector code on the Table 1 out-of-order model, through
+//! [`flexvec_vm::Kernel::check`], which compares the two executions on
+//! every live-out, the induction variable's exit value, the break flag,
+//! the iteration count and every array element. The
+//! analyze→vectorize→bytecode-compile middle of the pipeline goes
+//! through a shared [`CompileCache`], so resubmitting a corpus in the
+//! same process is pure cache hits.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::Duration;
 
-use flexvec::{SpecRequest, VectorizedKind};
-use flexvec_front::{parse_file, CompileCache, ParsedKernel};
-use flexvec_mem::AddressSpace;
+use flexvec::{SpecRequest, VectorizeError, VectorizedKind};
+use flexvec_front::{parse_file, CompileCache, CompiledKernel, ParsedKernel};
 use flexvec_profiler::ThroughputReport;
-use flexvec_sim::{OooSim, SimConfig};
-use flexvec_vm::{
-    run_scalar, run_vector_precompiled_with_scratch, run_vector_with_engine, Bindings, Engine,
-    TraceSink, VectorStats,
-};
+use flexvec_sim::OooSim;
+use flexvec_vm::{CheckError, Engine, Kernel, TraceSink, VectorCode, VectorStats};
 
 /// Measured outcome of one vectorized `.fv` kernel.
 #[derive(Clone, Debug)]
@@ -121,6 +119,17 @@ fn parse_report(path: &Path) -> Result<ParsedKernel, Box<FvReport>> {
     }
 }
 
+/// The verdict `flexvecc` prints: the analysis verdict, and the
+/// lowering's refusal when a kernel the analysis accepts runs
+/// scalar-only because its stores need RTM.
+fn verdict(compiled: &CompiledKernel) -> String {
+    let summary = compiled.verdict_summary();
+    match &compiled.plan {
+        Err(refusal @ VectorizeError::RtmOnly) => format!("{summary}; runs scalar-only: {refusal}"),
+        _ => summary,
+    }
+}
+
 /// Parses and compiles one kernel without executing it (`flexvecc
 /// check` / `vectorize`).
 pub fn check_fv_file(path: &Path, cache: &CompileCache, spec: SpecRequest) -> FvReport {
@@ -132,7 +141,7 @@ pub fn check_fv_file(path: &Path, cache: &CompileCache, spec: SpecRequest) -> Fv
     FvReport {
         source: path.display().to_string(),
         kernel: kernel.program.name.clone(),
-        verdict: compiled.verdict_summary(),
+        verdict: verdict(&compiled),
         cache_hit,
         error: None,
         run: None,
@@ -141,7 +150,7 @@ pub fn check_fv_file(path: &Path, cache: &CompileCache, spec: SpecRequest) -> Fv
 
 /// Parses, compiles (through `cache`) and executes one kernel:
 /// scalar baseline always; vector code when the vectorizer accepts the
-/// loop, verified element-for-element against the baseline.
+/// loop, checked against the baseline.
 pub fn evaluate_fv_file(
     path: &Path,
     cache: &CompileCache,
@@ -157,7 +166,7 @@ pub fn evaluate_fv_file(
     let mut report = FvReport {
         source: path.display().to_string(),
         kernel: kernel.program.name.clone(),
-        verdict: compiled.verdict_summary(),
+        verdict: verdict(&compiled),
         cache_hit,
         error: None,
         run: None,
@@ -165,150 +174,58 @@ pub fn evaluate_fv_file(
 
     let program = &kernel.program;
     let arrays = kernel.materialize_arrays();
-    let config = SimConfig::table1();
-    let invocations = invocations.max(1);
-
-    let bind_arrays = |mem: &mut AddressSpace| -> Bindings {
-        let ids: Vec<_> = arrays
-            .iter()
-            .enumerate()
-            .map(|(i, data)| mem.alloc_from(&format!("{}_{i}", program.name), data))
-            .collect();
-        Bindings::new(ids)
-    };
-
-    // Baseline: scalar execution on the OOO model.
-    let mut mem_s = AddressSpace::new();
-    let bind_s = bind_arrays(&mut mem_s);
-    let mut sim_s = OooSim::new(config.clone());
-    let mut scalar_final = None;
-    for _ in 0..invocations {
-        match run_scalar(program, &mut mem_s, bind_s.clone(), &mut sim_s) {
-            Ok(r) => scalar_final = Some(r),
-            Err(e) => {
-                report.error = Some(format!("scalar execution failed: {e}"));
-                return report;
-            }
-        }
-    }
-    let scalar_run = scalar_final.expect("at least one invocation");
-    let scalar_cycles = sim_s.result().cycles;
-    let live_outs: Vec<(String, i64)> = program
-        .live_out
-        .iter()
-        .map(|v| (program.var_name(*v).to_owned(), scalar_run.var(*v)))
-        .collect();
-
-    let Ok(plan) = &compiled.plan else {
+    let checked = Kernel::new(program, &arrays, invocations);
+    let (mut sim_s, mut sim_v) = (OooSim::table1(), OooSim::table1());
+    let run = match &compiled.plan {
         // Not vectorizable: the scalar baseline is the only execution.
-        report.run = Some(FvRun {
-            kind: "scalar-only",
-            scalar_cycles,
-            vector_cycles: scalar_cycles,
-            region_speedup: 1.0,
-            stats: VectorStats::default(),
-            throughput: ThroughputReport::new("scalar", std::time::Duration::ZERO, 0, sim_s.len()),
-            live_outs,
-        });
-        return report;
-    };
-
-    // Vector execution on a fresh memory image. The native tier needs
-    // its own plan clone: the cached one is shared and immutable.
-    let native = (engine == Engine::Native).then(|| {
-        let mut c = plan.compiled.clone();
-        c.enable_native();
-        c
-    });
-    let mut mem_v = AddressSpace::new();
-    let bind_v = bind_arrays(&mut mem_v);
-    let mut sim_v = OooSim::new(config);
-    let mut scratch = match &native {
-        Some(c) => c.scratch(),
-        None => plan.compiled.scratch(),
-    };
-    let mut vector_final = None;
-    let mut stats = VectorStats::default();
-    let label = match engine {
-        Engine::TreeWalking => "tree-walking",
-        Engine::Compiled => "compiled",
-        Engine::Native => "native",
-    };
-    let mut throughput = ThroughputReport::new(label, std::time::Duration::ZERO, 0, 0);
-    let wall_start = Instant::now();
-    for _ in 0..invocations {
-        let step = match engine {
-            Engine::Compiled | Engine::Native => run_vector_precompiled_with_scratch(
-                program,
-                &plan.vectorized.vprog,
-                native.as_ref().unwrap_or(&plan.compiled),
-                &mut scratch,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-            ),
-            Engine::TreeWalking => run_vector_with_engine(
-                program,
-                &plan.vectorized.vprog,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-                Engine::TreeWalking,
-            ),
-        };
-        match step {
-            Ok((r, s)) => {
-                throughput.add_stats(&s);
-                vector_final = Some(r);
-                stats = s;
-            }
-            Err(e) => {
-                report.error = Some(format!("vector execution failed: {e}"));
-                return report;
-            }
+        Err(_) => checked
+            .run_scalar(&mut sim_s, None)
+            .map_err(CheckError::Scalar)
+            .map(|scalar| {
+                let cycles = sim_s.result().cycles;
+                FvRun {
+                    kind: "scalar-only",
+                    scalar_cycles: cycles,
+                    vector_cycles: cycles,
+                    region_speedup: 1.0,
+                    stats: VectorStats::default(),
+                    throughput: ThroughputReport::new("scalar", Duration::ZERO, 0, sim_s.len()),
+                    live_outs: scalar.live_outs(program),
+                }
+            }),
+        // The cached plan is shared and immutable: the native tier
+        // compiles a plan of its own.
+        Ok(plan) => {
+            let vprog = &plan.vectorized.vprog;
+            let code = match engine {
+                Engine::Native => VectorCode::new(vprog, engine),
+                _ => VectorCode::precompiled(vprog, &plan.compiled, engine),
+            };
+            let outcome = checked.check(&code, &mut sim_s, &mut sim_v, None);
+            outcome.map(|(scalar, vector)| {
+                let (scalar_cycles, vector_cycles) = (sim_s.result().cycles, sim_v.result().cycles);
+                let mut throughput =
+                    ThroughputReport::new(engine.label(), vector.wall, 0, sim_v.len());
+                throughput.add_stats(&vector.total);
+                FvRun {
+                    kind: match plan.vectorized.kind {
+                        VectorizedKind::Traditional => "traditional",
+                        VectorizedKind::FlexVec => "flexvec",
+                    },
+                    scalar_cycles,
+                    vector_cycles,
+                    region_speedup: scalar_cycles as f64 / vector_cycles.max(1) as f64,
+                    stats: vector.stats,
+                    throughput,
+                    live_outs: scalar.live_outs(program),
+                }
+            })
         }
+    };
+    match run {
+        Ok(run) => report.run = Some(run),
+        Err(e) => report.error = Some(e.to_string()),
     }
-    throughput.wall = wall_start.elapsed();
-    throughput.uops = sim_v.len();
-    let vector_run = vector_final.expect("at least one invocation");
-    let vector_cycles = sim_v.result().cycles;
-
-    // Verification: live-outs and every array byte must agree.
-    for v in &program.live_out {
-        if scalar_run.var(*v) != vector_run.var(*v) {
-            report.error = Some(format!(
-                "scalar/vector mismatch: live-out {} is {} scalar vs {} vector",
-                program.var_name(*v),
-                scalar_run.var(*v),
-                vector_run.var(*v)
-            ));
-            return report;
-        }
-    }
-    for i in 0..arrays.len() {
-        let a = bind_s.array(i as u32);
-        let b = bind_v.array(i as u32);
-        if mem_s.array_slice(a) != mem_v.array_slice(b) {
-            report.error = Some(format!(
-                "scalar/vector mismatch: array {} differs",
-                program.array_name(flexvec_ir::ArraySym(i as u32))
-            ));
-            return report;
-        }
-    }
-
-    report.run = Some(FvRun {
-        kind: match plan.vectorized.kind {
-            VectorizedKind::Traditional => "traditional",
-            VectorizedKind::FlexVec => "flexvec",
-        },
-        scalar_cycles,
-        vector_cycles,
-        region_speedup: scalar_cycles as f64 / vector_cycles.max(1) as f64,
-        stats,
-        throughput,
-        live_outs,
-    });
     report
 }
 

@@ -35,8 +35,41 @@ use crate::lexer::{lex, TokKind, Token};
 /// pathological `((((...` runs get a diagnostic, not a stack overflow.
 /// Each level of the precedence tower costs ~10 stack frames, so this
 /// is sized to stay well inside a 2 MiB test-thread stack while being
-/// an order of magnitude deeper than any real kernel nests.
+/// an order of magnitude deeper than any real kernel nests. Operator
+/// chains count too: `i + i + … + i` builds a left-deep tree one level
+/// per operator, and every pass after the parser walks it recursively.
 const MAX_DEPTH: usize = 64;
+
+/// An expression and its height: the most operator nodes on a path
+/// from its root to a leaf.
+type Parsed = Result<(Expr, usize), Diagnostic>;
+
+/// Binary operator precedence levels, loosest first.
+const BINARY_LEVELS: usize = 7;
+
+/// The node builder of `tok` as a binary operator at precedence
+/// `level`: `|`, `^`, `&`, comparisons, shifts, `+ -`, then `* / %`.
+fn binary_op(level: usize, tok: &TokKind) -> Option<fn(Expr, Expr) -> Expr> {
+    Some(match (level, tok) {
+        (0, TokKind::Pipe) => b::bor,
+        (1, TokKind::Caret) => b::bxor,
+        (2, TokKind::Amp) => b::band,
+        (3, TokKind::EqEq) => b::eq,
+        (3, TokKind::Ne) => b::ne,
+        (3, TokKind::Lt) => b::lt,
+        (3, TokKind::Le) => b::le,
+        (3, TokKind::Gt) => b::gt,
+        (3, TokKind::Ge) => b::ge,
+        (4, TokKind::Shl) => b::shl,
+        (4, TokKind::Shr) => b::shr,
+        (5, TokKind::Plus) => b::add,
+        (5, TokKind::Minus) => b::sub,
+        (6, TokKind::Star) => b::mul,
+        (6, TokKind::Slash) => b::div,
+        (6, TokKind::Percent) => b::rem,
+        _ => return None,
+    })
+}
 
 /// Largest declarable array length, and the most elements a kernel's
 /// arrays may declare together — bounds what
@@ -324,7 +357,7 @@ impl Parser<'_> {
         let (ind_name, ind_span) = self.name("induction variable")?;
         let induction = scope.var(&self, &ind_name, ind_span)?;
         self.expect(&TokKind::Assign)?;
-        let start = self.expr(&scope, 0)?;
+        let (start, _) = self.expr(&scope, 0)?;
         self.expect(&TokKind::Semi)?;
         let (cond_name, cond_span) = self.name("induction variable")?;
         if cond_name != ind_name {
@@ -334,7 +367,7 @@ impl Parser<'_> {
             ));
         }
         self.expect(&TokKind::Lt)?;
-        let end = self.expr(&scope, 0)?;
+        let (end, _) = self.expr(&scope, 0)?;
         self.expect(&TokKind::Semi)?;
         let (step_name, step_span) = self.name("induction variable")?;
         if step_name != ind_name {
@@ -433,7 +466,7 @@ impl Parser<'_> {
         }
         if self.eat(&TokKind::KwIf) {
             self.expect(&TokKind::LParen)?;
-            let cond = self.expr(scope, depth + 1)?;
+            let (cond, _) = self.expr(scope, depth + 1)?;
             self.expect(&TokKind::RParen)?;
             let then_ = self.block(scope, depth + 1)?;
             let else_ = if self.eat(&TokKind::KwElse) {
@@ -447,119 +480,64 @@ impl Parser<'_> {
             let (name, span) = self.name("name")?;
             if self.eat(&TokKind::LBracket) {
                 let array = scope.array(self, &name, span)?;
-                let index = self.expr(scope, depth + 1)?;
+                let (index, _) = self.expr(scope, depth + 1)?;
                 self.expect(&TokKind::RBracket)?;
                 self.expect(&TokKind::Assign)?;
-                let value = self.expr(scope, depth + 1)?;
+                let (value, _) = self.expr(scope, depth + 1)?;
                 self.expect(&TokKind::Semi)?;
                 return Ok(b::store(array, index, value));
             }
             let var = scope.var(self, &name, span)?;
             self.expect(&TokKind::Assign)?;
-            let value = self.expr(scope, depth + 1)?;
+            let (value, _) = self.expr(scope, depth + 1)?;
             self.expect(&TokKind::Semi)?;
             return Ok(b::assign(var, value));
         }
         Err(self.expected(&["`if`", "`break`", "an assignment", "`}`"]))
     }
 
-    fn expr(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
+    /// Parses an expression `depth` levels down, returning it with its
+    /// height. Recursion and tree height both count toward `MAX_DEPTH`,
+    /// so a long operator chain is refused before its tree is built,
+    /// just like a deep parenthesis nest.
+    fn expr(&mut self, scope: &Scope<'_>, depth: usize) -> Parsed {
         if depth > MAX_DEPTH {
             return Err(self.error("expression nested too deeply", self.peek().span));
         }
-        self.bit_or(scope, depth)
+        self.binary(scope, depth, 0)
     }
 
-    fn bit_or(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.bit_xor(scope, depth)?;
-        while self.eat(&TokKind::Pipe) {
-            lhs = b::bor(lhs, self.bit_xor(scope, depth)?);
+    /// One left-associative precedence level of [`binary_op`]: operands
+    /// from the next tighter level, joined by this level's operators.
+    /// Each operator adds a tree level; a chain that would put the tree
+    /// deeper than `MAX_DEPTH` is refused at that operator.
+    fn binary(&mut self, scope: &Scope<'_>, depth: usize, level: usize) -> Parsed {
+        if level == BINARY_LEVELS {
+            return self.unary(scope, depth);
         }
-        Ok(lhs)
-    }
-
-    fn bit_xor(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.bit_and(scope, depth)?;
-        while self.eat(&TokKind::Caret) {
-            lhs = b::bxor(lhs, self.bit_and(scope, depth)?);
-        }
-        Ok(lhs)
-    }
-
-    fn bit_and(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.comparison(scope, depth)?;
-        while self.eat(&TokKind::Amp) {
-            lhs = b::band(lhs, self.comparison(scope, depth)?);
-        }
-        Ok(lhs)
-    }
-
-    fn comparison(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.shift(scope, depth)?;
-        loop {
-            let build = match self.peek().kind {
-                TokKind::EqEq => b::eq,
-                TokKind::Ne => b::ne,
-                TokKind::Lt => b::lt,
-                TokKind::Le => b::le,
-                TokKind::Gt => b::gt,
-                TokKind::Ge => b::ge,
-                _ => return Ok(lhs),
-            };
+        let (mut lhs, mut height) = self.binary(scope, depth, level + 1)?;
+        while let Some(build) = binary_op(level, &self.peek().kind) {
+            let span = self.peek().span;
             self.bump();
-            lhs = build(lhs, self.shift(scope, depth)?);
+            let (rhs, rhs_height) = self.binary(scope, depth, level + 1)?;
+            height = 1 + height.max(rhs_height);
+            if depth + height > MAX_DEPTH {
+                return Err(self.error("expression nested too deeply", span));
+            }
+            lhs = build(lhs, rhs);
         }
+        Ok((lhs, height))
     }
 
-    fn shift(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.add_sub(scope, depth)?;
-        loop {
-            let build = match self.peek().kind {
-                TokKind::Shl => b::shl,
-                TokKind::Shr => b::shr,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            lhs = build(lhs, self.add_sub(scope, depth)?);
-        }
-    }
-
-    fn add_sub(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.mul_div(scope, depth)?;
-        loop {
-            let build = match self.peek().kind {
-                TokKind::Plus => b::add,
-                TokKind::Minus => b::sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            lhs = build(lhs, self.mul_div(scope, depth)?);
-        }
-    }
-
-    fn mul_div(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.unary(scope, depth)?;
-        loop {
-            let build = match self.peek().kind {
-                TokKind::Star => b::mul,
-                TokKind::Slash => b::div,
-                TokKind::Percent => b::rem,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            lhs = build(lhs, self.unary(scope, depth)?);
-        }
-    }
-
-    fn unary(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
+    fn unary(&mut self, scope: &Scope<'_>, depth: usize) -> Parsed {
         if depth > MAX_DEPTH {
             return Err(self.error("expression nested too deeply", self.peek().span));
         }
         if self.eat(&TokKind::Bang) {
-            return Ok(b::not(self.unary(scope, depth + 1)?));
+            let (e, height) = self.unary(scope, depth + 1)?;
+            return Ok((b::not(e), height + 1));
         }
         if self.at(&TokKind::Minus) {
-            let minus_span = self.peek().span;
             self.bump();
             // `-LITERAL` folds into the constant (the canonical printer
             // emits negative constants this way); `-expr` lowers to
@@ -568,21 +546,21 @@ impl Parser<'_> {
                 let span = self.peek().span;
                 self.bump();
                 let (v, _) = self.to_signed(magnitude, true, span)?;
-                return Ok(b::c(v));
+                return Ok((b::c(v), 0));
             }
-            let _ = minus_span;
-            return Ok(b::sub(b::c(0), self.unary(scope, depth + 1)?));
+            let (e, height) = self.unary(scope, depth + 1)?;
+            return Ok((b::sub(b::c(0), e), height + 1));
         }
         self.primary(scope, depth)
     }
 
-    fn primary(&mut self, scope: &Scope<'_>, depth: usize) -> Result<Expr, Diagnostic> {
+    fn primary(&mut self, scope: &Scope<'_>, depth: usize) -> Parsed {
         let tok = self.peek().clone();
         match tok.kind {
             TokKind::Int(magnitude) => {
                 self.bump();
                 let (v, _) = self.to_signed(magnitude, false, tok.span)?;
-                Ok(b::c(v))
+                Ok((b::c(v), 0))
             }
             TokKind::LParen => {
                 self.bump();
@@ -598,21 +576,21 @@ impl Parser<'_> {
                 let build = if name == "min" { b::min2 } else { b::max2 };
                 self.bump();
                 self.bump(); // `(`
-                let lhs = self.expr(scope, depth + 1)?;
+                let (lhs, lhs_height) = self.expr(scope, depth + 1)?;
                 self.expect(&TokKind::Comma)?;
-                let rhs = self.expr(scope, depth + 1)?;
+                let (rhs, rhs_height) = self.expr(scope, depth + 1)?;
                 self.expect(&TokKind::RParen)?;
-                Ok(build(lhs, rhs))
+                Ok((build(lhs, rhs), 1 + lhs_height.max(rhs_height)))
             }
             TokKind::Ident(_) | TokKind::Str(_) => {
                 let (name, span) = self.name("name")?;
                 if self.eat(&TokKind::LBracket) {
                     let array = scope.array(self, &name, span)?;
-                    let index = self.expr(scope, depth + 1)?;
+                    let (index, height) = self.expr(scope, depth + 1)?;
                     self.expect(&TokKind::RBracket)?;
-                    Ok(b::ld(array, index))
+                    Ok((b::ld(array, index), height + 1))
                 } else {
-                    Ok(b::var(scope.var(self, &name, span)?))
+                    Ok((b::var(scope.var(self, &name, span)?), 0))
                 }
             }
             _ => Err(self.expected(&["an expression"])),
@@ -901,6 +879,42 @@ for (i = 0; i < 2; i++) {
         src.push_str(";\n}\n");
         let err = parse_str("t.fv", &src).unwrap_err();
         assert!(err.message.contains("nested too deeply"), "{}", err.message);
+    }
+
+    #[test]
+    fn long_operator_chains_are_a_diagnostic_before_the_tree_is_built() {
+        let kernel = |terms: usize| {
+            format!(
+                "kernel t;\nvar i = 0;\nvar x = 0;\nfor (i = 0; i < 1; i++) {{\n  x = {};\n}}\n",
+                vec!["i"; terms].join(" + ")
+            )
+        };
+        // 20,000 terms: a left-deep tree far past the vectorizer's
+        // stack, refused at the operator that crosses the limit. The
+        // parse runs on a large stack, so a parser that builds the
+        // whole tree fails this test rather than aborting the binary.
+        let src = kernel(20_000);
+        let parse = {
+            let src = src.clone();
+            std::thread::Builder::new()
+                .stack_size(64 << 20)
+                .spawn(move || parse_str("t.fv", &src).err())
+                .expect("spawns")
+        };
+        let err = parse.join().expect("parses").expect("a diagnostic");
+        assert!(err.message.contains("nested too deeply"), "{}", err.message);
+        assert_eq!(&src[err.span.offset..err.span.offset + err.span.len], "+");
+        assert!(
+            err.span.col < 1000,
+            "refused late, at column {}",
+            err.span.col
+        );
+        // Chains within the limit still parse, and so does every
+        // operator level mixed in one expression.
+        parse_str("t.fv", &kernel(32)).expect("a 32-term chain parses");
+        let mixed = "kernel t;\nvar i = 0;\nvar x = 0;\nfor (i = 0; i < 1; i++) {\n  \
+                     x = (i | 1 ^ 2 & 3 == i < 4 << 1 + 2 * -i % 3) + max(i, !i);\n}\n";
+        parse_str("t.fv", mixed).expect("a mixed expression parses");
     }
 
     #[test]

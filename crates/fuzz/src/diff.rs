@@ -1,12 +1,14 @@
 //! The differential check: one case, every execution path.
 //!
-//! The scalar interpreter is the oracle. Each speculation mode that the
+//! The scalar interpreter is the oracle, run once per case through
+//! [`flexvec_vm::Kernel::run_scalar`]. Each speculation mode that the
 //! vectorizer accepts runs under the tree-walking engine, the compiled
 //! engine, and — on hosts with the x86-64 back end — the native JIT
 //! tier, at **every supported vector length** (8, 16, 32, 64), and
-//! every observable — live-out scalars, the induction exit value, the
-//! break flag, the iteration count, and final memory — must equal the
-//! oracle's. At each width the engines must additionally be
+//! [`flexvec_vm::Kernel::compare`] checks every observable — live-out
+//! scalars, the induction exit value, the break flag, the iteration
+//! count, and final memory — against the oracle's; its mismatch text is
+//! the divergence detail. At each width the engines must additionally be
 //! bit-identical to each other (statistics and full µop traces). A
 //! width above the program's analysis-proven ceiling (`VProg::max_vl`)
 //! must be a clean [`flexvec_vm::ExecError::UnsupportedWidth`] refusal
@@ -20,10 +22,8 @@ use std::sync::Arc;
 use flexvec::{vectorize, SpecRequest, VProg};
 use flexvec_front::{parse_str, to_fv_kernel, CompileCache};
 use flexvec_isa::{with_vlen, SUPPORTED_VLENS};
-use flexvec_mem::{AddressSpace, ArrayId};
 use flexvec_vm::{
-    native_supported, run_scalar, run_vector_precompiled, run_vector_with_engine, Bindings,
-    CountingSink, Engine, ExecError, RunResult, Uop, VecSink, VectorStats,
+    native_supported, CountingSink, Engine, ExecError, Execution, Kernel, Uop, VecSink, VectorCode,
 };
 
 use crate::explicit_inputs;
@@ -77,60 +77,28 @@ fn diverged<T>(config: &str, detail: String) -> Result<T, Divergence> {
     })
 }
 
-fn bind(case: &FuzzCase, mem: &mut AddressSpace) -> Vec<ArrayId> {
-    case.arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem.alloc_from(&format!("a{i}"), d))
-        .collect()
+/// The case as a checked kernel: one invocation on its arrays.
+fn kernel(case: &FuzzCase) -> Kernel<'_> {
+    Kernel::new(&case.program, &case.arrays, 1)
 }
 
-struct Oracle {
-    result: RunResult,
-    memory: Vec<Vec<i64>>,
-}
-
+/// One engine's run: what it left behind and its full µop trace.
 struct VectorRun {
-    result: RunResult,
-    stats: VectorStats,
-    memory: Vec<Vec<i64>>,
+    execution: Execution,
     uops: Vec<Uop>,
 }
 
-fn run_oracle(case: &FuzzCase) -> Result<Oracle, Divergence> {
-    let mut mem = AddressSpace::new();
-    let ids = bind(case, &mut mem);
-    let mut sink = CountingSink::default();
-    match run_scalar(
-        &case.program,
-        &mut mem,
-        Bindings::new(ids.clone()),
-        &mut sink,
-    ) {
-        Ok(result) => Ok(Oracle {
-            result,
-            memory: ids.iter().map(|id| mem.snapshot_array(*id)).collect(),
-        }),
-        Err(e) => diverged("scalar", format!("scalar reference failed: {e:?}")),
-    }
+fn run_oracle(case: &FuzzCase) -> Result<Execution, Divergence> {
+    kernel(case)
+        .run_scalar(&mut CountingSink::default(), None)
+        .or_else(|e| diverged("scalar", format!("scalar reference failed: {e:?}")))
 }
 
-fn run_engine(case: &FuzzCase, vprog: &VProg, engine: Engine) -> Result<VectorRun, ExecError> {
-    let mut mem = AddressSpace::new();
-    let ids = bind(case, &mut mem);
+fn run_engine(case: &FuzzCase, code: &VectorCode<'_>) -> Result<VectorRun, ExecError> {
     let mut sink = VecSink::default();
-    let (result, stats) = run_vector_with_engine(
-        &case.program,
-        vprog,
-        &mut mem,
-        Bindings::new(ids.clone()),
-        &mut sink,
-        engine,
-    )?;
+    let execution = kernel(case).run_vector(code, &mut sink, None)?;
     Ok(VectorRun {
-        result,
-        stats,
-        memory: ids.iter().map(|id| mem.snapshot_array(*id)).collect(),
+        execution,
         uops: sink.uops,
     })
 }
@@ -138,72 +106,20 @@ fn run_engine(case: &FuzzCase, vprog: &VProg, engine: Engine) -> Result<VectorRu
 fn compare_to_oracle(
     case: &FuzzCase,
     config: &str,
-    oracle: &Oracle,
-    result: &RunResult,
-    memory: &[Vec<i64>],
+    oracle: &Execution,
+    run: &Execution,
 ) -> Result<(), Divergence> {
-    let p = &case.program;
-    for v in &p.live_out {
-        let (want, got) = (oracle.result.var(*v), result.var(*v));
-        if want != got {
-            return diverged(
-                config,
-                format!("live-out `{}`: expected {want}, got {got}", p.var_name(*v)),
-            );
-        }
-    }
-    let ind = p.loop_.induction;
-    if oracle.result.var(ind) != result.var(ind) {
-        return diverged(
-            config,
-            format!(
-                "induction `{}` exit value: expected {}, got {}",
-                p.var_name(ind),
-                oracle.result.var(ind),
-                result.var(ind)
-            ),
-        );
-    }
-    if oracle.result.broke != result.broke {
-        return diverged(
-            config,
-            format!(
-                "break flag: expected {}, got {}",
-                oracle.result.broke, result.broke
-            ),
-        );
-    }
-    if oracle.result.iterations != result.iterations {
-        return diverged(
-            config,
-            format!(
-                "iteration count: expected {}, got {}",
-                oracle.result.iterations, result.iterations
-            ),
-        );
-    }
-    for (a, (want, got)) in oracle.memory.iter().zip(memory).enumerate() {
-        if let Some(idx) = (0..want.len()).find(|&i| want[i] != got[i]) {
-            return diverged(
-                config,
-                format!(
-                    "memory `{}`[{idx}]: expected {}, got {}",
-                    p.arrays[a].name, want[idx], got[idx]
-                ),
-            );
-        }
-    }
-    Ok(())
+    kernel(case)
+        .compare(oracle, run)
+        .or_else(|m| diverged(config, m.to_string()))
 }
 
 fn compare_engines(config: &str, tree: &VectorRun, other: &VectorRun) -> Result<(), Divergence> {
-    if tree.stats != other.stats {
+    let (tree_stats, other_stats) = (&tree.execution.stats, &other.execution.stats);
+    if tree_stats != other_stats {
         return diverged(
             config,
-            format!(
-                "engine statistics differ: tree {:?}, other {:?}",
-                tree.stats, other.stats
-            ),
+            format!("engine statistics differ: tree {tree_stats:?}, other {other_stats:?}"),
         );
     }
     if tree.uops != other.uops {
@@ -240,7 +156,7 @@ fn engine_matrix() -> Vec<(&'static str, Engine)> {
 fn check_front_end(
     case: &FuzzCase,
     cache: &CompileCache,
-    oracle: &Oracle,
+    oracle: &Execution,
 ) -> Result<u64, Divergence> {
     // Print → reparse: the canonical text must reproduce the exact AST
     // and the exact input data.
@@ -284,47 +200,24 @@ fn check_front_end(
     // The front-end paths run at the ambient width (e.g. `flexvecc
     // fuzz --vl 32`). Past this kernel's proven ceiling the cached
     // plan must refuse cleanly, exactly like the engine matrix.
-    if flexvec_isa::vlen() > plan.vectorized.vprog.max_vl {
-        let mut mem = AddressSpace::new();
-        let ids = bind(case, &mut mem);
-        let mut sink = VecSink::default();
-        return match run_vector_precompiled(
-            &case.program,
-            &plan.vectorized.vprog,
-            &plan.compiled,
-            &mut mem,
-            Bindings::new(ids),
-            &mut sink,
-        ) {
-            Err(ExecError::UnsupportedWidth { .. }) => Ok(0),
-            Ok(_) => diverged(
-                "front/cache",
-                format!(
-                    "cached plan executed at vl {} past the ceiling {} instead of refusing",
-                    flexvec_isa::vlen(),
-                    plan.vectorized.vprog.max_vl
-                ),
+    let code = VectorCode::precompiled(&plan.vectorized.vprog, &plan.compiled, Engine::Compiled);
+    let over_ceiling = flexvec_isa::vlen() > plan.vectorized.vprog.max_vl;
+    match kernel(case).run_vector(&code, &mut CountingSink::default(), None) {
+        Err(ExecError::UnsupportedWidth { .. }) if over_ceiling => Ok(0),
+        Ok(_) if over_ceiling => diverged(
+            "front/cache",
+            format!(
+                "cached plan executed at vl {} past the ceiling {} instead of refusing",
+                flexvec_isa::vlen(),
+                plan.vectorized.vprog.max_vl
             ),
-            Err(e) => diverged(
-                "front/cache",
-                format!("expected a clean UnsupportedWidth refusal past the ceiling, got {e:?}"),
-            ),
-        };
-    }
-    let mut mem = AddressSpace::new();
-    let ids = bind(case, &mut mem);
-    let mut sink = CountingSink::default();
-    match run_vector_precompiled(
-        &case.program,
-        &plan.vectorized.vprog,
-        &plan.compiled,
-        &mut mem,
-        Bindings::new(ids.clone()),
-        &mut sink,
-    ) {
-        Ok((result, _)) => {
-            let memory: Vec<Vec<i64>> = ids.iter().map(|id| mem.snapshot_array(*id)).collect();
-            compare_to_oracle(case, "front/cache", oracle, &result, &memory)?;
+        ),
+        Err(e) if over_ceiling => diverged(
+            "front/cache",
+            format!("expected a clean UnsupportedWidth refusal past the ceiling, got {e:?}"),
+        ),
+        Ok(run) => {
+            compare_to_oracle(case, "front/cache", oracle, &run)?;
             Ok(1)
         }
         Err(e) => diverged(
@@ -342,51 +235,40 @@ fn check_front_end(
 /// `UnsupportedWidth` — execution or any other error is a divergence.
 fn check_at_width(
     case: &FuzzCase,
-    oracle: &Oracle,
+    oracle: &Execution,
     spec_name: &str,
     vl: usize,
     vprog: &VProg,
     stats: &mut CheckStats,
 ) -> Result<(), Divergence> {
     let engines = engine_matrix();
-
-    if vl > vprog.max_vl {
-        for (engine_name, engine) in &engines {
-            let config = format!("{spec_name}/vl{vl}/{engine_name}");
-            match run_engine(case, vprog, *engine) {
-                Ok(_) => {
-                    return diverged(
-                        &config,
-                        format!(
-                            "executed at vl {vl} past the kernel's width ceiling {} \
-                             instead of refusing",
-                            vprog.max_vl
-                        ),
-                    )
-                }
-                Err(ExecError::UnsupportedWidth { .. }) => {}
-                Err(e) => {
-                    return diverged(
-                        &config,
-                        format!(
-                            "expected a clean UnsupportedWidth refusal at vl {vl} \
-                             (ceiling {}), got {e:?}",
-                            vprog.max_vl
-                        ),
-                    )
-                }
-            }
-        }
-        stats.rejected_widths += 1;
-        return Ok(());
-    }
-
+    let ceiling = vprog.max_vl;
+    let over_ceiling = vl > ceiling;
     let mut runs: Vec<VectorRun> = Vec::with_capacity(engines.len());
     for (engine_name, engine) in &engines {
         let config = format!("{spec_name}/vl{vl}/{engine_name}");
-        match run_engine(case, vprog, *engine) {
+        match run_engine(case, &VectorCode::new(vprog, *engine)) {
+            Err(ExecError::UnsupportedWidth { .. }) if over_ceiling => {}
+            Ok(_) if over_ceiling => {
+                return diverged(
+                    &config,
+                    format!(
+                        "executed at vl {vl} past the kernel's width ceiling {ceiling} \
+                         instead of refusing"
+                    ),
+                )
+            }
+            Err(e) if over_ceiling => {
+                return diverged(
+                    &config,
+                    format!(
+                        "expected a clean UnsupportedWidth refusal at vl {vl} \
+                         (ceiling {ceiling}), got {e:?}"
+                    ),
+                )
+            }
             Ok(run) => {
-                compare_to_oracle(case, &config, oracle, &run.result, &run.memory)?;
+                compare_to_oracle(case, &config, oracle, &run.execution)?;
                 stats.vector_runs += 1;
                 runs.push(run);
             }
@@ -397,6 +279,9 @@ fn check_at_width(
                 )
             }
         }
+    }
+    if over_ceiling {
+        stats.rejected_widths += 1;
     }
     for (i, run) in runs.iter().enumerate().skip(1) {
         compare_engines(

@@ -11,9 +11,8 @@
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder};
-use flexvec_mem::AddressSpace;
 use flexvec_profiler::ThroughputReport;
-use flexvec_vm::{run_vector_with_engine, Bindings, Engine, VecSink, VectorStats};
+use flexvec_vm::{CountingSink, Engine, Kernel, VectorCode, VectorStats};
 use std::time::Duration;
 
 const ENGINES: [Engine; 3] = [Engine::TreeWalking, Engine::Compiled, Engine::Native];
@@ -81,48 +80,37 @@ fn conflict_program() -> (Program, Vec<Vec<i64>>) {
     (program, vec![vec![5i64; 64], vec![0i64; 64]])
 }
 
+/// Runs the program on every engine, each run checked against the
+/// scalar loop (live-outs, induction exit, break flag, iteration count,
+/// memory); returns each engine's stats and report.
 fn run_all_engines(
     program: &Program,
     arrays: &[Vec<i64>],
     spec: SpecRequest,
-) -> Vec<(i64, Vec<Vec<i64>>, VectorStats, ThroughputReport)> {
+) -> Vec<(VectorStats, ThroughputReport)> {
     let vectorized = vectorize(program, spec).expect("vectorizes");
+    let kernel = Kernel::new(program, arrays, 1);
     ENGINES
         .iter()
         .map(|&engine| {
-            let mut mem = AddressSpace::new();
-            let ids: Vec<_> = arrays
-                .iter()
-                .enumerate()
-                .map(|(n, d)| mem.alloc_from(&format!("a{n}"), d))
-                .collect();
-            let mut sink = VecSink::default();
-            let (res, stats) = run_vector_with_engine(
-                program,
-                &vectorized.vprog,
-                &mut mem,
-                Bindings::new(ids.clone()),
-                &mut sink,
-                engine,
-            )
-            .expect("vector execution");
+            let mut sinks = (CountingSink::default(), CountingSink::default());
+            let code = VectorCode::new(&vectorized.vprog, engine);
+            let (_, vector) = kernel
+                .check(&code, &mut sinks.0, &mut sinks.1, None)
+                .unwrap_or_else(|e| panic!("{engine:?}: {e}"));
             let mut report =
                 ThroughputReport::new(format!("{engine:?}"), Duration::from_micros(100), 0, 0);
-            report.add_stats(&stats);
-            let snapshots = ids.iter().map(|id| mem.snapshot_array(*id)).collect();
-            (res.var(program.live_out[0]), snapshots, stats, report)
+            report.add_stats(&vector.stats);
+            (vector.stats, report)
         })
         .collect()
 }
 
-/// Asserts that every engine produced the same live-out, memory, raw
-/// stats, and the same report counters and derived rates as the
-/// tree-walking reference.
-fn assert_tiers_agree(runs: &[(i64, Vec<Vec<i64>>, VectorStats, ThroughputReport)]) {
-    let (ref_out, ref_mem, ref_stats, ref_report) = &runs[0];
-    for (engine, (out, mem, stats, report)) in ENGINES.iter().zip(runs).skip(1) {
-        assert_eq!(out, ref_out, "{engine:?}: live-out differs");
-        assert_eq!(mem, ref_mem, "{engine:?}: memory differs");
+/// Asserts that every engine produced the same raw stats, and the same
+/// report counters and derived rates as the tree-walking reference.
+fn assert_tiers_agree(runs: &[(VectorStats, ThroughputReport)]) {
+    let (ref_stats, ref_report) = &runs[0];
+    for (engine, (stats, report)) in ENGINES.iter().zip(runs).skip(1) {
         assert_eq!(stats, ref_stats, "{engine:?}: VectorStats differ");
         assert_eq!(
             (
@@ -164,12 +152,12 @@ fn ff_fallback_counts_agree_across_tiers() {
     let (program, arrays) = wild_gather_program();
     let runs = run_all_engines(&program, &arrays, SpecRequest::Auto);
     assert_tiers_agree(&runs);
-    let stats = &runs[0].2;
+    let stats = &runs[0].0;
     assert_eq!(
         stats.ff_fallbacks, 3,
         "each wild-key chunk must fall back: {stats:?}"
     );
-    let rate = runs[0].3.ff_fallback_rate();
+    let rate = runs[0].1.ff_fallback_rate();
     assert!(
         rate > 0.0 && rate < 1.0,
         "mixed clean/fallback rate: {rate}"
@@ -181,13 +169,13 @@ fn rtm_commit_and_abort_counts_agree_across_tiers() {
     let (program, arrays) = wild_gather_program();
     let runs = run_all_engines(&program, &arrays, SpecRequest::Rtm { tile: 16 });
     assert_tiers_agree(&runs);
-    let stats = &runs[0].2;
+    let stats = &runs[0].0;
     assert_eq!(stats.rtm_commits, 3, "clean tiles must commit: {stats:?}");
     assert_eq!(
         stats.rtm_aborts, 3,
         "each wild-key tile must abort: {stats:?}"
     );
-    let rate = runs[0].3.rtm_abort_rate();
+    let rate = runs[0].1.rtm_abort_rate();
     assert!(rate > 0.0 && rate < 1.0, "mixed commit/abort rate: {rate}");
 }
 
@@ -196,10 +184,10 @@ fn partition_counts_agree_across_tiers() {
     let (program, arrays) = conflict_program();
     let runs = run_all_engines(&program, &arrays, SpecRequest::Auto);
     assert_tiers_agree(&runs);
-    let stats = &runs[0].2;
+    let stats = &runs[0].0;
     assert!(
         stats.max_partitions > 1,
         "all-equal bins must serialize the window: {stats:?}"
     );
-    assert!(runs[0].3.partitions_per_chunk() > 1.0);
+    assert!(runs[0].1.partitions_per_chunk() > 1.0);
 }

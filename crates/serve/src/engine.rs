@@ -14,9 +14,11 @@
 //! Execution follows the **verified-once** discipline, keyed by
 //! variant: [`VariantKey`] `(spec, vl, invocations)`. The first run of
 //! a variant mirrors `flexvecc run` — scalar baseline and vector code,
-//! both on the Table 1 out-of-order model, verified against each other
-//! element-for-element — and stores both simulated cycle counts in the
-//! kernel's profile. Every later run of the variant executes on a
+//! both on the Table 1 out-of-order model, run by [`Kernel`] and
+//! compared with [`Kernel::compare`] on every live-out, the induction
+//! exit value, the break flag, the iteration count and every array
+//! element — and stores both simulated cycle counts in the kernel's
+//! profile. Every later run of the variant executes on a
 //! [`CountingSink`], vector-only (the scalar program for a scalar-only
 //! plan), and reports the stored cycles: every request materializes the
 //! same seeded arrays, so there is nothing new to simulate or compare.
@@ -25,9 +27,10 @@
 //! entry. Requests that pin `spec` explicitly share the memo and its
 //! audits — the pin bypasses the *choice*, not verification — so a
 //! fixed-spec daemon and an autotuned one are comparable like-for-like.
-//! Every run goes through the
-//! *cancellable* executor entry points so a request deadline or a
-//! daemon drain stops the VPL loop at the next chunk boundary.
+//! The daemon decides *what* runs (memo, audits, tier, choice);
+//! [`Kernel`] runs it, polling the request's [`CancelToken`] so a
+//! deadline or a daemon drain stops the VPL loop at the next chunk
+//! boundary.
 //!
 //! Implicit-spec requests run the speculation [`crate::autotune`]
 //! chooses per kernel hash and `(vl, invocations)`: the candidate
@@ -44,13 +47,11 @@ use std::time::{Duration, Instant};
 use flexvec::{program_hash, ShardedCache, SpecRequest, VectorizeError};
 use flexvec_front::{parse_str, CompileCache, CompiledKernel, ParsedKernel};
 use flexvec_ir::Program;
-use flexvec_mem::AddressSpace;
 use flexvec_profiler::{throughput_samples, vector_stat_samples, StatSample, ThroughputReport};
 use flexvec_sim::{OooSim, SimConfig};
 use flexvec_vm::{
-    native_supported, run_scalar_cancellable, run_vector_precompiled_cancellable,
-    run_vector_with_engine_cancellable, Bindings, CancelToken, CompiledVProg, CountingSink, Engine,
-    TraceSink, VectorStats,
+    native_supported, CancelToken, CheckError, CompiledVProg, CountingSink, Engine, ExecError,
+    Kernel, TraceSink, VectorCode, VectorStats,
 };
 
 use crate::autotune::{KernelProfile, Pick, VariantCycles, VariantKey, LADDER};
@@ -532,9 +533,9 @@ impl ServeEngine {
     }
 
     /// Executes the kernel `req.invocations` times under the effective
-    /// `spec`: on the cycle model with the scalar baseline and
-    /// verification when the variant verifies (its first run, or an
-    /// audit), on a [`CountingSink`] with the stored cycles otherwise.
+    /// `spec`: on the cycle model with the scalar baseline and the
+    /// checked comparison when the variant verifies (its first run, or
+    /// an audit), on a [`CountingSink`] with the stored cycles otherwise.
     fn execute(
         &self,
         kernel: &ParsedKernel,
@@ -546,15 +547,16 @@ impl ServeEngine {
         let program = &kernel.program;
         let arrays = kernel.materialize_arrays();
         let invocations = req.invocations.max(1);
-        let map_exec = |stage: &str, e: flexvec_vm::ExecError| match e {
-            flexvec_vm::ExecError::Cancelled => cancel_error(cancel),
-            flexvec_vm::ExecError::UnsupportedWidth { vl, max_vl } => {
+        let checked = Kernel::new(program, &arrays, invocations);
+        let wire_error = |e: CheckError| match e {
+            CheckError::Scalar(ExecError::Cancelled) | CheckError::Vector(ExecError::Cancelled) => {
+                cancel_error(cancel)
+            }
+            CheckError::Scalar(ExecError::UnsupportedWidth { vl, max_vl })
+            | CheckError::Vector(ExecError::UnsupportedWidth { vl, max_vl }) => {
                 ProtoError::new(ErrorKind::BadRequest, width_error(vl, max_vl))
             }
-            other => ProtoError::new(
-                ErrorKind::ExecError,
-                format!("{stage} execution failed: {other}"),
-            ),
+            other => ProtoError::new(ErrorKind::ExecError, other.to_string()),
         };
 
         // A width the kernel cannot legally run at is a request
@@ -571,15 +573,6 @@ impl ServeEngine {
                 ));
             }
         }
-
-        let bind_arrays = |mem: &mut AddressSpace| -> Bindings {
-            let ids: Vec<_> = arrays
-                .iter()
-                .enumerate()
-                .map(|(i, data)| mem.alloc_from(&format!("{}_{i}", program.name), data))
-                .collect();
-            Bindings::new(ids)
-        };
 
         // Verified-once gate (`KernelProfile::needs_verify` says why it
         // is sound): a variant without stored cycles, or one whose
@@ -604,40 +597,18 @@ impl ServeEngine {
 
         // The scalar program runs when this run verifies, and on every
         // run of a scalar-only plan, where it is the answer.
-        let mut scalar_state = None;
-        if simulate || compiled.plan.is_err() {
-            let mut mem_s = AddressSpace::new();
-            let bind_s = bind_arrays(&mut mem_s);
-            let mut sink = Sink::new(simulate);
-            let mut scalar_final = None;
-            let scalar_start = Instant::now();
-            for _ in 0..invocations {
-                let r = run_scalar_cancellable(
-                    program,
-                    &mut mem_s,
-                    bind_s.clone(),
-                    sink.as_dyn(),
-                    cancel,
-                )
-                .map_err(|e| map_exec("scalar", e))?;
-                scalar_final = Some(r);
-            }
-            scalar_state = Some(ScalarBaseline {
-                wall: scalar_start.elapsed(),
-                cycles: sink.cycles(),
-                uops: sink.as_dyn().len(),
-                run: scalar_final.expect("at least one invocation"),
-                mem: mem_s,
-                bind: bind_s,
-            });
-        }
+        let mut sink_s = Sink::new(simulate);
+        let scalar = (simulate || compiled.plan.is_err())
+            .then(|| checked.run_scalar(sink_s.as_dyn(), cancel))
+            .transpose()
+            .map_err(|e| wire_error(CheckError::Scalar(e)))?;
 
         let Ok(plan) = &compiled.plan else {
-            let base = scalar_state.expect("scalar-only plans always run the scalar program");
+            let scalar = scalar.expect("scalar-only plans always run the scalar program");
             let cycles = match replay {
                 Some(cycles) => cycles,
                 None => {
-                    let scalar = base.cycles.expect("a verifying run simulates");
+                    let scalar = sink_s.cycles().expect("a verifying run simulates");
                     self.settle(
                         hash,
                         key,
@@ -648,11 +619,7 @@ impl ServeEngine {
                     )?
                 }
             };
-            let live_outs = program
-                .live_out
-                .iter()
-                .map(|v| (program.var_name(*v).to_owned(), base.run.var(*v)))
-                .collect();
+            self.count_run(simulate);
             return Ok(ExecOutcome {
                 kind: "scalar-only",
                 // The scalar run is the answer: nothing to verify.
@@ -662,139 +629,51 @@ impl ServeEngine {
                 stats: VectorStats::default(),
                 // The wall is the scalar loop's: the latency the request
                 // actually paid.
-                throughput: ThroughputReport::new("scalar", base.wall, 0, base.uops),
-                live_outs,
+                throughput: ThroughputReport::new("scalar", scalar.wall, 0, sink_s.as_dyn().len()),
+                live_outs: scalar.live_outs(program),
             });
         };
 
         // Vector execution on a fresh memory image, on the tier the
         // policy (or an explicit request engine) picked.
-        let (engine, promoted) = self.resolve_engine(compiled.program_hash, req);
-        let native = (engine == Engine::Native)
-            .then(|| self.native_plan(compiled.program_hash, spec, &plan.compiled));
+        let (engine, promoted) = self.resolve_engine(hash, req);
+        let native =
+            (engine == Engine::Native).then(|| self.native_plan(hash, spec, &plan.compiled));
         self.record_tier(engine, promoted);
-        let mut mem_v = AddressSpace::new();
-        let bind_v = bind_arrays(&mut mem_v);
+        let code = VectorCode::precompiled(
+            &plan.vectorized.vprog,
+            native.as_ref().unwrap_or(&plan.compiled),
+            engine,
+        );
         let mut sink_v = Sink::new(simulate);
-        let mut scratch = match &native {
-            Some(c) => c.scratch(),
-            None => plan.compiled.scratch(),
-        };
-        let mut vector_final = None;
-        let mut last_stats = VectorStats::default();
-        let mut agg_stats = VectorStats::default();
-        let label = match engine {
-            Engine::TreeWalking => "tree-walking",
-            Engine::Compiled => "compiled",
-            Engine::Native => "native",
-        };
-        let mut throughput = ThroughputReport::new(label, Duration::ZERO, 0, 0);
-        let wall_start = Instant::now();
-        for _ in 0..invocations {
-            let step = match engine {
-                Engine::Compiled | Engine::Native => run_vector_precompiled_cancellable(
-                    program,
-                    &plan.vectorized.vprog,
-                    native.as_ref().unwrap_or(&plan.compiled),
-                    &mut scratch,
-                    &mut mem_v,
-                    bind_v.clone(),
-                    sink_v.as_dyn(),
-                    cancel,
-                ),
-                Engine::TreeWalking => run_vector_with_engine_cancellable(
-                    program,
-                    &plan.vectorized.vprog,
-                    &mut mem_v,
-                    bind_v.clone(),
-                    sink_v.as_dyn(),
-                    Engine::TreeWalking,
-                    cancel,
-                ),
-            };
-            let (r, s) = step.map_err(|e| map_exec("vector", e))?;
-            throughput.add_stats(&s);
-            agg_stats.chunks += s.chunks;
-            agg_stats.vpl_iterations += s.vpl_iterations;
-            agg_stats.ff_fallbacks += s.ff_fallbacks;
-            agg_stats.rtm_commits += s.rtm_commits;
-            agg_stats.rtm_aborts += s.rtm_aborts;
-            vector_final = Some(r);
-            last_stats = s;
-        }
-        throughput.wall = wall_start.elapsed();
-        throughput.uops = sink_v.as_dyn().len();
-        let vector_run = vector_final.expect("at least one invocation");
+        let vector = checked
+            .run_vector(&code, sink_v.as_dyn(), cancel)
+            .map_err(|e| wire_error(CheckError::Vector(e)))?;
+        let mut throughput =
+            ThroughputReport::new(engine.label(), vector.wall, 0, sink_v.as_dyn().len());
+        throughput.add_stats(&vector.total);
 
-        let (cycles, live_outs) = match replay {
-            None => {
-                let base = scalar_state.expect("a verifying run runs the scalar baseline");
-                // Verification: live-outs and every array element must
-                // agree with the scalar baseline.
-                for v in &program.live_out {
-                    if base.run.var(*v) != vector_run.var(*v) {
-                        return Err(ProtoError::new(
-                            ErrorKind::ExecError,
-                            format!(
-                                "scalar/vector mismatch: live-out {} is {} scalar vs {} vector",
-                                program.var_name(*v),
-                                base.run.var(*v),
-                                vector_run.var(*v)
-                            ),
-                        ));
-                    }
-                }
-                for i in 0..arrays.len() {
-                    let a = base.bind.array(i as u32);
-                    let b = bind_v.array(i as u32);
-                    if base.mem.array_slice(a) != mem_v.array_slice(b) {
-                        return Err(ProtoError::new(
-                            ErrorKind::ExecError,
-                            format!(
-                                "scalar/vector mismatch: array {} differs",
-                                program.array_name(flexvec_ir::ArraySym(i as u32))
-                            ),
-                        ));
-                    }
-                }
+        let (cycles, live_outs) = match scalar {
+            Some(scalar) => {
+                checked
+                    .compare(&scalar, &vector)
+                    .map_err(|m| wire_error(CheckError::Mismatch(m)))?;
                 let fresh = VariantCycles {
-                    scalar: base.cycles.expect("a verifying run simulates"),
+                    scalar: sink_s.cycles().expect("a verifying run simulates"),
                     vector: sink_v.cycles().expect("a verifying run simulates"),
                 };
-                let cycles = self.settle(hash, key, fresh)?;
-                *self
-                    .totals
-                    .lock()
-                    .expect("totals lock")
-                    .entry("autotune_verified")
-                    .or_insert(0) += 1;
-                let live_outs = program
-                    .live_out
-                    .iter()
-                    .map(|v| (program.var_name(*v).to_owned(), base.run.var(*v)))
-                    .collect();
-                (cycles, live_outs)
+                (self.settle(hash, key, fresh)?, scalar.live_outs(program))
             }
-            Some(cycles) => {
-                // Steady state: live-outs come from the vector run (the
-                // verified-identical computation) and the cycles are
-                // the ones stored when the variant verified.
-                *self
-                    .totals
-                    .lock()
-                    .expect("totals lock")
-                    .entry("autotune_vector_only")
-                    .or_insert(0) += 1;
-                let live_outs = program
-                    .live_out
-                    .iter()
-                    .map(|v| (program.var_name(*v).to_owned(), vector_run.var(*v)))
-                    .collect();
-                (cycles, live_outs)
-            }
+            // Steady state: live-outs come from the vector run (the
+            // verified-identical computation) and the cycles are the
+            // ones stored when the variant verified.
+            None => (
+                replay.expect("a run without the scalar baseline replays"),
+                vector.live_outs(program),
+            ),
         };
-
-        self.record_totals(&agg_stats, &throughput);
+        self.count_run(simulate);
+        self.record_totals(&vector.total, &throughput);
         Ok(ExecOutcome {
             kind: match plan.vectorized.kind {
                 flexvec::VectorizedKind::Traditional => "traditional",
@@ -803,10 +682,28 @@ impl ServeEngine {
             verified: simulate,
             scalar_cycles: cycles.scalar,
             vector_cycles: cycles.vector,
-            stats: last_stats,
+            stats: vector.stats,
             throughput,
             live_outs,
         })
+    }
+
+    /// Counts a run that settled: in `autotune_verified` when it
+    /// simulated and verified, in `autotune_vector_only` when it reused
+    /// the variant's stored cycles. Scalar-only plans count the same
+    /// way.
+    fn count_run(&self, verified: bool) {
+        let counter = if verified {
+            "autotune_verified"
+        } else {
+            "autotune_vector_only"
+        };
+        *self
+            .totals
+            .lock()
+            .expect("totals lock")
+            .entry(counter)
+            .or_insert(0) += 1;
     }
 
     /// Stores a verifying run's simulated cycles with its variant. An
@@ -1098,19 +995,6 @@ impl Sink {
             Sink::Count(_) => None,
         }
     }
-}
-
-/// The scalar program's run: final state and measurements of the
-/// loop (the baseline of a verifying run, or a scalar-only plan's
-/// answer).
-struct ScalarBaseline {
-    wall: Duration,
-    /// Simulated cycles, when the run fed the cycle model.
-    cycles: Option<u64>,
-    uops: u64,
-    run: flexvec_vm::RunResult,
-    mem: AddressSpace,
-    bind: Bindings,
 }
 
 /// Measured outcome of one executed request.
@@ -1485,8 +1369,10 @@ for (i = 0; i < 2048; i++) {
 
         let stats = engine.stats_fields();
         assert_eq!(stat_u64(&stats, "autotune_respecialize_total"), 1);
-        // The scalar-only `Auto` run is an answer, not a verification.
-        assert_eq!(stat_u64(&stats, "autotune_verified_total"), 4);
+        // Five candidates verified, the scalar-only `Auto` among them;
+        // three runs reused the chosen candidate's stored cycles.
+        assert_eq!(stat_u64(&stats, "autotune_verified_total"), 5);
+        assert_eq!(stat_u64(&stats, "autotune_vector_only_total"), 3);
         assert_eq!(
             kernel_state(&stats, &hash)
                 .get("kernel")
@@ -1546,6 +1432,13 @@ for (i = 0; i < 2048; i++) {
         assert!(
             matches!(field(&stats, "autotune_kernels"), Json::Obj(m) if m.is_empty()),
             "explicit requests open no choice"
+        );
+        // The scalar-only variant verified once; every later run
+        // reused its stored cycles.
+        assert_eq!(stat_u64(&stats, "autotune_verified_total"), 1);
+        assert_eq!(
+            stat_u64(&stats, "autotune_vector_only_total"),
+            2 * LADDER.len() as u64 - 1
         );
 
         // Pinning an RTM tile is honored verbatim and shares the memo:
@@ -1679,7 +1572,7 @@ for (i = 16; i < 256; i++) {
                 run(vl, invocations);
             }
         }
-        assert_eq!(verified(), ((LADDER.len() - 1) * pairs.len()) as u64);
+        assert_eq!(verified(), (LADDER.len() * pairs.len()) as u64);
         for (vl, invocations) in pairs {
             assert_eq!(run(vl, invocations).0, "rtm:1024");
         }

@@ -294,6 +294,10 @@ fn spawn_reactor(listener: TcpListener, shared: &Arc<Shared>) -> std::io::Result
         .map_err(std::io::Error::other)
 }
 
+/// The thread-per-connection acceptor. Each accepted connection
+/// first joins the connection threads that have finished, so the list
+/// holds only live connections. A connection whose thread cannot be
+/// spawned is closed, and accepting goes on.
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
@@ -303,12 +307,24 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 shared.metrics.connections_total.inc();
+                let mut conns = conn_threads.lock().expect("conn list");
+                let mut i = 0;
+                while i < conns.len() {
+                    if conns[i].is_finished() {
+                        let _ = conns.swap_remove(i).join();
+                    } else {
+                        i += 1;
+                    }
+                }
                 let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("serve-conn".to_owned())
-                    .spawn(move || connection_loop(stream, &shared))
-                    .expect("spawn connection");
-                conn_threads.lock().expect("conn list").push(handle);
+                    .spawn(move || connection_loop(stream, &shared));
+                // On failure the closure, and the stream with it, is
+                // dropped: the peer sees the connection close.
+                if let Ok(handle) = spawned {
+                    conns.push(handle);
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL);
@@ -625,4 +641,34 @@ pub fn startup_line(handle: &ServerHandle, config: &ServerConfig) -> String {
             config.cache_capacity.to_string()
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn connection_threads_are_joined_as_new_connections_arrive() {
+        let handle = start(ServerConfig {
+            workers: 1,
+            accept_mode: AcceptMode::Threads,
+            ..ServerConfig::default()
+        })
+        .expect("daemon starts");
+        let addr = handle.addr.to_string();
+        let stats = Json::obj([("op", Json::from("stats"))]);
+        // One connection at a time: each is answered and closed before
+        // the next opens.
+        for _ in 0..100 {
+            let mut client = Client::connect(&addr).expect("connects");
+            client.request(&stats).expect("stats answers");
+        }
+        let held = handle.conn_threads.lock().expect("conn list").len();
+        assert!(
+            held <= 5,
+            "{held} connection handles held after 100 connections"
+        );
+        handle.shutdown();
+    }
 }

@@ -1198,10 +1198,8 @@ mod tests {
     use flexvec::{vectorize, SpecRequest};
     use flexvec_ir::build::*;
     use flexvec_ir::ProgramBuilder;
-    use flexvec_mem::AddressSpace;
 
-    use crate::vector::{run_vector_with_engine, Engine};
-    use crate::{Bindings, VecSink};
+    use crate::{Engine, Kernel, VecSink, VectorCode};
 
     #[test]
     fn flattens_nested_vpls_with_resolved_backedges() {
@@ -1260,38 +1258,18 @@ mod tests {
                 )],
             )
             .unwrap();
-        let vectorized = vectorize(&p, SpecRequest::Auto).unwrap();
-        let data: Vec<i64> = (0..50).map(|x| (x * 7) % 13).collect();
-
-        let mut mem_t = AddressSpace::new();
-        let a_t = mem_t.alloc_from("a", &data);
-        let mut sink_t = VecSink::default();
-        let (res_t, stats_t) = run_vector_with_engine(
-            &p,
-            &vectorized.vprog,
-            &mut mem_t,
-            Bindings::new(vec![a_t]),
-            &mut sink_t,
-            Engine::TreeWalking,
-        )
-        .unwrap();
-
-        let mut mem_c = AddressSpace::new();
-        let a_c = mem_c.alloc_from("a", &data);
-        let mut sink_c = VecSink::default();
-        let (res_c, stats_c) = run_vector_with_engine(
-            &p,
-            &vectorized.vprog,
-            &mut mem_c,
-            Bindings::new(vec![a_c]),
-            &mut sink_c,
-            Engine::Compiled,
-        )
-        .unwrap();
-
-        assert_eq!(res_t, res_c);
-        assert_eq!(stats_t, stats_c);
+        let vprog = vectorize(&p, SpecRequest::Auto).unwrap().vprog;
+        let data = [(0..50).map(|x| (x * 7) % 13).collect()];
+        let kernel = Kernel::new(&p, &data, 1);
+        let run = |engine| {
+            let mut sink = VecSink::default();
+            let code = VectorCode::new(&vprog, engine);
+            (kernel.run_vector(&code, &mut sink, None).unwrap(), sink)
+        };
+        let (tree, sink_t) = run(Engine::TreeWalking);
+        let (compiled, sink_c) = run(Engine::Compiled);
+        assert_eq!(kernel.compare(&tree, &compiled), Ok(()));
+        assert_eq!(tree.stats, compiled.stats);
         assert_eq!(sink_t.uops, sink_c.uops);
-        assert_eq!(mem_t.snapshot_array(a_t), mem_c.snapshot_array(a_c));
     }
 }

@@ -9,12 +9,16 @@
 //!   vector iteration, Vector Partitioning Loop execution, first-faulting
 //!   fallback to scalar code, and the strip-mined RTM transaction runtime;
 //! * [`Uop`] traces ([`TraceSink`]) consumed by the `flexvec-sim` timing
-//!   model.
+//!   model;
+//! * [`Kernel`] — checked execution: runs the scalar program and a
+//!   [`VectorCode`] on the same inputs and compares them.
 //!
-//! The central correctness property — checked extensively in this crate's
-//! tests and the workspace integration tests — is that for every loop the
-//! scalar and vector executions agree on final memory and live-out
-//! scalars.
+//! The central correctness property is that for every loop the scalar
+//! and vector executions agree on the live-out scalars, the induction
+//! variable's exit value, the break flag, the iteration count and
+//! every array element. [`Kernel::check`] is the one place that
+//! compares them; the evaluation harness, `flexvecc`, the serving
+//! daemon, the fuzzer and the equivalence tests all go through it.
 
 // `deny` rather than `forbid`: the crate is unsafe-free except for the
 // `jit` module, which needs `unsafe` for the executable-page syscalls
@@ -24,6 +28,7 @@
 #![warn(missing_docs)]
 
 mod cancel;
+mod checked;
 mod compiled;
 #[allow(unsafe_code)]
 mod jit;
@@ -32,14 +37,11 @@ mod trace;
 mod vector;
 
 pub use cancel::{CancelToken, SCALAR_CANCEL_STRIDE};
+pub use checked::{CheckError, Execution, Kernel, Mismatch, VectorCode};
 pub use compiled::{CompiledVProg, ExecScratch};
 pub use jit::native_supported;
-pub use scalar::{
-    run_scalar, run_scalar_cancellable, Bindings, ExecError, RunResult, ScalarMachine, StepOutcome,
-};
+pub use scalar::{run_scalar, Bindings, ExecError, RunResult, ScalarMachine, StepOutcome};
 pub use trace::{CountingSink, Tok, TraceSink, Uop, UopClass, VecSink, TEMP_BASE};
 pub use vector::{
-    run_all_or_nothing_with_engine, run_vector, run_vector_all_or_nothing, run_vector_precompiled,
-    run_vector_precompiled_cancellable, run_vector_precompiled_with_scratch,
-    run_vector_with_engine, run_vector_with_engine_cancellable, Engine, VectorStats,
+    run_vector, run_vector_precompiled_with_scratch, run_vector_with_engine, Engine, VectorStats,
 };

@@ -389,7 +389,7 @@ pub fn run_scalar(
 ///
 /// As [`run_scalar`], plus [`ExecError::Cancelled`] when the token
 /// fires mid-run.
-pub fn run_scalar_cancellable(
+pub(crate) fn run_scalar_cancellable(
     program: &Program,
     mem: &mut AddressSpace,
     bindings: Bindings,

@@ -585,7 +585,7 @@ pub(crate) fn reduce_identity(op: BinOp) -> i64 {
 
 /// The chunk-body executor a driver runs: either the `VNode` tree walker
 /// or the flat bytecode engine.
-enum EngineBody<'a> {
+pub(crate) enum EngineBody<'a> {
     Tree(&'a VProg),
     Compiled(&'a CompiledVProg, &'a mut ExecScratch),
 }
@@ -600,6 +600,18 @@ impl EngineBody<'_> {
         match self {
             EngineBody::Tree(vprog) => exec.run_nodes(&vprog.body, mem, sink),
             EngineBody::Compiled(compiled, st) => compiled.run_chunk(st, exec, mem, sink),
+        }
+    }
+}
+
+impl Engine {
+    /// The engine's name in reports and replies: `tree-walking`,
+    /// `compiled` or `native`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Engine::TreeWalking => "tree-walking",
+            Engine::Compiled => "compiled",
+            Engine::Native => "native",
         }
     }
 }
@@ -621,7 +633,8 @@ pub fn run_vector(
     run_vector_with_engine(program, vprog, mem, bindings, sink, Engine::default())
 }
 
-/// Runs a vectorized loop with an explicit [`Engine`].
+/// Runs a vectorized loop with an explicit [`Engine`], flattening it
+/// first for the compiled and native engines.
 ///
 /// # Errors
 ///
@@ -634,83 +647,15 @@ pub fn run_vector_with_engine(
     sink: &mut dyn TraceSink,
     engine: Engine,
 ) -> Result<(RunResult, VectorStats), ExecError> {
-    run_vector_with_engine_cancellable(program, vprog, mem, bindings, sink, engine, None)
+    let code = crate::VectorCode::new(vprog, engine);
+    code.run_once(program, mem, bindings, sink, &mut code.scratch(), None)
 }
 
-/// [`run_vector_with_engine`] with a cooperative
-/// [`CancelToken`](crate::CancelToken), polled at every chunk (and RTM
-/// tile) boundary.
-///
-/// # Errors
-///
-/// As [`run_vector`], plus [`ExecError::Cancelled`] when the token
-/// fires mid-run. A cancelled run makes no guarantee about partial
-/// memory effects — callers must discard the address space.
-pub fn run_vector_with_engine_cancellable(
-    program: &Program,
-    vprog: &VProg,
-    mem: &mut AddressSpace,
-    bindings: Bindings,
-    sink: &mut dyn TraceSink,
-    engine: Engine,
-    cancel: Option<&crate::CancelToken>,
-) -> Result<(RunResult, VectorStats), ExecError> {
-    match engine {
-        Engine::TreeWalking => run_with_body(
-            program,
-            vprog,
-            mem,
-            bindings,
-            sink,
-            &mut EngineBody::Tree(vprog),
-            cancel,
-        ),
-        Engine::Compiled | Engine::Native => {
-            let mut compiled = CompiledVProg::compile(vprog);
-            if engine == Engine::Native {
-                // Falls back to pure bytecode when unsupported.
-                compiled.enable_native();
-            }
-            let mut scratch = compiled.scratch();
-            run_vector_precompiled_cancellable(
-                program,
-                vprog,
-                &compiled,
-                &mut scratch,
-                mem,
-                bindings,
-                sink,
-                cancel,
-            )
-        }
-    }
-}
-
-/// Runs a vectorized loop through an already-compiled program, so callers
-/// that execute the same `VProg` many times (the bench driver, the
-/// simulator sweeps, the front end's compile cache) pay the flattening
-/// cost once. The compiled program is read-only and can be shared across
-/// threads; a fresh [`ExecScratch`] is allocated per call — use
-/// [`run_vector_precompiled_with_scratch`] to reuse one across
-/// invocations.
-///
-/// # Errors
-///
-/// As [`run_vector`].
-pub fn run_vector_precompiled(
-    program: &Program,
-    vprog: &VProg,
-    compiled: &CompiledVProg,
-    mem: &mut AddressSpace,
-    bindings: Bindings,
-    sink: &mut dyn TraceSink,
-) -> Result<(RunResult, VectorStats), ExecError> {
-    let mut scratch = compiled.scratch();
-    run_vector_precompiled_with_scratch(program, vprog, compiled, &mut scratch, mem, bindings, sink)
-}
-
-/// [`run_vector_precompiled`] with a caller-provided scratch, so a hot
-/// loop over invocations allocates nothing per run.
+/// Runs a vectorized loop through an already-compiled program with a
+/// caller-provided scratch, so callers that execute the same `VProg`
+/// many times pay the flattening cost once and allocate nothing per
+/// run. The compiled program is read-only and can be shared across
+/// threads, each with its own [`ExecScratch`].
 ///
 /// # Errors
 ///
@@ -724,41 +669,15 @@ pub fn run_vector_precompiled_with_scratch(
     bindings: Bindings,
     sink: &mut dyn TraceSink,
 ) -> Result<(RunResult, VectorStats), ExecError> {
-    run_vector_precompiled_cancellable(program, vprog, compiled, scratch, mem, bindings, sink, None)
+    let mut body = EngineBody::Compiled(compiled, scratch);
+    run_with_body(program, vprog, mem, bindings, sink, &mut body, None)
 }
 
-/// [`run_vector_precompiled_with_scratch`] with a cooperative
-/// [`CancelToken`](crate::CancelToken), polled at every chunk (and RTM
-/// tile) boundary — the serving layer's per-request deadline hook.
-///
-/// # Errors
-///
-/// As [`run_vector`], plus [`ExecError::Cancelled`] when the token
-/// fires mid-run. A cancelled run makes no guarantee about partial
-/// memory effects — callers must discard the address space.
-#[allow(clippy::too_many_arguments)]
-pub fn run_vector_precompiled_cancellable(
-    program: &Program,
-    vprog: &VProg,
-    compiled: &CompiledVProg,
-    scratch: &mut ExecScratch,
-    mem: &mut AddressSpace,
-    bindings: Bindings,
-    sink: &mut dyn TraceSink,
-    cancel: Option<&crate::CancelToken>,
-) -> Result<(RunResult, VectorStats), ExecError> {
-    run_with_body(
-        program,
-        vprog,
-        mem,
-        bindings,
-        sink,
-        &mut EngineBody::Compiled(compiled, scratch),
-        cancel,
-    )
-}
-
-fn run_with_body(
+/// Runs one invocation of a vectorized loop on `body`, polling `cancel`
+/// at every chunk (and RTM tile) boundary; the program's speculation
+/// mode picks the driver. A cancelled run makes no guarantee about
+/// partial memory effects — callers must discard the address space.
+pub(crate) fn run_with_body(
     program: &Program,
     vprog: &VProg,
     mem: &mut AddressSpace,
@@ -775,94 +694,46 @@ fn run_with_body(
     }
 }
 
-/// Runs a vectorized loop in *all-or-nothing* speculation mode: the
-/// chunk executes vector code only when no relaxed dependency fires; any
-/// detected dependency (a second VPL partition or an early exit) rolls
-/// the whole chunk back to scalar execution. This models the
-/// PACT'13-style speculative vectorization the paper compares against in
-/// Section 2 ("if the condition is true for even only one of the lanes,
-/// execution falls back to scalar code").
-///
-/// Only loops whose VPL commits no stores are supported (the rollback
-/// must not double-commit memory); this covers the conditional-update
-/// pattern, which is exactly the domain of that prior technique.
-///
-/// # Errors
-///
-/// Fails with [`ExecError::Internal`] for loops with stores inside the
-/// VPL; otherwise as [`run_vector`].
-pub fn run_vector_all_or_nothing(
+/// [`run_with_body`] in *all-or-nothing* mode: the chunk executes
+/// vector code only when no relaxed dependency fires; any detected
+/// dependency (a second VPL partition or an early exit) rolls the whole
+/// chunk back to scalar execution. This models the PACT'13-style
+/// speculative vectorization the paper compares against in Section 2
+/// ("if the condition is true for even only one of the lanes, execution
+/// falls back to scalar code"). Only loops whose VPL commits no stores
+/// are supported (the rollback must not double-commit memory); this
+/// covers the conditional-update pattern, which is exactly the domain
+/// of that prior technique.
+pub(crate) fn run_all_or_nothing(
     program: &Program,
     vprog: &VProg,
     mem: &mut AddressSpace,
     bindings: Bindings,
     sink: &mut dyn TraceSink,
+    body: &mut EngineBody,
+    cancel: Option<&crate::CancelToken>,
 ) -> Result<(RunResult, VectorStats), ExecError> {
-    run_all_or_nothing_with_engine(program, vprog, mem, bindings, sink, Engine::default())
-}
-
-/// [`run_vector_all_or_nothing`] with an explicit [`Engine`].
-///
-/// # Errors
-///
-/// As [`run_vector_all_or_nothing`].
-pub fn run_all_or_nothing_with_engine(
-    program: &Program,
-    vprog: &VProg,
-    mem: &mut AddressSpace,
-    bindings: Bindings,
-    sink: &mut dyn TraceSink,
-    engine: Engine,
-) -> Result<(RunResult, VectorStats), ExecError> {
-    fn vpl_has_store(nodes: &[VNode]) -> bool {
-        nodes.iter().any(|n| match n {
-            VNode::Vpl { body, .. } => {
-                fn any_store(nodes: &[VNode]) -> bool {
-                    nodes.iter().any(|n| match n {
-                        VNode::Op(VOp::MemWrite { .. }) => true,
-                        VNode::Vpl { body, .. } => any_store(body),
-                        _ => false,
-                    })
-                }
-                any_store(body)
-            }
-            _ => false,
-        })
-    }
     if vpl_has_store(&vprog.body) {
         return Err(ExecError::Internal(
             "all-or-nothing mode cannot roll back stores inside a VPL".to_owned(),
         ));
     }
-    match engine {
-        Engine::TreeWalking => run_ff(
-            program,
-            vprog,
-            mem,
-            bindings,
-            sink,
-            true,
-            &mut EngineBody::Tree(vprog),
-            None,
-        ),
-        Engine::Compiled | Engine::Native => {
-            let mut compiled = CompiledVProg::compile(vprog);
-            if engine == Engine::Native {
-                compiled.enable_native();
-            }
-            let mut scratch = compiled.scratch();
-            run_ff(
-                program,
-                vprog,
-                mem,
-                bindings,
-                sink,
-                true,
-                &mut EngineBody::Compiled(&compiled, &mut scratch),
-                None,
-            )
-        }
+    run_ff(program, vprog, mem, bindings, sink, true, body, cancel)
+}
+
+/// Whether any VPL of the program stores to memory.
+fn vpl_has_store(nodes: &[VNode]) -> bool {
+    fn any_store(nodes: &[VNode]) -> bool {
+        nodes.iter().any(|n| match n {
+            VNode::Op(VOp::MemWrite { .. }) => true,
+            VNode::Vpl { body, .. } => any_store(body),
+            _ => false,
+        })
     }
+    nodes.iter().any(|n| match n {
+        VNode::Vpl { body, .. } => any_store(body),
+        _ => false,
+    })
 }
 
 fn loop_bounds(program: &Program, exec: &VecExec) -> (i64, i64) {

@@ -1,14 +1,17 @@
 //! Directed tests for the all-or-nothing speculative-vectorization
-//! baseline (`run_vector_all_or_nothing`), the Section 2 PACT'13
+//! baseline (`VectorCode::all_or_nothing`), the Section 2 PACT'13
 //! comparator: clean chunks execute as vector code, any detected
 //! dependency rolls the whole chunk back to scalar code, and loops whose
-//! VPL commits stores are rejected up front.
+//! VPL commits stores are rejected up front. Every run is checked
+//! against the scalar loop.
 
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder, VarId};
-use flexvec_mem::AddressSpace;
-use flexvec_vm::{run_scalar, run_vector_all_or_nothing, Bindings, CountingSink, ExecError};
+use flexvec_vm::{
+    CheckError, CountingSink, Engine, ExecError, Kernel, RunResult, TraceSink, VectorCode,
+    VectorStats,
+};
 
 fn cond_min(n: i64) -> Program {
     let mut b = ProgramBuilder::new("cond_min");
@@ -28,35 +31,25 @@ fn cond_min(n: i64) -> Program {
     .unwrap()
 }
 
-fn run_aon(program: &Program, arrays: &[Vec<i64>]) -> (i64, flexvec_vm::VectorStats, i64) {
-    let vectorized = vectorize(program, SpecRequest::Auto).expect("vectorizes");
-
-    let mut mem_s = AddressSpace::new();
-    let ids_s: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem_s.alloc_from(&format!("a{i}"), d))
-        .collect();
+/// Runs `program` on the default engine, in all-or-nothing mode when
+/// `aon` is set and FlexVec mode otherwise, checked against the scalar
+/// loop. Returns the vector run, its stats and its µop count.
+fn run_checked(
+    program: &Program,
+    arrays: &[Vec<i64>],
+    aon: bool,
+) -> Result<(RunResult, VectorStats, u64), CheckError> {
+    let vprog = vectorize(program, SpecRequest::Auto)
+        .expect("vectorizes")
+        .vprog;
+    let mut code = VectorCode::new(&vprog, Engine::default());
+    if aon {
+        code = code.all_or_nothing();
+    }
+    let kernel = Kernel::new(program, arrays, 1);
     let mut sink = CountingSink::default();
-    let scalar = run_scalar(program, &mut mem_s, Bindings::new(ids_s), &mut sink).unwrap();
-
-    let mut mem_v = AddressSpace::new();
-    let ids_v: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem_v.alloc_from(&format!("a{i}"), d))
-        .collect();
-    let mut vsink = CountingSink::default();
-    let (vector, stats) = run_vector_all_or_nothing(
-        program,
-        &vectorized.vprog,
-        &mut mem_v,
-        Bindings::new(ids_v),
-        &mut vsink,
-    )
-    .unwrap();
-    let live = program.live_out[0];
-    (scalar.var(live), stats, vector.var(live))
+    let (_, vector) = kernel.check(&code, &mut CountingSink::default(), &mut sink, None)?;
+    Ok((vector.result, vector.stats, sink.len()))
 }
 
 #[test]
@@ -66,8 +59,7 @@ fn clean_chunks_run_vectorized() {
     let n = 160usize;
     let mut data = vec![900i64; n];
     data[0] = 1;
-    let (s, stats, v) = run_aon(&cond_min(n as i64), &[data]);
-    assert_eq!(s, v);
+    let (_, stats, _) = run_checked(&cond_min(n as i64), &[data], true).unwrap();
     assert_eq!(stats.chunks as usize, n / 16);
     // Only the first chunk (containing the single update) falls back.
     assert_eq!(stats.ff_fallbacks, 1, "{stats:?}");
@@ -82,8 +74,7 @@ fn every_dirty_chunk_falls_back() {
     for chunk in 0..n / 16 {
         data[chunk * 16 + 7] = 1000 - chunk as i64; // strictly improving
     }
-    let (s, stats, v) = run_aon(&cond_min(n as i64), &[data]);
-    assert_eq!(s, v);
+    let (_, stats, _) = run_checked(&cond_min(n as i64), &[data], true).unwrap();
     assert_eq!(stats.ff_fallbacks as usize, n / 16, "{stats:?}");
 }
 
@@ -108,18 +99,7 @@ fn early_exit_rolls_back_to_scalar() {
         .unwrap();
     let mut data = vec![5i64; 96];
     data[40] = -3;
-    let vectorized = vectorize(&p, SpecRequest::Auto).unwrap();
-    let mut mem = AddressSpace::new();
-    let a_id = mem.alloc_from("a", &data);
-    let mut sink = CountingSink::default();
-    let (r, stats) = run_vector_all_or_nothing(
-        &p,
-        &vectorized.vprog,
-        &mut mem,
-        Bindings::new(vec![a_id]),
-        &mut sink,
-    )
-    .unwrap();
+    let (r, stats, _) = run_checked(&p, &[data], true).unwrap();
     assert!(r.broke);
     assert_eq!(r.var(VarId(2)), 40);
     assert_eq!(r.var(VarId(0)), 40);
@@ -147,20 +127,11 @@ fn vpl_stores_are_rejected() {
             ],
         )
         .unwrap();
-    let vectorized = vectorize(&p, SpecRequest::Auto).unwrap();
-    let mut mem = AddressSpace::new();
-    let i0 = mem.alloc_from("idx", &[0i64; 32]);
-    let i1 = mem.alloc_from("acc", &[0i64; 4]);
-    let mut sink = CountingSink::default();
-    let err = run_vector_all_or_nothing(
-        &p,
-        &vectorized.vprog,
-        &mut mem,
-        Bindings::new(vec![i0, i1]),
-        &mut sink,
-    )
-    .unwrap_err();
-    assert!(matches!(err, ExecError::Internal(_)), "{err}");
+    let err = run_checked(&p, &[vec![0; 32], vec![0; 4]], true).unwrap_err();
+    assert!(
+        matches!(err, CheckError::Vector(ExecError::Internal(_))),
+        "{err}"
+    );
 }
 
 #[test]
@@ -173,34 +144,7 @@ fn aon_is_never_faster_than_flexvec_on_dirty_data() {
         data[chunk * 16 + 3] = 5000 - chunk as i64;
     }
     let p = cond_min(n as i64);
-    let vectorized = vectorize(&p, SpecRequest::Auto).unwrap();
-
-    let count_uops = |aon: bool| -> u64 {
-        let mut mem = AddressSpace::new();
-        let a = mem.alloc_from("a", &data);
-        let mut sink = CountingSink::default();
-        if aon {
-            run_vector_all_or_nothing(
-                &p,
-                &vectorized.vprog,
-                &mut mem,
-                Bindings::new(vec![a]),
-                &mut sink,
-            )
-            .unwrap();
-        } else {
-            flexvec_vm::run_vector(
-                &p,
-                &vectorized.vprog,
-                &mut mem,
-                Bindings::new(vec![a]),
-                &mut sink,
-            )
-            .unwrap();
-        }
-        use flexvec_vm::TraceSink;
-        sink.len()
-    };
+    let count_uops = |aon| run_checked(&p, std::slice::from_ref(&data), aon).unwrap().2;
     let aon_uops = count_uops(true);
     let flexvec_uops = count_uops(false);
     assert!(

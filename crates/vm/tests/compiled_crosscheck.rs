@@ -10,8 +10,7 @@
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Expr, Program, ProgramBuilder, Stmt, VarId};
-use flexvec_mem::AddressSpace;
-use flexvec_vm::{run_vector_with_engine, Bindings, Engine, RunResult, VecSink, VectorStats};
+use flexvec_vm::{CountingSink, Engine, ExecError, Execution, Kernel, VecSink, VectorCode};
 use proptest::prelude::*;
 
 const ARRAY_LEN: usize = 64;
@@ -164,32 +163,20 @@ fn build_case(spec: &CaseSpec) -> Option<Case> {
     })
 }
 
-/// Runs one engine on a fresh memory image; returns everything
-/// observable about the execution.
+fn kernel(case: &Case) -> Kernel<'_> {
+    Kernel::new(&case.program, &case.arrays, 1)
+}
+
+/// Runs one engine on a fresh memory image; returns the execution and
+/// its µop trace.
 fn run_engine(
     case: &Case,
     vprog: &flexvec::VProg,
     engine: Engine,
-) -> (RunResult, VectorStats, Vec<Vec<i64>>, VecSink) {
-    let mut mem = AddressSpace::new();
-    let ids: Vec<_> = case
-        .arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem.alloc_from(&format!("a{i}"), d))
-        .collect();
+) -> Result<(Execution, VecSink), ExecError> {
     let mut sink = VecSink::default();
-    let (result, stats) = run_vector_with_engine(
-        &case.program,
-        vprog,
-        &mut mem,
-        Bindings::new(ids.clone()),
-        &mut sink,
-        engine,
-    )
-    .expect("vector execution");
-    let snapshots = ids.iter().map(|id| mem.snapshot_array(*id)).collect();
-    (result, stats, snapshots, sink)
+    let run = kernel(case).run_vector(&VectorCode::new(vprog, engine), &mut sink, None)?;
+    Ok((run, sink))
 }
 
 fn check_engines_agree(case: &Case, spec_req: SpecRequest) -> Result<(), TestCaseError> {
@@ -199,50 +186,22 @@ fn check_engines_agree(case: &Case, spec_req: SpecRequest) -> Result<(), TestCas
         return Ok(());
     };
 
-    let (tree_res, tree_stats, tree_mem, tree_sink) =
-        run_engine(case, &vectorized.vprog, Engine::TreeWalking);
+    let (tree, tree_sink) =
+        run_engine(case, &vectorized.vprog, Engine::TreeWalking).expect("vector execution");
 
     // On non-x86_64 hosts `Engine::Native` silently runs the bytecode
     // tier, so including it is at worst a duplicate of `Compiled`.
     for engine in [Engine::Compiled, Engine::Native] {
-        let (comp_res, comp_stats, comp_mem, comp_sink) =
-            run_engine(case, &vectorized.vprog, engine);
-
-        for v in &case.program.live_out {
-            prop_assert_eq!(
-                tree_res.var(*v),
-                comp_res.var(*v),
-                "live-out {} differs between tree and {:?}\n{}",
-                case.program.var_name(*v),
-                engine,
-                case.program
-            );
+        let (comp, comp_sink) =
+            run_engine(case, &vectorized.vprog, engine).expect("vector execution");
+        // The five checked facts, with the tree walker as the reference.
+        if let Err(m) = kernel(case).compare(&tree, &comp) {
+            prop_assert!(false, "{m}: tree vs {engine:?}\n{}", case.program);
         }
         prop_assert_eq!(
-            tree_res.var(case.program.loop_.induction),
-            comp_res.var(case.program.loop_.induction),
-            "induction exit value differs between tree and {:?}\n{}",
-            engine,
-            case.program
-        );
-        prop_assert_eq!(
-            tree_res.broke,
-            comp_res.broke,
-            "break status differs between tree and {:?}\n{}",
-            engine,
-            case.program
-        );
-        prop_assert_eq!(
-            tree_stats,
-            comp_stats,
+            tree.stats,
+            comp.stats,
             "VectorStats differ between tree and {:?}\n{}",
-            engine,
-            case.program
-        );
-        prop_assert_eq!(
-            &tree_mem,
-            &comp_mem,
-            "final memory differs between tree and {:?}\n{}",
             engine,
             case.program
         );
@@ -319,28 +278,6 @@ fn serialized_rmw_case() -> Case {
     }
 }
 
-/// Runs the scalar reference on a fresh memory image.
-fn run_reference(case: &Case) -> (RunResult, Vec<Vec<i64>>) {
-    use flexvec_vm::{run_scalar, VecSink};
-    let mut mem = AddressSpace::new();
-    let ids: Vec<_> = case
-        .arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem.alloc_from(&format!("a{i}"), d))
-        .collect();
-    let mut sink = VecSink::default();
-    let result = run_scalar(
-        &case.program,
-        &mut mem,
-        Bindings::new(ids.clone()),
-        &mut sink,
-    )
-    .expect("scalar reference");
-    let snapshots = ids.iter().map(|id| mem.snapshot_array(*id)).collect();
-    (result, snapshots)
-}
-
 #[test]
 fn stalled_vpl_without_stores_falls_back_to_scalar() {
     // A VPL whose partitions retire no lanes must not spin or
@@ -355,18 +292,15 @@ fn stalled_vpl_without_stores_falls_back_to_scalar() {
         "shape must contain a VPL"
     );
 
-    let (ref_res, _) = run_reference(&case);
-    let (tree_res, tree_stats, _, tree_sink) = run_engine(&case, &stalled, Engine::TreeWalking);
-    let (comp_res, comp_stats, _, comp_sink) = run_engine(&case, &stalled, Engine::Native);
-
-    for res in [&tree_res, &comp_res] {
-        assert_eq!(
-            res.var(case.program.live_out[0]),
-            ref_res.var(case.program.live_out[0])
-        );
-        assert_eq!(res.iterations, ref_res.iterations);
-        assert_eq!(res.broke, ref_res.broke);
+    let reference = kernel(&case)
+        .run_scalar(&mut CountingSink::default(), None)
+        .expect("scalar reference");
+    let (tree, tree_sink) = run_engine(&case, &stalled, Engine::TreeWalking).expect("runs");
+    let (comp, comp_sink) = run_engine(&case, &stalled, Engine::Native).expect("runs");
+    for run in [&tree, &comp] {
+        assert_eq!(kernel(&case).compare(&reference, run), Ok(()));
     }
+    let (tree_stats, comp_stats) = (tree.stats, comp.stats);
     assert_eq!(tree_stats, comp_stats, "engines must agree on stats");
     assert!(
         tree_stats.ff_fallbacks >= 1,
@@ -393,25 +327,11 @@ fn stalled_vpl_with_committed_stores_is_a_hard_error_under_ff() {
     assert!(stall_vpls(&mut stalled.body, false));
 
     for engine in [Engine::TreeWalking, Engine::Compiled, Engine::Native] {
-        let mut mem = AddressSpace::new();
-        let ids: Vec<_> = case
-            .arrays
-            .iter()
-            .enumerate()
-            .map(|(i, d)| mem.alloc_from(&format!("a{i}"), d))
-            .collect();
-        let mut sink = VecSink::default();
-        let err = run_vector_with_engine(
-            &case.program,
-            &stalled,
-            &mut mem,
-            Bindings::new(ids),
-            &mut sink,
-            engine,
-        )
-        .expect_err("stalled VPL with committed stores cannot be replayed");
+        let err = run_engine(&case, &stalled, engine)
+            .err()
+            .expect("stalled VPL with committed stores cannot be replayed");
         assert!(
-            matches!(err, flexvec_vm::ExecError::VplDivergence),
+            matches!(err, ExecError::VplDivergence),
             "{engine:?}: {err:?}"
         );
     }
@@ -426,22 +346,16 @@ fn stalled_vpl_under_rtm_falls_back_to_scalar_tiles() {
     let mut stalled = vectorized.vprog.clone();
     assert!(stall_vpls(&mut stalled.body, false));
 
-    let (ref_res, ref_mem) = run_reference(&case);
-    let (tree_res, tree_stats, tree_mem, tree_sink) =
-        run_engine(&case, &stalled, Engine::TreeWalking);
-    let (comp_res, comp_stats, comp_mem, comp_sink) = run_engine(&case, &stalled, Engine::Native);
-
-    for (res, mem) in [(&tree_res, &tree_mem), (&comp_res, &comp_mem)] {
-        assert_eq!(
-            res.var(case.program.live_out[0]),
-            ref_res.var(case.program.live_out[0])
-        );
-        assert_eq!(res.iterations, ref_res.iterations);
-        assert_eq!(
-            mem, &ref_mem,
-            "scalar-tile fallback must match the reference"
-        );
+    let reference = kernel(&case)
+        .run_scalar(&mut CountingSink::default(), None)
+        .expect("scalar reference");
+    let (tree, tree_sink) = run_engine(&case, &stalled, Engine::TreeWalking).expect("runs");
+    let (comp, comp_sink) = run_engine(&case, &stalled, Engine::Native).expect("runs");
+    // The scalar-tile fallback must match the reference on every fact.
+    for run in [&tree, &comp] {
+        assert_eq!(kernel(&case).compare(&reference, run), Ok(()));
     }
+    let (tree_stats, comp_stats) = (tree.stats, comp.stats);
     assert_eq!(tree_stats, comp_stats);
     assert!(
         tree_stats.rtm_aborts >= 1,

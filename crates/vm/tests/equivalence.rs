@@ -1,7 +1,9 @@
 //! End-to-end correctness: for every loop pattern the paper vectorizes,
-//! the FlexVec vector execution must produce exactly the same final
-//! memory and live-out scalars as the scalar reference interpreter —
-//! under first-faulting speculation and under the RTM code path. A
+//! the FlexVec vector execution must agree with the scalar reference
+//! interpreter on every fact `Kernel::check` compares (live-outs, the
+//! induction exit value, the break flag, the iteration count and final
+//! memory) — under first-faulting speculation and under the RTM code
+//! path. A
 //! vector access that really faults must fault where the scalar loop
 //! does, on every engine.
 
@@ -10,89 +12,32 @@ use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder, VarId};
 use flexvec_mem::{AddressSpace, ArrayId, MemFault};
 use flexvec_vm::{
-    run_scalar, run_vector, run_vector_with_engine, Bindings, CountingSink, Engine, ExecError,
-    UopClass, VecSink,
+    run_scalar, run_vector_with_engine, Bindings, CountingSink, Engine, ExecError, Kernel,
+    RunResult, UopClass, VecSink, VectorCode, VectorStats,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A fresh address space holding `arrays`, allocated in order.
-fn memory(arrays: &[Vec<i64>]) -> (AddressSpace, Vec<ArrayId>) {
-    let mut mem = AddressSpace::new();
-    let ids = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, data)| mem.alloc_from(&format!("a{i}"), data))
-        .collect();
-    (mem, ids)
-}
-
-/// Runs `program` both ways on identical memory images and asserts
-/// equivalence of live-outs, final induction value, and every array.
-/// Returns the vector stats for extra assertions.
+/// Runs `program` both ways on identical memory images through the
+/// checked execution, which compares live-outs, the induction exit
+/// value, the break flag, the iteration count and every array element.
+/// Returns the vector run's result and stats for extra assertions.
 fn assert_equivalent(
     program: &Program,
     arrays: &[Vec<i64>],
     spec: SpecRequest,
-) -> (
-    flexvec_vm::RunResult,
-    flexvec_vm::VectorStats,
-    VectorizedKind,
-) {
+) -> (RunResult, VectorStats, VectorizedKind) {
     let vectorized = vectorize(program, spec).expect("vectorizes");
-
-    let (mut scalar_mem, scalar_ids) = memory(arrays);
-    let mut sink = CountingSink::default();
-    let scalar = run_scalar(
-        program,
-        &mut scalar_mem,
-        Bindings::new(scalar_ids.clone()),
-        &mut sink,
-    )
-    .expect("scalar runs");
-
-    let (mut vec_mem, vec_ids) = memory(arrays);
-    let mut vsink = CountingSink::default();
-    let (vector, stats) = run_vector(
-        program,
-        &vectorized.vprog,
-        &mut vec_mem,
-        Bindings::new(vec_ids.clone()),
-        &mut vsink,
-    )
-    .expect("vector runs");
-
-    for v in &program.live_out {
-        assert_eq!(
-            scalar.var(*v),
-            vector.var(*v),
-            "live-out {} differs in {} ({:?})",
-            program.var_name(*v),
-            program.name,
-            spec
-        );
-    }
-    assert_eq!(
-        scalar.var(program.loop_.induction),
-        vector.var(program.loop_.induction),
-        "induction exit value differs in {}",
-        program.name
-    );
-    assert_eq!(
-        scalar.broke, vector.broke,
-        "break status differs in {}",
-        program.name
-    );
-    for (s, v) in scalar_ids.iter().zip(&vec_ids) {
-        assert_eq!(
-            scalar_mem.snapshot_array(*s),
-            vec_mem.snapshot_array(*v),
-            "array contents differ in {} ({:?})",
-            program.name,
-            spec
-        );
-    }
-    (vector, stats, vectorized.kind)
+    let kernel = Kernel::new(program, arrays, 1);
+    let (_, vector) = kernel
+        .check(
+            &VectorCode::new(&vectorized.vprog, Engine::default()),
+            &mut CountingSink::default(),
+            &mut CountingSink::default(),
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{} ({spec:?}): {e}", program.name));
+    (vector.result, vector.stats, vectorized.kind)
 }
 
 // ---------------------------------------------------------------------------
@@ -558,6 +503,19 @@ fn randomized_sweep() {
 // ---------------------------------------------------------------------------
 // Faulting vector accesses: the fault order of the memory instructions.
 // ---------------------------------------------------------------------------
+
+/// A fresh address space holding `arrays`, allocated in order: the
+/// fault tests read memory after the fault, which a checked run does
+/// not leave behind.
+fn memory(arrays: &[Vec<i64>]) -> (AddressSpace, Vec<ArrayId>) {
+    let mut mem = AddressSpace::new();
+    let ids = arrays
+        .iter()
+        .enumerate()
+        .map(|(i, data)| mem.alloc_from(&format!("a{i}"), data))
+        .collect();
+    (mem, ids)
+}
 
 /// Runs `program` to its fault on fresh memory holding `arrays`, on the
 /// scalar oracle (`engine` is `None`) or on one vector engine. Returns

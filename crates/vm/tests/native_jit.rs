@@ -1,14 +1,13 @@
 //! Native-tier specific checks: the JIT must actually engage on
 //! x86_64-linux (not silently fall back), and a natively-executed
-//! program must be bit-identical to the tree walker — live-outs,
-//! memory, stats, and the full µop trace.
+//! program must agree with the scalar loop, like the tree walker, and
+//! be bit-identical to the tree walker in stats and the full µop trace.
 
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder};
-use flexvec_mem::AddressSpace;
 use flexvec_vm::{
-    native_supported, run_vector_with_engine, Bindings, CompiledVProg, Engine, VecSink,
+    native_supported, CompiledVProg, CountingSink, Engine, Kernel, VecSink, VectorCode, VectorStats,
 };
 
 const LEN: usize = 64;
@@ -35,28 +34,22 @@ fn straight_line_program() -> Program {
     b.build_loop(i, c(0), c(200), body).unwrap()
 }
 
-fn run(program: &Program, engine: Engine) -> (i64, Vec<i64>, flexvec_vm::VectorStats, VecSink) {
-    let vectorized = vectorize(program, SpecRequest::Auto).expect("vectorizes");
-    let mut mem = AddressSpace::new();
+/// Runs the program on `engine`, checked against the scalar loop
+/// (live-outs, induction exit, break flag, iteration count, memory);
+/// returns the vector run's stats and µop trace.
+fn run(program: &Program, engine: Engine) -> (VectorStats, VecSink) {
+    let vprog = vectorize(program, SpecRequest::Auto)
+        .expect("vectorizes")
+        .vprog;
     let data: Vec<i64> = (0..LEN as i64).map(|x| x * 17 % 1000).collect();
-    let data_id = mem.alloc_from("data", &data);
-    let out_id = mem.alloc_from("out", &vec![0i64; LEN]);
+    let arrays = [data, vec![0i64; LEN]];
+    let kernel = Kernel::new(program, &arrays, 1);
     let mut sink = VecSink::default();
-    let (res, stats) = run_vector_with_engine(
-        program,
-        &vectorized.vprog,
-        &mut mem,
-        Bindings::new(vec![data_id, out_id]),
-        &mut sink,
-        engine,
-    )
-    .expect("vector execution");
-    (
-        res.var(program.live_out[0]),
-        mem.snapshot_array(out_id),
-        stats,
-        sink,
-    )
+    let code = VectorCode::new(&vprog, engine);
+    let (_, vector) = kernel
+        .check(&code, &mut CountingSink::default(), &mut sink, None)
+        .unwrap_or_else(|e| panic!("{engine:?}: {e}"));
+    (vector.stats, sink)
 }
 
 #[test]
@@ -81,10 +74,8 @@ fn native_tier_engages_on_supported_hosts() {
 #[test]
 fn native_matches_tree_walker_exactly() {
     let program = straight_line_program();
-    let (tree_out, tree_mem, tree_stats, tree_sink) = run(&program, Engine::TreeWalking);
-    let (nat_out, nat_mem, nat_stats, nat_sink) = run(&program, Engine::Native);
-    assert_eq!(tree_out, nat_out, "live-out differs");
-    assert_eq!(tree_mem, nat_mem, "memory differs");
+    let (tree_stats, tree_sink) = run(&program, Engine::TreeWalking);
+    let (nat_stats, nat_sink) = run(&program, Engine::Native);
     assert_eq!(tree_stats, nat_stats, "stats differ");
     assert_eq!(
         tree_sink.uops.len(),

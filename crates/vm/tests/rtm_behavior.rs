@@ -5,8 +5,7 @@
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder};
-use flexvec_mem::AddressSpace;
-use flexvec_vm::{run_scalar, run_vector, Bindings, CountingSink};
+use flexvec_vm::{CountingSink, Engine, Execution, Kernel, RunResult, VectorCode, VectorStats};
 
 /// A conditional-update loop whose guarded gather hits a wild address on
 /// lanes the scalar execution never touches (stale-guard speculation).
@@ -58,42 +57,29 @@ fn assert_observables(
     assert_eq!(scalar.broke, vector.broke);
 }
 
+/// Runs `program` scalar and vectorized under `spec`, checked against
+/// each other on the default engine.
+fn run_checked(
+    program: &Program,
+    arrays: &[Vec<i64>],
+    spec: SpecRequest,
+) -> (Execution, Execution) {
+    let vprog = vectorize(program, spec).expect("vectorizes").vprog;
+    let kernel = Kernel::new(program, arrays, 1);
+    let mut sinks = (CountingSink::default(), CountingSink::default());
+    let code = VectorCode::new(&vprog, Engine::default());
+    kernel
+        .check(&code, &mut sinks.0, &mut sinks.1, None)
+        .unwrap_or_else(|e| panic!("{} ({spec:?}): {e}", program.name))
+}
+
 fn run_both(
     program: &Program,
     arrays: &[Vec<i64>],
     spec: SpecRequest,
-) -> (
-    flexvec_vm::RunResult,
-    flexvec_vm::RunResult,
-    flexvec_vm::VectorStats,
-) {
-    let vectorized = vectorize(program, spec).expect("vectorizes");
-
-    let mut mem_s = AddressSpace::new();
-    let ids_s: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem_s.alloc_from(&format!("a{i}"), d))
-        .collect();
-    let mut sink = CountingSink::default();
-    let scalar = run_scalar(program, &mut mem_s, Bindings::new(ids_s), &mut sink).unwrap();
-
-    let mut mem_v = AddressSpace::new();
-    let ids_v: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem_v.alloc_from(&format!("a{i}"), d))
-        .collect();
-    let mut vsink = CountingSink::default();
-    let (vector, stats) = run_vector(
-        program,
-        &vectorized.vprog,
-        &mut mem_v,
-        Bindings::new(ids_v),
-        &mut vsink,
-    )
-    .unwrap();
-    (scalar, vector, stats)
+) -> (RunResult, RunResult, VectorStats) {
+    let (scalar, vector) = run_checked(program, arrays, spec);
+    (scalar.result, vector.result, vector.stats)
 }
 
 #[test]
@@ -174,21 +160,9 @@ fn rtm_buffers_stores_until_commit() {
     let idx_d: Vec<i64> = (0..64).map(|k| k % 8).collect();
     let acc_d = vec![0i64; 8];
 
-    let vectorized = vectorize(&p, SpecRequest::Rtm { tile: 32 }).unwrap();
-    let mut mem = AddressSpace::new();
-    let a0 = mem.alloc_from("idx", &idx_d);
-    let a1 = mem.alloc_from("acc", &acc_d);
-    let mut sink = CountingSink::default();
-    let (_, stats) = run_vector(
-        &p,
-        &vectorized.vprog,
-        &mut mem,
-        Bindings::new(vec![a0, a1]),
-        &mut sink,
-    )
-    .unwrap();
-    assert_eq!(stats.rtm_commits, 2);
-    assert_eq!(mem.snapshot_array(a1), vec![8i64; 8]);
+    let (_, vector) = run_checked(&p, &[idx_d, acc_d], SpecRequest::Rtm { tile: 32 });
+    assert_eq!(vector.stats.rtm_commits, 2);
+    assert_eq!(vector.array(1), &[8i64; 8]);
 }
 
 #[test]

@@ -6,27 +6,25 @@
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder};
-use flexvec_mem::AddressSpace;
-use flexvec_vm::{run_scalar, run_vector, Bindings, TraceSink, UopClass, VecSink};
+use flexvec_vm::{Engine, Kernel, TraceSink, UopClass, VecSink, VectorCode};
+
+/// Runs `program` scalar and vectorized, checked against each other,
+/// and returns the `(scalar, vector)` µop traces.
+fn run_both_traced(program: &Program, arrays: &[Vec<i64>]) -> (VecSink, VecSink) {
+    let vprog = vectorize(program, SpecRequest::Auto)
+        .expect("vectorizes")
+        .vprog;
+    let kernel = Kernel::new(program, arrays, 1);
+    let mut sinks = (VecSink::default(), VecSink::default());
+    let code = VectorCode::new(&vprog, Engine::default());
+    kernel
+        .check(&code, &mut sinks.0, &mut sinks.1, None)
+        .expect("runs and agrees");
+    sinks
+}
 
 fn run_and_trace(program: &Program, arrays: &[Vec<i64>]) -> VecSink {
-    let vectorized = vectorize(program, SpecRequest::Auto).expect("vectorizes");
-    let mut mem = AddressSpace::new();
-    let ids: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem.alloc_from(&format!("a{i}"), d))
-        .collect();
-    let mut sink = VecSink::default();
-    run_vector(
-        program,
-        &vectorized.vprog,
-        &mut mem,
-        Bindings::new(ids),
-        &mut sink,
-    )
-    .expect("runs");
-    sink
+    run_both_traced(program, arrays).1
 }
 
 fn count(sink: &VecSink, pred: impl Fn(&UopClass) -> bool) -> usize {
@@ -127,10 +125,7 @@ fn scalar_and_vector_traces_have_comparable_memory_traffic() {
     let data: Vec<i64> = vec![1 << 21; n];
     let p = cond_min(n as i64);
 
-    let mut mem_s = AddressSpace::new();
-    let a_s = mem_s.alloc_from("a", &data);
-    let mut scalar_sink = VecSink::default();
-    run_scalar(&p, &mut mem_s, Bindings::new(vec![a_s]), &mut scalar_sink).unwrap();
+    let (scalar_sink, vsink) = run_both_traced(&p, &[data]);
     let scalar_lane_loads: usize = scalar_sink
         .uops
         .iter()
@@ -138,7 +133,6 @@ fn scalar_and_vector_traces_have_comparable_memory_traffic() {
         .map(|u| u.addrs.len())
         .sum();
 
-    let vsink = run_and_trace(&p, &[data]);
     let vector_lane_loads: usize = vsink
         .uops
         .iter()

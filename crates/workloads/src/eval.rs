@@ -1,20 +1,16 @@
 //! The measurement harness: runs a workload's hot loop as the baseline
 //! (scalar — the paper's baseline compiler cannot vectorize FlexVec
 //! candidates) and as FlexVec vector code, times both on the Table 1
-//! out-of-order model, verifies the two executions agree, and scales the
-//! region speedup by the workload's coverage (the paper's rdtsc-based
-//! methodology).
-
-use std::time::Instant;
+//! out-of-order model, and scales the region speedup by the workload's
+//! coverage (the paper's rdtsc-based methodology). Both runs go through
+//! [`flexvec_vm::Kernel::check`], so a workload counts only when the
+//! two agree on every live-out, the induction variable's exit value,
+//! the break flag, the iteration count and every array element.
 
 use flexvec::{vectorize, InstMix, SpecRequest};
-use flexvec_mem::AddressSpace;
 use flexvec_profiler::ThroughputReport;
 use flexvec_sim::{amdahl_overall, OooSim, SimConfig};
-use flexvec_vm::{
-    run_all_or_nothing_with_engine, run_scalar, run_vector_precompiled_with_scratch,
-    run_vector_with_engine, Bindings, CompiledVProg, Engine, ExecError, TraceSink, VectorStats,
-};
+use flexvec_vm::{CheckError, Engine, Kernel, TraceSink, VectorCode, VectorStats};
 
 use crate::{Suite, Workload};
 
@@ -23,19 +19,16 @@ use crate::{Suite, Workload};
 pub enum EvalError {
     /// The loop failed to vectorize.
     Vectorize(flexvec::VectorizeError),
-    /// An execution faulted.
-    Exec(ExecError),
-    /// Scalar and vector executions disagreed (a reproduction bug — never
-    /// expected).
-    Mismatch(String),
+    /// An execution faulted, or — a reproduction bug, never expected —
+    /// the scalar and vector executions disagreed.
+    Check(CheckError),
 }
 
 impl core::fmt::Display for EvalError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             EvalError::Vectorize(e) => write!(f, "vectorization failed: {e}"),
-            EvalError::Exec(e) => write!(f, "execution failed: {e}"),
-            EvalError::Mismatch(m) => write!(f, "scalar/vector mismatch: {m}"),
+            EvalError::Check(e) => e.fmt(f),
         }
     }
 }
@@ -48,9 +41,9 @@ impl From<flexvec::VectorizeError> for EvalError {
     }
 }
 
-impl From<ExecError> for EvalError {
-    fn from(e: ExecError) -> Self {
-        EvalError::Exec(e)
+impl From<CheckError> for EvalError {
+    fn from(e: CheckError) -> Self {
+        EvalError::Check(e)
     }
 }
 
@@ -83,17 +76,6 @@ pub struct Evaluation {
     /// Execution-engine throughput counters for the vector runs
     /// (chunks/s, µops/s).
     pub throughput: ThroughputReport,
-}
-
-fn build_memory(w: &Workload) -> (AddressSpace, Bindings) {
-    let mut mem = AddressSpace::new();
-    let ids: Vec<_> = w
-        .arrays
-        .iter()
-        .enumerate()
-        .map(|(i, data)| mem.alloc_from(&format!("{}_{i}", w.name), data))
-        .collect();
-    (mem, Bindings::new(ids))
 }
 
 /// Vector execution strategy for [`evaluate_with_config`].
@@ -133,17 +115,9 @@ pub fn evaluate_with_config(
     evaluate_with_engine(w, spec, config, mode, Engine::default())
 }
 
-fn engine_label(engine: Engine) -> &'static str {
-    match engine {
-        Engine::TreeWalking => "tree-walking",
-        Engine::Compiled => "compiled",
-        Engine::Native => "native",
-    }
-}
-
 /// [`evaluate_with_config`] with an explicit execution [`Engine`]. With
-/// [`Engine::Compiled`] the `VProg` is flattened once and reused across
-/// all invocations.
+/// the compiled and native engines the `VProg` is flattened once and
+/// reused across all invocations.
 ///
 /// # Errors
 ///
@@ -156,118 +130,32 @@ pub fn evaluate_with_engine(
     engine: Engine,
 ) -> Result<Evaluation, EvalError> {
     let vectorized = vectorize(&w.program, spec)?;
-
-    // Baseline: scalar execution on the OOO model.
-    let (mut mem_s, bind_s) = build_memory(w);
+    let mut code = VectorCode::new(&vectorized.vprog, engine);
+    if mode == VectorMode::AllOrNothing {
+        code = code.all_or_nothing();
+    }
+    let kernel = Kernel::new(&w.program, &w.arrays, w.invocations);
     let mut sim_s = OooSim::new(config.clone());
-    let mut scalar_final = None;
-    for _ in 0..w.invocations {
-        scalar_final = Some(run_scalar(
-            &w.program,
-            &mut mem_s,
-            bind_s.clone(),
-            &mut sim_s,
-        )?);
-    }
-    let scalar_result = sim_s.result();
-    let scalar_run = scalar_final.expect("at least one invocation");
-
-    // FlexVec: vector execution on the same model. Compile once, run
-    // every invocation through the flattened program.
-    let (mut mem_v, bind_v) = build_memory(w);
-    let mut compiled = match engine {
-        Engine::Compiled | Engine::Native => {
-            let mut c = CompiledVProg::compile(&vectorized.vprog);
-            if engine == Engine::Native {
-                c.enable_native();
-            }
-            let scratch = c.scratch();
-            Some((c, scratch))
-        }
-        Engine::TreeWalking => None,
-    };
     let mut sim_v = OooSim::new(config.clone());
-    let mut vector_final = None;
-    let mut stats = VectorStats::default();
-    let mut throughput =
-        ThroughputReport::new(engine_label(engine), std::time::Duration::ZERO, 0, 0);
-    let wall_start = Instant::now();
-    for _ in 0..w.invocations {
-        let (r, s) = match (mode, &mut compiled) {
-            (VectorMode::FlexVec, Some((c, scratch))) => run_vector_precompiled_with_scratch(
-                &w.program,
-                &vectorized.vprog,
-                c,
-                scratch,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-            )?,
-            (VectorMode::FlexVec, None) => run_vector_with_engine(
-                &w.program,
-                &vectorized.vprog,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-                Engine::TreeWalking,
-            )?,
-            (VectorMode::AllOrNothing, _) => run_all_or_nothing_with_engine(
-                &w.program,
-                &vectorized.vprog,
-                &mut mem_v,
-                bind_v.clone(),
-                &mut sim_v,
-                engine,
-            )?,
-        };
-        throughput.add_stats(&s);
-        vector_final = Some(r);
-        stats = s;
-    }
-    throughput.wall = wall_start.elapsed();
-    let vector_result = sim_v.result();
-    let vector_run = vector_final.expect("at least one invocation");
+    let (_, vector) = kernel.check(&code, &mut sim_s, &mut sim_v, None)?;
+    let (scalar_cycles, flexvec_cycles) = (sim_s.result().cycles, sim_v.result().cycles);
+    let mut throughput = ThroughputReport::new(engine.label(), vector.wall, 0, sim_v.len());
+    throughput.add_stats(&vector.total);
 
-    // Verification: live-outs and all arrays must agree.
-    for v in &w.program.live_out {
-        if scalar_run.var(*v) != vector_run.var(*v) {
-            return Err(EvalError::Mismatch(format!(
-                "{}: live-out {} is {} scalar vs {} vector",
-                w.name,
-                w.program.var_name(*v),
-                scalar_run.var(*v),
-                vector_run.var(*v)
-            )));
-        }
-    }
-    for i in 0..w.arrays.len() {
-        let a = bind_s.array(i as u32);
-        let b = bind_v.array(i as u32);
-        if mem_s.array_slice(a) != mem_v.array_slice(b) {
-            return Err(EvalError::Mismatch(format!(
-                "{}: array {i} differs",
-                w.name
-            )));
-        }
-    }
-
-    let region_speedup = scalar_result.cycles as f64 / vector_result.cycles as f64;
+    let region_speedup = scalar_cycles as f64 / flexvec_cycles as f64;
     Ok(Evaluation {
         name: w.name,
         suite: w.suite,
         coverage: w.coverage,
-        scalar_cycles: scalar_result.cycles,
-        flexvec_cycles: vector_result.cycles,
+        scalar_cycles,
+        flexvec_cycles,
         region_speedup,
         overall_speedup: amdahl_overall(region_speedup, w.coverage),
-        stats,
+        stats: vector.stats,
         mix: vectorized.vprog.inst_mix(),
         scalar_uops: sim_s.len(),
         vector_uops: sim_v.len(),
-        throughput: ThroughputReport {
-            uops: sim_v.len(),
-            ..throughput
-        },
+        throughput,
     })
 }
 

@@ -97,3 +97,63 @@ fn corpus_kernels_execute_and_verify() {
         }
     }
 }
+
+/// A kernel the analysis accepts but `ff` cannot lower (a store inside
+/// the speculative VPL) runs scalar-only, and its printed verdict says
+/// so, naming the refusal; under RTM it lowers and the verdict is the
+/// analysis verdict alone.
+#[test]
+fn rtm_only_kernels_print_the_refusal() {
+    let src = "\
+kernel rtm_unlock;
+var i = 0;
+var t = 0;
+var u = 0;
+var best = 1048576;
+array a[256] = seed 7;
+array aux[256] = seed 9;
+array out[256];
+live_out best;
+for (i = 0; i < 256; i++) {
+  t = a[i] * 3 + i;
+  if (t < best) {
+    u = aux[t & 255];
+    out[i] = u;
+    if (u < best) {
+      best = u;
+    }
+  }
+}
+";
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("rtm_unlock.fv");
+    std::fs::write(&path, src).expect("writes the kernel");
+    let cache = CompileCache::new();
+    let refusal = flexvec::VectorizeError::RtmOnly.to_string();
+
+    let checked = flexvec_bench::fv::check_fv_file(&path, &cache, SpecRequest::Auto);
+    assert!(
+        checked.verdict.starts_with("flexvec ("),
+        "{}",
+        checked.verdict
+    );
+    assert!(
+        checked
+            .verdict
+            .ends_with(&format!("; runs scalar-only: {refusal}")),
+        "{}",
+        checked.verdict
+    );
+    let run = evaluate_fv_file(&path, &cache, SpecRequest::Auto, Engine::Compiled, 1);
+    assert_eq!(run.verdict, checked.verdict);
+    assert_eq!(run.run.expect("runs").kind, "scalar-only");
+
+    let rtm = SpecRequest::Rtm { tile: 256 };
+    let checked = flexvec_bench::fv::check_fv_file(&path, &cache, rtm);
+    assert!(
+        !checked.verdict.contains("scalar-only"),
+        "{}",
+        checked.verdict
+    );
+    let run = evaluate_fv_file(&path, &cache, rtm, Engine::Compiled, 1);
+    assert_eq!(run.run.expect("runs").kind, "flexvec");
+}

@@ -9,8 +9,7 @@ use flexvec::{analyze, vectorize, SpecRequest};
 use flexvec_front::{parse_file, verdict_summary, ParsedKernel};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder};
-use flexvec_mem::AddressSpace;
-use flexvec_vm::{run_scalar, run_vector, Bindings, CountingSink};
+use flexvec_vm::{CountingSink, Engine, Kernel, VectorCode};
 
 /// The builder-API version, mirroring `examples/motion_search.rs` at
 /// `n = 512` (the trip count the `.fv` file declares).
@@ -51,44 +50,23 @@ fn fv_version() -> ParsedKernel {
         .unwrap_or_else(|d| panic!("examples/motion_search.fv must parse: {}", d.summary()))
 }
 
-/// Runs a program scalar and vector on the given arrays and returns the
-/// live-out values from both executions (verified equal).
+/// Runs a program scalar and vector on the given arrays through the
+/// checked execution and returns the live-out values (verified equal).
 fn live_outs(program: &Program, arrays: &[Vec<i64>]) -> Vec<i64> {
-    let mut mem_s = AddressSpace::new();
-    let ids_s: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem_s.alloc_from(&format!("a{i}"), d))
-        .collect();
-    let mut sink = CountingSink::default();
-    let scalar =
-        run_scalar(program, &mut mem_s, Bindings::new(ids_s), &mut sink).expect("scalar run");
-
     let vectorized = vectorize(program, SpecRequest::Auto).expect("motion search vectorizes");
-    let mut mem_v = AddressSpace::new();
-    let ids_v: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem_v.alloc_from(&format!("a{i}"), d))
-        .collect();
-    let mut vsink = CountingSink::default();
-    let (vector, _) = run_vector(
-        program,
-        &vectorized.vprog,
-        &mut mem_v,
-        Bindings::new(ids_v),
-        &mut vsink,
-    )
-    .expect("vector run");
-
-    program
-        .live_out
-        .iter()
-        .map(|v| {
-            let (s, ve) = (scalar.var(*v), vector.var(*v));
-            assert_eq!(s, ve, "scalar/vector disagree on {}", program.var_name(*v));
-            s
-        })
+    let kernel = Kernel::new(program, arrays, 1);
+    let (scalar, _) = kernel
+        .check(
+            &VectorCode::new(&vectorized.vprog, Engine::default()),
+            &mut CountingSink::default(),
+            &mut CountingSink::default(),
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", program.name));
+    scalar
+        .live_outs(program)
+        .into_iter()
+        .map(|(_, v)| v)
         .collect()
 }
 

@@ -9,12 +9,12 @@
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Expr, Program, ProgramBuilder, Stmt, VarId};
-use flexvec_mem::AddressSpace;
-use flexvec_vm::{run_scalar, run_vector, Bindings, CountingSink};
+use flexvec_vm::{CountingSink, Engine, Kernel, VectorCode};
 
-/// Checks observable equivalence (live-outs, induction, memory) for both
-/// FF and RTM code paths; silently skips shapes the code generator
-/// documents as unsupported.
+/// Checks observable equivalence (live-outs, induction exit value,
+/// break flag, iteration count, memory) through the checked execution
+/// for both FF and RTM code paths; silently skips shapes the code
+/// generator documents as unsupported.
 fn check(program: &Program, arrays: &[Vec<i64>]) {
     for spec in [SpecRequest::Auto, SpecRequest::Rtm { tile: 64 }] {
         let vectorized = match vectorize(program, spec) {
@@ -22,58 +22,14 @@ fn check(program: &Program, arrays: &[Vec<i64>]) {
             Err(flexvec::VectorizeError::Unsupported(_)) => continue,
             Err(e) => panic!("{}: {e}", program.name),
         };
-
-        let mut mem_s = AddressSpace::new();
-        let ids_s: Vec<_> = arrays
-            .iter()
-            .enumerate()
-            .map(|(i, d)| mem_s.alloc_from(&format!("a{i}"), d))
-            .collect();
-        let mut sink = CountingSink::default();
-        let scalar =
-            run_scalar(program, &mut mem_s, Bindings::new(ids_s.clone()), &mut sink).unwrap();
-
-        let mut mem_v = AddressSpace::new();
-        let ids_v: Vec<_> = arrays
-            .iter()
-            .enumerate()
-            .map(|(i, d)| mem_v.alloc_from(&format!("a{i}"), d))
-            .collect();
-        let mut vsink = CountingSink::default();
-        let (vector, _) = run_vector(
-            program,
-            &vectorized.vprog,
-            &mut mem_v,
-            Bindings::new(ids_v.clone()),
-            &mut vsink,
-        )
-        .unwrap();
-
-        for v in &program.live_out {
-            assert_eq!(
-                scalar.var(*v),
-                vector.var(*v),
-                "{} [{:?}]: live-out {}",
-                program.name,
-                spec,
-                program.var_name(*v)
-            );
-        }
-        assert_eq!(
-            scalar.var(program.loop_.induction),
-            vector.var(program.loop_.induction),
-            "{} [{:?}]: induction",
-            program.name,
-            spec
-        );
-        for (s, v) in ids_s.iter().zip(&ids_v) {
-            assert_eq!(
-                mem_s.snapshot_array(*s),
-                mem_v.snapshot_array(*v),
-                "{} [{:?}]: memory",
-                program.name,
-                spec
-            );
+        let kernel = Kernel::new(program, arrays, 1);
+        if let Err(e) = kernel.check(
+            &VectorCode::new(&vectorized.vprog, Engine::default()),
+            &mut CountingSink::default(),
+            &mut CountingSink::default(),
+            None,
+        ) {
+            panic!("{} [{spec:?}]: {e}", program.name);
         }
     }
 }

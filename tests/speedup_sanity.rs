@@ -1,14 +1,14 @@
 //! End-to-end sanity: FlexVec-vectorized candidate loops must beat their
 //! scalar baseline on the Table 1 out-of-order model when the relaxed
 //! dependencies are dynamically infrequent, and degrade gracefully when
-//! they are frequent.
+//! they are frequent. Every measurement is a checked execution, so the
+//! vector code must also agree with the scalar loop.
 
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;
 use flexvec_ir::{Program, ProgramBuilder};
-use flexvec_mem::AddressSpace;
 use flexvec_sim::OooSim;
-use flexvec_vm::{run_scalar, run_vector, Bindings};
+use flexvec_vm::{Engine, Kernel, VectorCode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,35 +44,20 @@ fn h264_loop(n: i64) -> Program {
 }
 
 /// Returns (scalar_cycles, vector_cycles) for the program on fresh
-/// memory images.
+/// memory images, once the checked execution has found the two runs
+/// equivalent.
 fn measure(program: &Program, arrays: &[Vec<i64>], spec: SpecRequest) -> (u64, u64) {
     let vectorized = vectorize(program, spec).expect("vectorizes");
-
-    let mut mem_s = AddressSpace::new();
-    let ids_s: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem_s.alloc_from(&format!("a{i}"), d))
-        .collect();
-    let mut sim_s = OooSim::table1();
-    run_scalar(program, &mut mem_s, Bindings::new(ids_s), &mut sim_s).expect("scalar");
-
-    let mut mem_v = AddressSpace::new();
-    let ids_v: Vec<_> = arrays
-        .iter()
-        .enumerate()
-        .map(|(i, d)| mem_v.alloc_from(&format!("a{i}"), d))
-        .collect();
-    let mut sim_v = OooSim::table1();
-    run_vector(
-        program,
-        &vectorized.vprog,
-        &mut mem_v,
-        Bindings::new(ids_v),
+    let kernel = Kernel::new(program, arrays, 1);
+    let (mut sim_s, mut sim_v) = (OooSim::table1(), OooSim::table1());
+    if let Err(e) = kernel.check(
+        &VectorCode::new(&vectorized.vprog, Engine::default()),
+        &mut sim_s,
         &mut sim_v,
-    )
-    .expect("vector");
-
+        None,
+    ) {
+        panic!("{}: {e}", program.name);
+    }
     (sim_s.result().cycles, sim_v.result().cycles)
 }
 
