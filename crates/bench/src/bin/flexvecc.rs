@@ -549,8 +549,8 @@ fn client_cmd(flags: &CommonFlags, args: &[String]) -> i32 {
                 };
                 request.push(("spec", Json::from(spec)));
             }
-            // Without an explicit --engine the daemon's tier policy
-            // picks the engine per kernel hash (wire default `auto`).
+            // Without an explicit --engine the daemon runs native code
+            // where its host has the JIT (wire default `auto`).
             if flags.engine_explicit {
                 let engine = match flags.engine {
                     flexvec_vm::Engine::TreeWalking => "tree",

@@ -20,16 +20,15 @@
 //! shapes travel the same wire and queue, so the ratio isolates the
 //! cache.
 //!
-//! A fourth phase demonstrates tiered execution end to end: one
-//! straight-line-heavy kernel is submitted with the engine omitted
-//! (`auto`), so the daemon's tier policy runs it on bytecode first and
-//! promotes it to native once it is hot. The second hot request's
-//! `chunks_per_sec` (measured by the daemon around its own exec loop,
-//! so the wire cancels out; the first one verifies its new variant on
-//! the cycle model) is compared against a forced `"engine":"compiled"`
-//! bench of the same kernel, and on x86-64 hosts the run fails unless
-//! the kernel was promoted and the native tier beats the bytecode tier
-//! by a measurable margin.
+//! A fourth phase checks the engine a request without one gets: one
+//! straight-line-heavy kernel is benched with the engine omitted, which
+//! runs native code from the first request on hosts with the x86-64
+//! JIT. The second request's `chunks_per_sec` (measured by the daemon
+//! around its own exec loop, so the wire cancels out; the first one
+//! verifies the variant on the cycle model) is compared against a
+//! forced `"engine":"compiled"` bench of the same kernel, and on x86-64
+//! hosts the run fails unless both implicit requests ran native and
+//! native code beats bytecode by a measurable margin.
 //!
 //! Two further regression-failing scenarios:
 //!
@@ -62,7 +61,7 @@ use flexvec_serve::{start, Client, Json, ServerConfig};
 /// Minimum repeat/one-shot throughput ratio the run must demonstrate.
 const MIN_SPEEDUP: f64 = 5.0;
 
-/// Minimum native-over-bytecode throughput ratio the promoted hot
+/// Minimum native-over-bytecode throughput ratio the implicit-engine
 /// kernel must demonstrate on hosts with the x86-64 back end. The
 /// in-process bar (vm_throughput) is 1.5×; over the daemon we only
 /// require a measurable margin, leaving headroom for scheduler noise.
@@ -98,7 +97,7 @@ fn kernel_source(n: u64) -> String {
     src
 }
 
-/// The hot kernel for the tier-promotion phase: a long unguarded
+/// The kernel of the engine phase: a long unguarded
 /// arithmetic chain, the shape the native tier compiles (almost)
 /// entirely to inline machine code. Same family as the `straightline`
 /// kernel in the `vm_throughput` bench, expressed in `.fv`.
@@ -122,99 +121,64 @@ for (i = 0; i < 2048; i++) {
 }
 ";
 
-/// What the tier-promotion phase observed.
+/// What the engine phase observed.
 struct TierReport {
-    /// Engine labels of the auto requests, in order (expected to walk
-    /// compiled → native on x86-64 hosts).
+    /// Engine labels of the implicit-engine requests, in order
+    /// (`native` from the first on x86-64 hosts).
     labels: Vec<String>,
-    /// Daemon-measured chunks/s of the final (hot) auto request.
+    /// Daemon-measured chunks/s of the second implicit request, which
+    /// replays the stored cycles.
     hot_cps: f64,
     /// Daemon-measured chunks/s of the forced-bytecode baseline.
     bytecode_cps: f64,
-    /// `flexvec_tier_promotions_total` after the walk.
-    promotions: u64,
     /// Whether the daemon's host has the native back end.
     native_supported: bool,
 }
 
-impl TierReport {
-    fn ratio(&self) -> f64 {
-        self.hot_cps / self.bytecode_cps.max(1e-9)
-    }
-}
-
-/// Walks one kernel through the daemon's tier policy and measures the
-/// promoted hot tier against a forced-bytecode baseline.
+/// Benches one kernel with the engine omitted and measures it against
+/// a forced-bytecode baseline.
 fn drive_tiers(addr: &str) -> TierReport {
     let mut client = Client::connect(addr).expect("connect tier client");
-    let mut bench = |engine: Option<&str>, invocations: u64| -> Json {
-        let mut fields = vec![
-            ("op", Json::from("bench")),
-            ("source", Json::from(HOT_KERNEL)),
-            ("invocations", Json::from(invocations)),
-        ];
-        if let Some(engine) = engine {
-            fields.push(("engine", Json::from(engine)));
-        }
-        let response = client
-            .request(&Json::obj(fields))
-            .expect("tier bench request");
+    let mut request = |fields: Vec<(&'static str, Json)>| -> Json {
+        let response = client.request(&Json::obj(fields)).expect("tier request");
         assert_eq!(
             response.get("ok").and_then(Json::as_bool),
             Some(true),
-            "tier bench failed: {response}"
+            "tier request failed: {response}"
         );
         response
     };
-
-    // The policy starts a kernel on bytecode and promotes it on
-    // cumulative run count (hot at 16), and each request counts
-    // `invocations` runs. The first auto request therefore runs on
-    // bytecode with 0 runs seen, and the next ones on native with 16
-    // seen (on hosts that have it).
+    let mut bench = |engine: Option<&str>| {
+        let mut fields = vec![
+            ("op", Json::from("bench")),
+            ("source", Json::from(HOT_KERNEL)),
+            ("invocations", Json::from(48u64)),
+        ];
+        fields.extend(engine.map(|e| ("engine", Json::from(e))));
+        request(fields)
+    };
+    // The first request verifies the variant on the cycle model. The
+    // one after it reports the stored cycles, like the forced-bytecode
+    // baseline (same kernel, wire and daemon), so the two measure
+    // execution alone.
+    let (first, hot, baseline) = (bench(None), bench(None), bench(Some("compiled")));
+    let stats = request(vec![("op", Json::from("stats"))]);
     let label = |r: &Json| {
         r.get("engine")
             .and_then(Json::as_str)
             .unwrap_or("?")
             .to_owned()
     };
-    let warm = bench(None, 16);
-    // A new invocation count is a new variant, so the first hot
-    // request verifies on the cycle model. The one after it reports
-    // the stored cycles, like the forced-bytecode baseline below, so
-    // the two measure execution alone.
-    bench(None, 48);
-    let hot = bench(None, 48);
-    let hot_cps = hot
-        .get("chunks_per_sec")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let labels = vec![label(&warm), label(&hot)];
-
-    // Forced-bytecode baseline for the same kernel, same wire, same
-    // daemon. Explicit engines bypass the tier policy, so this does
-    // not disturb the walk above.
-    let baseline = bench(Some("compiled"), 48);
-    let bytecode_cps = baseline
-        .get("chunks_per_sec")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-
-    let stats = client
-        .request(&Json::obj([("op", Json::from("stats"))]))
-        .expect("stats request");
+    let cps = |r: &Json| {
+        r.get("chunks_per_sec")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0)
+    };
     TierReport {
-        labels,
-        hot_cps,
-        bytecode_cps,
-        promotions: stats
-            .get("tier_promotions_total")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-        native_supported: stats
-            .get("native_supported")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
+        labels: vec![label(&first), label(&hot)],
+        hot_cps: cps(&hot),
+        bytecode_cps: cps(&baseline),
+        native_supported: stats.get("native_supported").and_then(Json::as_bool) == Some(true),
     }
 }
 
@@ -425,10 +389,10 @@ fn main() {
         })
         .collect();
 
-    // Tier promotion: one hot kernel starts on bytecode and is promoted
-    // to native under the auto policy, then races the promoted tier
-    // against a forced-bytecode baseline.
+    // Engine: one kernel benched with the engine omitted races a
+    // forced-bytecode baseline.
     let tiers = drive_tiers(&addr);
+    let tier_ratio = tiers.hot_cps / tiers.bytecode_cps.max(1e-9);
 
     let metrics_text = handle
         .metrics_addr
@@ -453,7 +417,7 @@ fn main() {
              \"width_rps\": {{{width_rps}}},\n  \
              \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
              \"tier_walk\": [{}],\n  \"tier_bytecode_cps\": {},\n  \"tier_hot_cps\": {},\n  \
-             \"tier_ratio\": {},\n  \"tier_promotions\": {},\n  \
+             \"tier_ratio\": {},\n  \
              \"native_supported\": {},\n  \"failures\": {failures}\n}}",
             json_f64(repeat.req_per_sec()),
             json_f64(oneshot.req_per_sec()),
@@ -474,8 +438,7 @@ fn main() {
                 .join(", "),
             json_f64(tiers.bytecode_cps),
             json_f64(tiers.hot_cps),
-            json_f64(tiers.ratio()),
-            tiers.promotions,
+            json_f64(tier_ratio),
             tiers.native_supported,
         );
     } else {
@@ -517,24 +480,23 @@ fn main() {
             stats.hits, stats.misses
         );
         println!(
-            "  tiers (hot kernel):  {}   bytecode {:.3e} -> hot {:.3e} chunks/s \
-             ({:.2}x; {} promotion(s))",
-            tiers.labels.join(" -> "),
+            "  engine (hot kernel): {}   bytecode {:.3e} -> implicit {:.3e} chunks/s ({:.2}x)",
+            tiers.labels.join(", "),
             tiers.bytecode_cps,
             tiers.hot_cps,
-            tiers.ratio(),
-            tiers.promotions,
+            tier_ratio,
         );
         if let Some(text) = &metrics_text {
-            let hits = text
-                .lines()
-                .find(|l| l.starts_with("flexvec_cache_hits_total"))
-                .unwrap_or("flexvec_cache_hits_total <missing>");
-            let promotions = text
-                .lines()
-                .find(|l| l.starts_with("flexvec_tier_promotions_total"))
-                .unwrap_or("flexvec_tier_promotions_total <missing>");
-            println!("  /metrics scrape ok ({hits}; {promotions})");
+            let line = |name: &str| {
+                text.lines()
+                    .find(|l| l.starts_with(name))
+                    .map_or(format!("{name} <missing>"), str::to_owned)
+            };
+            println!(
+                "  /metrics scrape ok ({}; {})",
+                line("flexvec_cache_hits_total"),
+                line("flexvec_tier_native_total")
+            );
         }
     }
 
@@ -548,25 +510,21 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // A bytecode-only host has nothing to promote to.
+    // A bytecode-only host has no native code to run.
     if tiers.native_supported {
-        if tiers.promotions == 0 {
-            eprintln!("serve_load: the tier policy never promoted the hot kernel");
-            std::process::exit(1);
-        }
-        if tiers.labels.last().map(String::as_str) != Some("native") {
+        if tiers.labels.iter().any(|l| l != "native") {
             eprintln!(
-                "serve_load: hot kernel was not promoted to the native tier \
-                 (walk: {})",
-                tiers.labels.join(" -> ")
+                "serve_load: requests without an engine did not run native code \
+                 (engines: {})",
+                tiers.labels.join(", ")
             );
             std::process::exit(1);
         }
-        if tiers.ratio() < MIN_TIER_SPEEDUP {
+        if tier_ratio < MIN_TIER_SPEEDUP {
             eprintln!(
                 "serve_load: native tier {:.2}x over bytecode is below the required \
                  {MIN_TIER_SPEEDUP:.2}x",
-                tiers.ratio()
+                tier_ratio
             );
             std::process::exit(1);
         }
@@ -953,8 +911,8 @@ fn scenario_autotune(flags: &CommonFlags) -> i32 {
     drop(client);
     handle.shutdown();
 
-    // `engine` bypass: a fresh daemon would tier this kernel to
-    // bytecode/native; an explicit engine pin must be honored verbatim.
+    // `engine` pin: a request without one would run native code (or
+    // bytecode off x86-64); an explicit engine must be honored verbatim.
     let handle = start(base_config()).expect("start engine-pin daemon");
     let mut client = Client::connect(&handle.addr.to_string()).expect("connect engine pin");
     let reply = client

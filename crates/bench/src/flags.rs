@@ -31,7 +31,8 @@ pub struct CommonFlags {
     pub engine: Engine,
     /// Whether `--engine` was given explicitly. `flexvecc client` uses
     /// this to decide between forcing the engine on the daemon and
-    /// deferring to its tier policy (the wire default, `auto`).
+    /// leaving it to the daemon (the wire default, `auto`: native code
+    /// where the daemon's host has the JIT).
     pub engine_explicit: bool,
     /// `--spec`: first-faulting (the paper's default) or RTM speculation.
     pub spec: SpecRequest,

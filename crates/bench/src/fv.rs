@@ -193,14 +193,13 @@ pub fn evaluate_fv_file(
                     live_outs: scalar.live_outs(program),
                 }
             }),
-        // The cached plan is shared and immutable: the native tier
-        // compiles a plan of its own.
+        // The native tier runs the cache entry's native code, built on
+        // its first run at this width.
         Ok(plan) => {
             let vprog = &plan.vectorized.vprog;
-            let code = match engine {
-                Engine::Native => VectorCode::new(vprog, engine),
-                _ => VectorCode::precompiled(vprog, &plan.compiled, engine),
-            };
+            let native = (engine == Engine::Native).then(|| plan.native(flexvec_isa::vlen()));
+            let compiled = native.as_deref().unwrap_or(&plan.compiled);
+            let code = VectorCode::precompiled(vprog, compiled, engine);
             let outcome = checked.check(&code, &mut sim_s, &mut sim_v, None);
             outcome.map(|(scalar, vector)| {
                 let (scalar_cycles, vector_cycles) = (sim_s.result().cycles, sim_v.result().cycles);

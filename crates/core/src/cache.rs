@@ -10,7 +10,7 @@
 //!
 //! Two compute disciplines are offered:
 //!
-//! * [`ShardedCache::get_or_try_insert`] runs the compute closure while
+//! * [`ShardedCache::get_or_insert_with`] runs the compute closure while
 //!   the key's shard is locked: a batch that submits the same kernel
 //!   from many threads compiles it exactly once, and everyone else
 //!   blocks only on that shard (keys hashing to the other shards
@@ -288,33 +288,18 @@ impl<V> ShardedCache<V> {
     /// returns it. The boolean is `true` for a cache hit. The compute
     /// closure runs under the shard lock, so concurrent submitters of
     /// the same key compute once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the compute closure's error; nothing is inserted and
-    /// the lookup is still counted as a miss.
-    pub fn get_or_try_insert<E>(
-        &self,
-        key: u64,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<(Arc<V>, bool), E> {
+    pub fn get_or_insert_with(&self, key: u64, compute: impl FnOnce() -> V) -> (Arc<V>, bool) {
         let mut shard = self.shard(key).lock().expect("cache shard");
         if let Some(e) = shard.map.get(&key) {
             let v = Arc::clone(&e.value);
             shard.hits += 1;
             shard.touch(key, self.shard_cap);
-            return Ok((v, true));
+            return (v, true);
         }
         shard.misses += 1;
-        let value = Arc::new(compute()?);
+        let value = Arc::new(compute());
         shard.insert(key, Arc::clone(&value), self.shard_cap);
-        Ok((value, false))
-    }
-
-    /// Infallible [`ShardedCache::get_or_try_insert`].
-    pub fn get_or_insert_with(&self, key: u64, compute: impl FnOnce() -> V) -> (Arc<V>, bool) {
-        let Ok(r) = self.get_or_try_insert::<core::convert::Infallible>(key, || Ok(compute()));
-        r
+        (value, false)
     }
 
     /// Like [`ShardedCache::get_or_insert_with`], but the compute
@@ -382,6 +367,17 @@ impl<V> ShardedCache<V> {
         Some(v)
     }
 
+    /// Every resident `(key, value)` pair, collected shard by shard
+    /// without counting a lookup or refreshing recency.
+    pub fn entries(&self) -> Vec<(u64, Arc<V>)> {
+        let mut out = Vec::new();
+        for s in &self.shards {
+            let shard = s.lock().expect("cache shard");
+            out.extend(shard.map.iter().map(|(&k, e)| (k, Arc::clone(&e.value))));
+        }
+        out
+    }
+
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.shards
@@ -393,16 +389,6 @@ impl<V> ShardedCache<V> {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every entry (counters are preserved).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut shard = s.lock().expect("cache shard");
-            shard.map.clear();
-            shard.probation.clear();
-            shard.protected.clear();
-        }
     }
 
     /// Resets the hit/miss counters (entries, eviction and coalescing
@@ -449,16 +435,10 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.evictions, 0);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn errors_do_not_insert() {
-        let cache: ShardedCache<u32> = ShardedCache::new();
-        let r: Result<_, &str> = cache.get_or_try_insert(1, || Err("nope"));
-        assert!(r.is_err());
-        assert!(cache.peek(1).is_none());
-        let (_, hit) = cache.get_or_insert_with(1, || 5);
-        assert!(!hit, "failed compute must not poison the key");
+        let entries = cache.entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].0, entries[0].1.as_str()), (7, "seven"));
+        assert_eq!(cache.stats(), stats, "a snapshot counts no lookup");
     }
 
     #[test]

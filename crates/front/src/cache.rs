@@ -12,9 +12,14 @@
 //! compile each distinct kernel exactly once and share the immutable
 //! [`CompiledVProg`] behind an `Arc` (per-run mutable state lives in
 //! `ExecScratch`, allocated per thread).
+//!
+//! An entry also holds the plan's native code: [`CompiledPlan::native`]
+//! JIT-compiles it on first use at each vector length and shares it
+//! from then on, so it is built once per width and evicted with the
+//! bytecode. A lookup never builds it; only a run that asks does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use flexvec::{
     analyze, program_hash, vectorize_with, CacheStats, LoopAnalysis, ShardedCache, SpecRequest,
@@ -30,6 +35,35 @@ pub struct CompiledPlan {
     pub vectorized: Vectorized,
     /// The flat bytecode form the compiled engine executes.
     pub compiled: CompiledVProg,
+    /// `compiled` with native code attached, one per vector length it
+    /// was asked for.
+    native: Mutex<Vec<(usize, Arc<CompiledVProg>)>>,
+}
+
+impl CompiledPlan {
+    /// The bytecode with native code for vector length `vl`, which must
+    /// be the ambient width (the JIT specializes to it). The first call
+    /// at a width builds it, under this plan's lock only, so concurrent
+    /// first runs build it once; later calls share it. Where the host
+    /// has no native back end the plan runs as bytecode.
+    pub fn native(&self, vl: usize) -> Arc<CompiledVProg> {
+        let mut built = self.native.lock().expect("native plans");
+        if let Some((_, plan)) = built.iter().find(|(width, _)| *width == vl) {
+            return Arc::clone(plan);
+        }
+        let mut plan = self.compiled.clone();
+        plan.enable_native();
+        let plan = Arc::new(plan);
+        built.push((vl, Arc::clone(&plan)));
+        plan
+    }
+
+    /// The vector lengths [`CompiledPlan::native`] has built native
+    /// code for, in build order.
+    pub fn native_widths(&self) -> Vec<usize> {
+        let built = self.native.lock().expect("native plans");
+        built.iter().map(|(width, _)| *width).collect()
+    }
 }
 
 /// One cache entry: everything the pipeline derives from a `Program`
@@ -182,6 +216,7 @@ impl CompileCache {
             CompiledPlan {
                 vectorized,
                 compiled,
+                native: Mutex::default(),
             }
         });
         CompiledKernel {

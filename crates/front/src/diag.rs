@@ -12,8 +12,30 @@
 //!  5 |   best = a[i]
 //!    |              ^ expected `;`
 //! ```
+//!
+//! A report stays small whatever the source: it quotes at most
+//! [`WINDOW`] characters of the line on each side of the error, and
+//! messages quote names through [`short`].
 
 use core::fmt;
+use std::borrow::Cow;
+
+/// Characters of the offending line a report shows on each side of the
+/// error's column; a longer line is cut, and each cut is marked `...`.
+pub(crate) const WINDOW: usize = 80;
+
+/// Characters of a name a message quotes in full; a longer one is cut
+/// and marked `...`.
+pub(crate) const NAME_CHARS: usize = 64;
+
+/// `name` as a message quotes it: whole up to [`NAME_CHARS`]
+/// characters, else cut after them.
+pub(crate) fn short(name: &str) -> Cow<'_, str> {
+    match name.char_indices().nth(NAME_CHARS) {
+        Some((cut, _)) => Cow::Owned(format!("{}...", &name[..cut])),
+        None => Cow::Borrowed(name),
+    }
+}
 
 /// A half-open byte range in a source file, with the 1-based line and
 /// column of its start.
@@ -75,7 +97,8 @@ impl Diagnostic {
     }
 
     /// Renders the full report with a caret snippet cut from `source`
-    /// (the text the diagnostic was produced from).
+    /// (the text the diagnostic was produced from). Only a window of a
+    /// long line is shown, and the carets stay inside it.
     pub fn render(&self, source: &str) -> String {
         let mut out = String::new();
         out.push_str(&format!("error: {}\n", self.message));
@@ -90,16 +113,26 @@ impl Diagnostic {
             .lines()
             .nth(self.span.line.saturating_sub(1) as usize)
             .unwrap_or("");
-        out.push_str(&format!(" {line_no} | {line_text}\n"));
+        // The characters `first..last` of the line.
         let col = self.span.col.saturating_sub(1) as usize;
-        let caret_len = self.span.len.max(1).min(line_text.chars().count().max(1));
-        let carets = "^".repeat(caret_len);
+        let chars = line_text.chars().count();
+        let first = col.saturating_sub(WINDOW).min(chars);
+        let last = col.saturating_add(WINDOW).min(chars);
+        let shown: String = line_text.chars().skip(first).take(last - first).collect();
+        let front = if first > 0 { "..." } else { "" };
+        let back = if last < chars { "..." } else { "" };
+        out.push_str(&format!(" {line_no} | {front}{shown}{back}\n"));
+        let pad = " ".repeat(front.len() + (col - first).min(WINDOW));
+        // Carets stop where a cut line does; on a whole line they may
+        // run to its length past the column, as they always have.
+        let room = last - if back.is_empty() { first } else { col };
+        let carets = "^".repeat(self.span.len.max(1).min(room.max(1)));
         let hint = if self.expected.is_empty() {
             String::new()
         } else {
             format!(" expected {}", self.expected.join(" or "))
         };
-        out.push_str(&format!(" {gutter} | {}{carets}{hint}\n", " ".repeat(col)));
+        out.push_str(&format!(" {gutter} | {pad}{carets}{hint}\n"));
         out
     }
 }
@@ -135,6 +168,56 @@ mod tests {
         assert!(text.contains("best = a[i]"), "{text}");
         assert!(text.contains("^ expected `;`"), "{text}");
         assert_eq!(d.summary(), "t.fv:2:11: expected `;`, found end of line");
+    }
+
+    #[test]
+    fn long_lines_and_names_render_small() {
+        // One 80,076-byte line: a 20,000-term sum, past the depth limit.
+        let mut chain = String::from(
+            "kernel deep_chain;\n\nvar i = 0;\nvar x = 0;\n\nfor (i = 0; i < 4; i++) {\n  x = i",
+        );
+        chain.push_str(&" + i".repeat(19_999));
+        chain.push_str(";\n}\n");
+        assert_eq!(chain.len(), 80_076);
+        // One 100,000-character identifier, undeclared.
+        let name = "q".repeat(100_000);
+        let ident =
+            format!("kernel k;\nvar i = 0;\nfor (i = 0; i < 4; i++) {{\n  {name} = 1;\n}}\n");
+        for src in [chain, ident] {
+            let text = crate::parse_str("t.fv", &src).unwrap_err().render(&src);
+            assert!(text.len() < 1024, "{} bytes:\n{text}", text.len());
+            assert!(text.contains("..."), "{text}");
+        }
+        // Names that fit are quoted whole, on character boundaries.
+        assert_eq!(short(&"é".repeat(NAME_CHARS)), "é".repeat(NAME_CHARS));
+        let long = "é".repeat(NAME_CHARS + 1);
+        assert_eq!(short(&long), format!("{}...", "é".repeat(NAME_CHARS)));
+    }
+
+    #[test]
+    fn the_window_cuts_on_character_boundaries() {
+        // Two- and three-byte characters around every window edge.
+        let line: String = "aé日".repeat(100);
+        let src = format!("var x;\n{line}\n");
+        let span = Span {
+            offset: 7,
+            len: 5,
+            line: 2,
+            col: 1,
+        };
+        for col in 1..=302 {
+            let text = Diagnostic::new("t.fv", "bad", Span { col, ..span }).render(&src);
+            let shown = text.lines().nth(3).unwrap();
+            assert!(shown.chars().count() <= 2 * WINDOW + 12, "{shown}");
+            let carets = text.lines().nth(4).unwrap();
+            let at = carets.find('^').unwrap() - " | ".len() - 2;
+            let expect = if col as usize > WINDOW + 1 {
+                "...".len() + WINDOW
+            } else {
+                col as usize - 1
+            };
+            assert_eq!(at, expect, "col {col}:\n{text}");
+        }
     }
 
     #[test]

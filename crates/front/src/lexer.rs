@@ -4,7 +4,7 @@
 //! lexes or produces a [`Diagnostic`] — the lexer never panics (the
 //! mutation tests in `tests/` enforce this over corrupted corpora).
 
-use crate::diag::{Diagnostic, Span};
+use crate::diag::{short, Diagnostic, Span};
 
 /// A token kind. Operators keep their surface spelling in
 /// [`TokKind::describe`] so expectation messages read naturally.
@@ -96,7 +96,7 @@ impl TokKind {
     /// How the token is described in diagnostics.
     pub fn describe(&self) -> String {
         match self {
-            TokKind::Ident(name) => format!("identifier `{name}`"),
+            TokKind::Ident(name) => format!("identifier `{}`", short(name)),
             TokKind::Str(_) => "quoted name".to_owned(),
             TokKind::Int(v) => format!("integer `{v}`"),
             TokKind::KwKernel => "`kernel`".to_owned(),
@@ -250,11 +250,9 @@ fn lex_unicode_escape(
         ));
     }
     if hex.len() > 6 {
+        let (digits, hex) = (hex.len(), short(&hex));
         return Err(lx.error(
-            format!(
-                "overlong `\\u{{{hex}}}` escape ({} hex digits; the maximum is 6)",
-                hex.len()
-            ),
+            format!("overlong `\\u{{{hex}}}` escape ({digits} hex digits; the maximum is 6)"),
             span,
         ));
     }

@@ -28,7 +28,7 @@
 use flexvec_ir::build as b;
 use flexvec_ir::{ArraySym, Expr, Program, ProgramBuilder, Stmt, VarId};
 
-use crate::diag::{Diagnostic, Span};
+use crate::diag::{short, Diagnostic, Span};
 use crate::lexer::{lex, TokKind, Token};
 
 /// Nesting limit for expressions and statements: corrupted inputs with
@@ -299,6 +299,7 @@ impl Parser<'_> {
             if self.eat(&TokKind::KwVar) {
                 let (name, span) = self.name("variable name")?;
                 if vars.iter().any(|(n, _)| *n == name) {
+                    let name = short(&name);
                     return Err(self.error(format!("variable `{name}` declared twice"), span));
                 }
                 self.expect(&TokKind::Assign)?;
@@ -309,6 +310,7 @@ impl Parser<'_> {
             } else if self.eat(&TokKind::KwArray) {
                 let (name, span) = self.name("array name")?;
                 if arrays.iter().any(|(n, _)| *n == name) {
+                    let name = short(&name);
                     return Err(self.error(format!("array `{name}` declared twice"), span));
                 }
                 let init = self.array_init()?;
@@ -329,6 +331,7 @@ impl Parser<'_> {
                 loop {
                     let (name, span) = self.name("variable name")?;
                     let Some((_, id)) = vars.iter().find(|(n, _)| *n == name) else {
+                        let name = short(&name);
                         return Err(self.error(
                             format!("live_out references undeclared variable `{name}`"),
                             span,
@@ -361,6 +364,7 @@ impl Parser<'_> {
         self.expect(&TokKind::Semi)?;
         let (cond_name, cond_span) = self.name("induction variable")?;
         if cond_name != ind_name {
+            let (ind_name, cond_name) = (short(&ind_name), short(&cond_name));
             return Err(self.error(
                 format!("loop condition must test `{ind_name}`, found `{cond_name}`"),
                 cond_span,
@@ -371,6 +375,7 @@ impl Parser<'_> {
         self.expect(&TokKind::Semi)?;
         let (step_name, step_span) = self.name("induction variable")?;
         if step_name != ind_name {
+            let (ind_name, step_name) = (short(&ind_name), short(&step_name));
             return Err(self.error(
                 format!("loop step must increment `{ind_name}`, found `{step_name}`"),
                 step_span,
@@ -610,7 +615,9 @@ impl Scope<'_> {
         if let Some((_, id)) = self.vars.iter().find(|(n, _)| n == name) {
             return Ok(*id);
         }
-        let msg = if self.arrays.iter().any(|(n, _)| n == name) {
+        let is_array = self.arrays.iter().any(|(n, _)| n == name);
+        let name = short(name);
+        let msg = if is_array {
             format!("`{name}` is an array, but is used as a scalar variable")
         } else {
             format!("undeclared variable `{name}`")
@@ -622,7 +629,9 @@ impl Scope<'_> {
         if let Some((_, id)) = self.arrays.iter().find(|(n, _)| n == name) {
             return Ok(*id);
         }
-        let msg = if self.vars.iter().any(|(n, _)| n == name) {
+        let is_var = self.vars.iter().any(|(n, _)| n == name);
+        let name = short(name);
+        let msg = if is_var {
             format!("`{name}` is a scalar variable, but is indexed like an array")
         } else {
             format!("undeclared array `{name}`")

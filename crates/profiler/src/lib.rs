@@ -137,61 +137,6 @@ impl ThroughputReport {
     }
 }
 
-/// One named engine counter, the exchange format between the execution
-/// statistics ([`VectorStats`], [`ThroughputReport`]) and an external
-/// metrics registry (the serving layer's `/metrics` endpoint). Names
-/// are stable, snake_case, and unit-suffixed where meaningful.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StatSample {
-    /// Stable metric name (e.g. `engine_chunks`).
-    pub name: &'static str,
-    /// Monotonic count contributed by the measured run.
-    pub value: u64,
-}
-
-/// Flattens one run's [`VectorStats`] into named samples a metrics
-/// registry can accumulate as counters.
-pub fn vector_stat_samples(stats: &VectorStats) -> Vec<StatSample> {
-    vec![
-        StatSample {
-            name: "engine_chunks",
-            value: stats.chunks,
-        },
-        StatSample {
-            name: "engine_vpl_iterations",
-            value: stats.vpl_iterations,
-        },
-        StatSample {
-            name: "engine_ff_fallbacks",
-            value: stats.ff_fallbacks,
-        },
-        StatSample {
-            name: "engine_rtm_commits",
-            value: stats.rtm_commits,
-        },
-        StatSample {
-            name: "engine_rtm_aborts",
-            value: stats.rtm_aborts,
-        },
-    ]
-}
-
-/// Flattens a [`ThroughputReport`] into named samples: the µop total
-/// plus the wall time in microseconds (so a registry can derive chunks/s
-/// and µops/s as rates over scrape intervals).
-pub fn throughput_samples(report: &ThroughputReport) -> Vec<StatSample> {
-    vec![
-        StatSample {
-            name: "engine_uops",
-            value: report.uops,
-        },
-        StatSample {
-            name: "engine_wall_micros",
-            value: report.wall.as_micros() as u64,
-        },
-    ]
-}
-
 impl core::fmt::Display for ThroughputReport {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
@@ -640,31 +585,6 @@ mod tests {
     fn pattern_listing() {
         let pats = detected_patterns(&cond_min_loop(64));
         assert_eq!(pats, vec!["conditional-update".to_owned()]);
-    }
-
-    #[test]
-    fn stat_samples_flatten_every_counter() {
-        let stats = VectorStats {
-            chunks: 3,
-            vpl_iterations: 7,
-            ff_fallbacks: 1,
-            rtm_commits: 2,
-            rtm_aborts: 1,
-            ..VectorStats::default()
-        };
-        let samples = vector_stat_samples(&stats);
-        let get = |n: &str| samples.iter().find(|s| s.name == n).unwrap().value;
-        assert_eq!(get("engine_chunks"), 3);
-        assert_eq!(get("engine_vpl_iterations"), 7);
-        assert_eq!(get("engine_ff_fallbacks"), 1);
-        assert_eq!(get("engine_rtm_commits"), 2);
-        assert_eq!(get("engine_rtm_aborts"), 1);
-
-        let report = ThroughputReport::new("compiled", Duration::from_millis(2), 3, 40);
-        let samples = throughput_samples(&report);
-        let get = |n: &str| samples.iter().find(|s| s.name == n).unwrap().value;
-        assert_eq!(get("engine_uops"), 40);
-        assert_eq!(get("engine_wall_micros"), 2000);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Speculation-counter crosscheck across all three execution tiers.
 //!
 //! The daemon's `/metrics` engine counters sum [`ThroughputReport`]'s
-//! fault, conflict and partition counters, and the daemon may promote a
-//! kernel from bytecode to the native JIT *while they accumulate*. A
-//! tier that under- or over-reported `ff_fallbacks`, `rtm_aborts` or
-//! `vpl_iterations` would silently skew them after a promotion, so
-//! every tier must report bit-identical counts for the same program and
-//! input — asserted here for one shape per counter family.
+//! fault, conflict and partition counters over requests that may run a
+//! kernel on different tiers (an explicit `engine` picks one). A tier
+//! that under- or over-reported `ff_fallbacks`, `rtm_aborts` or
+//! `vpl_iterations` would silently skew them, so every tier must report
+//! bit-identical counts for the same program and input — asserted here
+//! for one shape per counter family.
 
 use flexvec::{vectorize, SpecRequest};
 use flexvec_ir::build::*;

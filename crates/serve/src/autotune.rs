@@ -148,9 +148,10 @@ pub enum Pick {
     Explore(usize),
 }
 
-/// The per-kernel-hash serving state: speculation choices and the
+/// The serving state of one registered kernel, kept in its registry
+/// entry and dropped with it: speculation choices and the
 /// verified-once memo.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct KernelProfile {
     /// One table per `(vl, invocations)` seen on implicit-spec
     /// requests, oldest first, at most [`MAX_CHOICES`].

@@ -1,15 +1,20 @@
 //! The daemon's compile-and-execute core.
 //!
 //! One [`ServeEngine`] lives for the life of the process and owns the
-//! two shared maps every worker goes through:
+//! two shared maps every worker goes through, each bounded by the
+//! daemon's cache capacity:
 //!
 //! * the **compile cache** — a bounded [`CompileCache`] submitted to
 //!   via [`CompileCache::get_or_compile_coalesced`], so N concurrent
 //!   requests for the same (AST, spec) pair cost one pipeline run and
-//!   repeat-kernel traffic skips compilation entirely;
+//!   repeat-kernel traffic skips compilation entirely. An entry also
+//!   keeps the plan's native code, built on its first run at each
+//!   width ([`flexvec_front::CompiledPlan::native`]);
 //! * the **kernel registry** — parsed kernels keyed by their stable
 //!   AST hash, so a client can send `.fv` source once and refer to it
-//!   by `hash` forever after (until eviction).
+//!   by `hash` forever after (until eviction). An entry also keeps the
+//!   kernel's [`KernelProfile`], which leaves the registry with it: a
+//!   kernel sent again after eviction verifies (and explores) again.
 //!
 //! Execution follows the **verified-once** discipline, keyed by
 //! variant: [`VariantKey`] `(spec, vl, invocations)`. The first run of
@@ -27,10 +32,12 @@
 //! entry. Requests that pin `spec` explicitly share the memo and its
 //! audits — the pin bypasses the *choice*, not verification — so a
 //! fixed-spec daemon and an autotuned one are comparable like-for-like.
-//! The daemon decides *what* runs (memo, audits, tier, choice);
-//! [`Kernel`] runs it, polling the request's [`CancelToken`] so a
-//! deadline or a daemon drain stops the VPL loop at the next chunk
-//! boundary.
+//! The daemon decides *what* runs (memo, audits, choice); [`Kernel`]
+//! runs it, polling the request's [`CancelToken`] so a deadline or a
+//! daemon drain stops the VPL loop at the next chunk boundary. A
+//! request that names no engine runs native code wherever the host has
+//! the JIT ([`native_supported`]) and bytecode elsewhere; the tree
+//! walker runs only when named.
 //!
 //! Implicit-spec requests run the speculation [`crate::autotune`]
 //! chooses per kernel hash and `(vl, invocations)`: the candidate
@@ -46,17 +53,15 @@ use std::time::{Duration, Instant};
 
 use flexvec::{program_hash, ShardedCache, SpecRequest, VectorizeError};
 use flexvec_front::{parse_str, CompileCache, CompiledKernel, ParsedKernel};
-use flexvec_ir::Program;
-use flexvec_profiler::{throughput_samples, vector_stat_samples, StatSample, ThroughputReport};
+use flexvec_profiler::ThroughputReport;
 use flexvec_sim::{OooSim, SimConfig};
 use flexvec_vm::{
-    native_supported, CancelToken, CheckError, CompiledVProg, CountingSink, Engine, ExecError,
-    Kernel, TraceSink, VectorCode, VectorStats,
+    native_supported, CancelToken, CheckError, CountingSink, Engine, ExecError, Kernel, TraceSink,
+    VectorCode, VectorStats,
 };
 
 use crate::autotune::{KernelProfile, Pick, VariantCycles, VariantKey, LADDER};
 use crate::json::Json;
-use crate::metrics::ExternalSample;
 use crate::protocol::{hash_hex, ErrorKind, Op, ProtoError, Request};
 
 /// Build identity, stamped by `build.rs` and reported by `--version`,
@@ -103,78 +108,46 @@ pub struct OpResult {
 /// `Arc`; every method takes `&self`.
 pub struct ServeEngine {
     cache: CompileCache,
-    registry: ShardedCache<ParsedKernel>,
+    registry: ShardedCache<Registered>,
     started: Instant,
     totals: Mutex<BTreeMap<&'static str, u64>>,
-    tiers: Mutex<BTreeMap<u64, TierEntry>>,
-    profiles: Mutex<BTreeMap<u64, KernelProfile>>,
-    /// Upper bound on the `tiers` and `profiles` map sizes, so daemon
-    /// memory is bounded by configuration, not by the number of
-    /// distinct kernels ever seen.
-    tracked_capacity: usize,
 }
 
-/// A kernel becomes *hot* (native tier) at this many runs.
-const TIER_HOT_RUNS: u64 = 16;
-
-/// Tracking-map bound for unbounded-cache daemons (`cache_capacity`
-/// 0): still finite, so a hostile kernel stream cannot grow the tier
-/// and profile maps without limit.
-const TRACKED_UNBOUNDED_CAP: usize = 4096;
-
-/// Per-kernel-hash tier state: how often the kernel has run, which
-/// tier it last ran on, and the native-enabled plan once it got hot.
-/// The map is keyed by kernel hash and bounded by
-/// [`ServeEngine::tracked_capacity`], so it grows with resident
-/// kernels, not with traffic.
-#[derive(Default)]
-struct TierEntry {
-    runs: u64,
-    /// 0 = never ran, else `tier_rank` of the last auto-policy tier.
-    last_rank: u8,
-    /// Cached native-enabled clone of the compiled plan, keyed by the
-    /// `(spec, vl)` it was built for — native code is specialized per
-    /// vector length, so a width change rebuilds it just like a spec
-    /// change does.
-    native: Option<(SpecRequest, usize, CompiledVProg)>,
+/// A registry entry: the parsed kernel and the profile of its runs
+/// (the verified-once memo and the speculation choices), which lives
+/// and leaves with the registration.
+struct Registered {
+    kernel: ParsedKernel,
+    profile: Mutex<KernelProfile>,
 }
 
-/// Promotion order of the tiers.
-fn tier_rank(engine: Engine) -> u8 {
-    match engine {
-        Engine::TreeWalking => 1,
-        Engine::Compiled => 2,
-        Engine::Native => 3,
+/// The engine a request runs on: the one it names, else native code
+/// where the host has the JIT and bytecode elsewhere.
+fn engine_for(req: &Request) -> Engine {
+    req.engine.unwrap_or(if native_supported() {
+        Engine::Native
+    } else {
+        Engine::Compiled
+    })
+}
+
+/// The total counting a run that settled: `autotune_verified` when it
+/// simulated and verified, `autotune_vector_only` when it reused the
+/// variant's stored cycles. Scalar-only plans count the same way.
+fn run_counter(verified: bool) -> &'static str {
+    if verified {
+        "flexvec_autotune_verified_total"
+    } else {
+        "flexvec_autotune_vector_only_total"
     }
 }
 
-/// The totals-map key counting executions on this tier.
+/// The total counting executions on this tier.
 fn tier_counter(engine: Engine) -> &'static str {
     match engine {
-        Engine::TreeWalking => "tier_tree",
-        Engine::Compiled => "tier_bytecode",
-        Engine::Native => "tier_native",
-    }
-}
-
-/// Maps an engine-counter sample name to its Prometheus metric name.
-fn prom_name(name: &'static str) -> &'static str {
-    match name {
-        "engine_chunks" => "flexvec_engine_chunks_total",
-        "engine_vpl_iterations" => "flexvec_engine_vpl_iterations_total",
-        "engine_ff_fallbacks" => "flexvec_engine_ff_fallbacks_total",
-        "engine_rtm_commits" => "flexvec_engine_rtm_commits_total",
-        "engine_rtm_aborts" => "flexvec_engine_rtm_aborts_total",
-        "engine_uops" => "flexvec_engine_uops_total",
-        "engine_wall_micros" => "flexvec_engine_wall_micros_total",
-        "tier_tree" => "flexvec_tier_tree_total",
-        "tier_bytecode" => "flexvec_tier_bytecode_total",
-        "tier_native" => "flexvec_tier_native_total",
-        "tier_promotions" => "flexvec_tier_promotions_total",
-        "autotune_respecialize" => "flexvec_autotune_respecialize_total",
-        "autotune_vector_only" => "flexvec_autotune_vector_only_total",
-        "autotune_verified" => "flexvec_autotune_verified_total",
-        other => other,
+        Engine::TreeWalking => "flexvec_tier_tree_total",
+        Engine::Compiled => "flexvec_tier_bytecode_total",
+        Engine::Native => "flexvec_tier_native_total",
     }
 }
 
@@ -209,107 +182,13 @@ impl ServeEngine {
             // scrape consumers and the CI smoke test key off their
             // presence.
             totals: Mutex::new(BTreeMap::from([
-                ("tier_tree", 0),
-                ("tier_bytecode", 0),
-                ("tier_native", 0),
-                ("tier_promotions", 0),
-                ("autotune_respecialize", 0),
-                ("autotune_vector_only", 0),
-                ("autotune_verified", 0),
+                ("flexvec_tier_tree_total", 0),
+                ("flexvec_tier_bytecode_total", 0),
+                ("flexvec_tier_native_total", 0),
+                ("flexvec_autotune_respecialize_total", 0),
+                ("flexvec_autotune_vector_only_total", 0),
+                ("flexvec_autotune_verified_total", 0),
             ])),
-            tiers: Mutex::new(BTreeMap::new()),
-            profiles: Mutex::new(BTreeMap::new()),
-            tracked_capacity: if cache_capacity == 0 {
-                TRACKED_UNBOUNDED_CAP
-            } else {
-                // Twice the cache: tier/profile state is tiny next to a
-                // compiled plan, and surviving a round of cache churn
-                // keeps a kernel's choices and memo intact.
-                cache_capacity.saturating_mul(2)
-            },
-        }
-    }
-
-    /// Kernels currently tracked by the tier policy and the profiles
-    /// — `(tiers, profiles)` map sizes, both bounded by the tracking
-    /// cap.
-    pub fn tracked_kernels(&self) -> (usize, usize) {
-        (
-            self.tiers.lock().expect("tiers lock").len(),
-            self.profiles.lock().expect("profiles lock").len(),
-        )
-    }
-
-    /// Enforces the tracking-map bound after a request may have added
-    /// entries. Eviction prefers kernels no longer resident in the
-    /// registry (the compile cache has moved on from them too); if
-    /// everything tracked is still resident, the smallest hashes go —
-    /// the next request for one simply re-warms its tier state.
-    fn prune_tracked(&self) {
-        fn prune<V>(map: &mut BTreeMap<u64, V>, cap: usize, resident: impl Fn(u64) -> bool) {
-            if map.len() <= cap {
-                return;
-            }
-            map.retain(|hash, _| resident(*hash));
-            while map.len() > cap {
-                let evict = *map.keys().next().expect("map is over a nonzero cap");
-                map.remove(&evict);
-            }
-        }
-        let resident = |hash: u64| self.registry.peek(hash).is_some();
-        prune(
-            &mut self.tiers.lock().expect("tiers lock"),
-            self.tracked_capacity,
-            resident,
-        );
-        prune(
-            &mut self.profiles.lock().expect("profiles lock"),
-            self.tracked_capacity,
-            resident,
-        );
-    }
-
-    /// Picks the execution tier for one request and advances the
-    /// kernel's run count. An explicit request engine is honored
-    /// as-is; otherwise the per-hash policy starts a kernel on
-    /// bytecode and promotes it to native once hot (it stays on
-    /// bytecode where the host has no native back end). The tree
-    /// walker runs only when a request names it. Returns the engine
-    /// and whether this request crossed a promotion boundary.
-    fn resolve_engine(&self, hash: u64, req: &Request) -> (Engine, bool) {
-        let mut tiers = self.tiers.lock().expect("tiers lock");
-        let entry = tiers.entry(hash).or_default();
-        let prior = entry.runs;
-        entry.runs += req.invocations.max(1);
-        let Some(explicit) = req.engine else {
-            let engine = if prior < TIER_HOT_RUNS || !native_supported() {
-                Engine::Compiled
-            } else {
-                Engine::Native
-            };
-            let promoted = entry.last_rank != 0 && tier_rank(engine) > entry.last_rank;
-            entry.last_rank = tier_rank(engine);
-            return (engine, promoted);
-        };
-        (explicit, false)
-    }
-
-    /// The native-enabled plan for a hot kernel, built once per
-    /// (hash, spec, vl) and cached in the tier entry. Native code is
-    /// specialized to the ambient vector length, so a request at a new
-    /// width rebuilds the plan for that width.
-    fn native_plan(&self, hash: u64, spec: SpecRequest, base: &CompiledVProg) -> CompiledVProg {
-        let vl = flexvec_isa::vlen();
-        let mut tiers = self.tiers.lock().expect("tiers lock");
-        let entry = tiers.entry(hash).or_default();
-        match &entry.native {
-            Some((s, w, c)) if *s == spec && *w == vl => c.clone(),
-            _ => {
-                let mut c = base.clone();
-                c.enable_native();
-                entry.native = Some((spec, vl, c.clone()));
-                c
-            }
         }
     }
 
@@ -322,7 +201,8 @@ impl ServeEngine {
     /// is honored verbatim. An implicit one runs the kernel's choice at
     /// the request's `(vl, invocations)`; until that is settled, a run
     /// explores the next candidate and a compile uses `Auto`.
-    fn plan(&self, program: &Program, req: &Request) -> Planned {
+    fn plan(&self, registered: &Registered, req: &Request) -> Planned {
+        let program = &registered.kernel.program;
         let compile = |spec, explore| {
             let (compiled, hit) = self.cache.get_or_compile_coalesced(program, spec);
             Planned {
@@ -335,15 +215,8 @@ impl ServeEngine {
         if req.spec_explicit {
             return compile(req.spec, None);
         }
-        let hash = program_hash(program);
         let (vl, invocations) = (flexvec_isa::vlen(), req.invocations.max(1));
-        let pick = || {
-            self.profiles
-                .lock()
-                .expect("profiles lock")
-                .get(&hash)
-                .map_or(Pick::Explore(0), |p| p.pick(vl, invocations))
-        };
+        let pick = || profile(registered).pick(vl, invocations);
         if let Pick::Chosen(spec) = pick() {
             return compile(spec, None);
         }
@@ -378,7 +251,7 @@ impl ServeEngine {
             if runs_here {
                 return planned;
             }
-            self.record_candidate(hash, req, candidates, index, None);
+            self.record_candidate(registered, req, candidates, index, None);
         }
     }
 
@@ -387,44 +260,37 @@ impl ServeEngine {
     /// counting a choice other than `Auto` once it settles.
     fn record_candidate(
         &self,
-        hash: u64,
+        registered: &Registered,
         req: &Request,
         candidates: &'static [SpecRequest],
         index: usize,
         cycles: Option<u64>,
     ) {
         let vl = flexvec_isa::vlen();
-        let settled = self
-            .profiles
-            .lock()
-            .expect("profiles lock")
-            .entry(hash)
-            .or_default()
-            .record(vl, req.invocations.max(1), candidates, index, cycles);
+        let settled =
+            profile(registered).record(vl, req.invocations.max(1), candidates, index, cycles);
         if settled.is_some_and(|spec| spec != SpecRequest::Auto) {
-            *self
-                .totals
-                .lock()
-                .expect("totals lock")
-                .entry("autotune_respecialize")
-                .or_insert(0) += 1;
+            self.add(&[("flexvec_autotune_respecialize_total", 1)]);
         }
     }
 
     /// Resolves the request's kernel: inline source is parsed and
     /// registered under its AST hash; a `hash` must name a registered
     /// kernel.
-    fn resolve(&self, req: &Request) -> Result<Arc<ParsedKernel>, ProtoError> {
+    fn resolve(&self, req: &Request) -> Result<Arc<Registered>, ProtoError> {
         if let Some(source) = &req.source {
             let kernel = parse_str("<request>", source)
                 .map_err(|diag| ProtoError::new(ErrorKind::SourceError, diag.render(source)))?;
             let hash = program_hash(&kernel.program);
-            let (kernel, _) = self.registry.get_or_insert_with(hash, || kernel);
-            return Ok(kernel);
+            let (registered, _) = self.registry.get_or_insert_with(hash, || Registered {
+                kernel,
+                profile: Mutex::default(),
+            });
+            return Ok(registered);
         }
         let hash = req.hash.expect("validated: source or hash present");
-        if let Some(kernel) = self.registry.peek(hash) {
-            return Ok(kernel);
+        if let Some(registered) = self.registry.peek(hash) {
+            return Ok(registered);
         }
         Err(ProtoError::new(
             ErrorKind::UnknownHash,
@@ -462,7 +328,6 @@ impl ServeEngine {
             ));
         }
         let result = flexvec_isa::with_vlen(vl, || self.handle_at_width(req, cancel));
-        self.prune_tracked();
         result.map(|mut out| {
             if req.op != Op::Stats {
                 out.fields.push(("vl", Json::from(vl as u64)));
@@ -486,11 +351,11 @@ impl ServeEngine {
                 exec_wall: None,
             }),
             Op::Compile => {
-                let kernel = self.resolve(req)?;
+                let registered = self.resolve(req)?;
                 let t0 = Instant::now();
-                let Planned { compiled, hit, .. } = self.plan(&kernel.program, req);
+                let Planned { compiled, hit, .. } = self.plan(&registered, req);
                 let compile_wall = t0.elapsed();
-                let mut fields = kernel_fields(&kernel, &compiled, hit);
+                let mut fields = kernel_fields(&registered.kernel, &compiled, hit);
                 fields.push((
                     "compile_micros",
                     Json::from(compile_wall.as_micros() as u64),
@@ -503,23 +368,23 @@ impl ServeEngine {
                 })
             }
             Op::Run | Op::Bench => {
-                let kernel = self.resolve(req)?;
+                let registered = self.resolve(req)?;
                 let t0 = Instant::now();
                 let Planned {
                     spec,
                     explore,
                     compiled,
                     hit,
-                } = self.plan(&kernel.program, req);
+                } = self.plan(&registered, req);
                 let compile_wall = t0.elapsed();
                 let t1 = Instant::now();
-                let outcome = self.execute(&kernel, &compiled, req, spec, cancel)?;
+                let outcome = self.execute(&registered, &compiled, req, spec, cancel)?;
                 let exec_wall = t1.elapsed();
                 if let Some((index, candidates)) = explore {
-                    let (hash, cycles) = (compiled.program_hash, outcome.vector_cycles);
-                    self.record_candidate(hash, req, candidates, index, Some(cycles));
+                    let cycles = Some(outcome.vector_cycles);
+                    self.record_candidate(&registered, req, candidates, index, cycles);
                 }
-                let mut fields = kernel_fields(&kernel, &compiled, hit);
+                let mut fields = kernel_fields(&registered.kernel, &compiled, hit);
                 fields.push(("spec", Json::from(spec_label(spec))));
                 fields.extend(run_fields(&outcome, req));
                 Ok(OpResult {
@@ -538,14 +403,14 @@ impl ServeEngine {
     /// an audit), on a [`CountingSink`] with the stored cycles otherwise.
     fn execute(
         &self,
-        kernel: &ParsedKernel,
+        registered: &Registered,
         compiled: &CompiledKernel,
         req: &Request,
         spec: SpecRequest,
         cancel: Option<&CancelToken>,
     ) -> Result<ExecOutcome, ProtoError> {
-        let program = &kernel.program;
-        let arrays = kernel.materialize_arrays();
+        let program = &registered.kernel.program;
+        let arrays = registered.kernel.materialize_arrays();
         let invocations = req.invocations.max(1);
         let checked = Kernel::new(program, &arrays, invocations);
         let wire_error = |e: CheckError| match e {
@@ -580,19 +445,12 @@ impl ServeEngine {
         // every other run replays the stored cycles. This applies to
         // explicit-spec requests too: an explicit spec pins the
         // *variant*; the verification discipline is the same.
-        let hash = compiled.program_hash;
         let key = VariantKey {
             spec,
             vl: flexvec_isa::vlen(),
             invocations,
         };
-        let replay = self
-            .profiles
-            .lock()
-            .expect("profiles lock")
-            .entry(hash)
-            .or_default()
-            .replay(&key);
+        let replay = profile(registered).replay(&key);
         let simulate = replay.is_none();
 
         // The scalar program runs when this run verifies, and on every
@@ -610,7 +468,7 @@ impl ServeEngine {
                 None => {
                     let scalar = sink_s.cycles().expect("a verifying run simulates");
                     self.settle(
-                        hash,
+                        registered,
                         key,
                         VariantCycles {
                             scalar,
@@ -619,7 +477,7 @@ impl ServeEngine {
                     )?
                 }
             };
-            self.count_run(simulate);
+            self.add(&[(run_counter(simulate), 1)]);
             return Ok(ExecOutcome {
                 kind: "scalar-only",
                 // The scalar run is the answer: nothing to verify.
@@ -634,15 +492,15 @@ impl ServeEngine {
             });
         };
 
-        // Vector execution on a fresh memory image, on the tier the
-        // policy (or an explicit request engine) picked.
-        let (engine, promoted) = self.resolve_engine(hash, req);
-        let native =
-            (engine == Engine::Native).then(|| self.native_plan(hash, spec, &plan.compiled));
-        self.record_tier(engine, promoted);
+        // Vector execution on a fresh memory image. Native code comes
+        // from the compile-cache entry, built on its first run at this
+        // width.
+        let engine = engine_for(req);
+        let native = (engine == Engine::Native).then(|| plan.native(flexvec_isa::vlen()));
+        self.add(&[(tier_counter(engine), 1)]);
         let code = VectorCode::precompiled(
             &plan.vectorized.vprog,
-            native.as_ref().unwrap_or(&plan.compiled),
+            native.as_deref().unwrap_or(&plan.compiled),
             engine,
         );
         let mut sink_v = Sink::new(simulate);
@@ -662,7 +520,10 @@ impl ServeEngine {
                     scalar: sink_s.cycles().expect("a verifying run simulates"),
                     vector: sink_v.cycles().expect("a verifying run simulates"),
                 };
-                (self.settle(hash, key, fresh)?, scalar.live_outs(program))
+                (
+                    self.settle(registered, key, fresh)?,
+                    scalar.live_outs(program),
+                )
             }
             // Steady state: live-outs come from the vector run (the
             // verified-identical computation) and the cycles are the
@@ -672,8 +533,20 @@ impl ServeEngine {
                 vector.live_outs(program),
             ),
         };
-        self.count_run(simulate);
-        self.record_totals(&vector.total, &throughput);
+        let total = &vector.total;
+        self.add(&[
+            (run_counter(simulate), 1),
+            ("flexvec_engine_chunks_total", total.chunks),
+            ("flexvec_engine_vpl_iterations_total", total.vpl_iterations),
+            ("flexvec_engine_ff_fallbacks_total", total.ff_fallbacks),
+            ("flexvec_engine_rtm_commits_total", total.rtm_commits),
+            ("flexvec_engine_rtm_aborts_total", total.rtm_aborts),
+            ("flexvec_engine_uops_total", throughput.uops),
+            (
+                "flexvec_engine_wall_micros_total",
+                throughput.wall.as_micros() as u64,
+            ),
+        ]);
         Ok(ExecOutcome {
             kind: match plan.vectorized.kind {
                 flexvec::VectorizedKind::Traditional => "traditional",
@@ -688,47 +561,23 @@ impl ServeEngine {
         })
     }
 
-    /// Counts a run that settled: in `autotune_verified` when it
-    /// simulated and verified, in `autotune_vector_only` when it reused
-    /// the variant's stored cycles. Scalar-only plans count the same
-    /// way.
-    fn count_run(&self, verified: bool) {
-        let counter = if verified {
-            "autotune_verified"
-        } else {
-            "autotune_vector_only"
-        };
-        *self
-            .totals
-            .lock()
-            .expect("totals lock")
-            .entry(counter)
-            .or_insert(0) += 1;
-    }
-
     /// Stores a verifying run's simulated cycles with its variant. An
     /// audit that does not reproduce the stored cycles fails the
     /// request; the entry is dropped, so the next request verifies.
     fn settle(
         &self,
-        hash: u64,
+        registered: &Registered,
         key: VariantKey,
         fresh: VariantCycles,
     ) -> Result<VariantCycles, ProtoError> {
-        let settled = self
-            .profiles
-            .lock()
-            .expect("profiles lock")
-            .entry(hash)
-            .or_default()
-            .settle(key, fresh);
+        let settled = profile(registered).settle(key, fresh);
         settled.map(|()| fresh).map_err(|stored| {
             ProtoError::new(
                 ErrorKind::ExecError,
                 format!(
                     "audit mismatch for kernel {} variant (spec {}, vl {}, invocations {}): \
                      stored scalar/vector cycles {}/{}, re-simulated {}/{}",
-                    hash_hex(hash),
+                    hash_hex(program_hash(&registered.kernel.program)),
                     spec_label(key.spec),
                     key.vl,
                     key.invocations,
@@ -741,94 +590,46 @@ impl ServeEngine {
         })
     }
 
-    /// Counts one vector execution on its tier, and the promotion
-    /// event when the tier policy just moved the kernel up.
-    fn record_tier(&self, engine: Engine, promoted: bool) {
+    /// Adds to the process-lifetime totals `/metrics` exports.
+    fn add(&self, counts: &[(&'static str, u64)]) {
         let mut totals = self.totals.lock().expect("totals lock");
-        *totals.entry(tier_counter(engine)).or_insert(0) += 1;
-        if promoted {
-            *totals.entry("tier_promotions").or_insert(0) += 1;
+        for &(name, value) in counts {
+            *totals.entry(name).or_insert(0) += value;
         }
-    }
-
-    /// Folds one run's engine counters into the process-lifetime
-    /// totals `/metrics` exports.
-    fn record_totals(&self, stats: &VectorStats, throughput: &ThroughputReport) {
-        let mut totals = self.totals.lock().expect("totals lock");
-        let mut add = |samples: Vec<StatSample>| {
-            for s in samples {
-                *totals.entry(s.name).or_insert(0) += s.value;
-            }
-        };
-        add(vector_stat_samples(stats));
-        add(throughput_samples(throughput));
     }
 
     /// Engine + cache counters for the `/metrics` endpoint, in
     /// Prometheus naming.
-    pub fn metric_samples(&self) -> Vec<ExternalSample> {
-        let mut out: Vec<ExternalSample> = self
+    pub fn metric_samples(&self) -> Vec<(&'static str, u64)> {
+        let mut out: Vec<_> = self
             .totals
             .lock()
             .expect("totals lock")
             .iter()
-            .map(|(name, value)| ExternalSample {
-                name: prom_name(name),
-                value: *value,
-            })
+            .map(|(name, value)| (*name, *value))
             .collect();
         // Settled choices, one per kernel and `(vl, invocations)`, by
         // mode: one labeled gauge family, both rows always present.
         let (mut autos, mut rtms) = (0u64, 0u64);
-        for choice in self
-            .profiles
-            .lock()
-            .expect("profiles lock")
-            .values()
-            .flat_map(KernelProfile::choices)
-        {
-            match choice.chosen() {
-                Some(SpecRequest::Auto) => autos += 1,
-                Some(SpecRequest::Rtm { .. }) => rtms += 1,
-                None => {}
+        for (_, registered) in self.registry.entries() {
+            for choice in profile(&registered).choices() {
+                match choice.chosen() {
+                    Some(SpecRequest::Auto) => autos += 1,
+                    Some(SpecRequest::Rtm { .. }) => rtms += 1,
+                    None => {}
+                }
             }
         }
-        out.extend([
-            ExternalSample {
-                name: "flexvec_autotune_active_spec{mode=\"auto\"}",
-                value: autos,
-            },
-            ExternalSample {
-                name: "flexvec_autotune_active_spec{mode=\"rtm\"}",
-                value: rtms,
-            },
-        ]);
         let stats = self.cache.stats();
         out.extend([
-            ExternalSample {
-                name: "flexvec_cache_hits_total",
-                value: stats.hits,
-            },
-            ExternalSample {
-                name: "flexvec_cache_misses_total",
-                value: stats.misses,
-            },
-            ExternalSample {
-                name: "flexvec_cache_entries",
-                value: stats.entries,
-            },
-            ExternalSample {
-                name: "flexvec_cache_evictions_total",
-                value: stats.evictions,
-            },
-            ExternalSample {
-                name: "flexvec_cache_coalesced_total",
-                value: stats.coalesced,
-            },
-            ExternalSample {
-                name: "flexvec_cache_compiles_total",
-                value: self.cache.compiles(),
-            },
+            ("flexvec_autotune_active_spec{mode=\"auto\"}", autos),
+            ("flexvec_autotune_active_spec{mode=\"rtm\"}", rtms),
+            ("flexvec_cache_hits_total", stats.hits),
+            ("flexvec_cache_misses_total", stats.misses),
+            ("flexvec_cache_entries", stats.entries),
+            ("flexvec_cache_evictions_total", stats.evictions),
+            ("flexvec_cache_coalesced_total", stats.coalesced),
+            ("flexvec_cache_compiles_total", self.cache.compiles()),
         ]);
         out
     }
@@ -839,49 +640,44 @@ impl ServeEngine {
         let info = build_info();
         let stats = self.cache.stats();
         let totals = self.totals.lock().expect("totals lock");
-        let total = |name: &str| totals.get(name).copied().unwrap_or(0);
+        let total = |name: &str| Json::from(totals.get(name).copied().unwrap_or(0));
         // Per kernel hash, the table behind each `(vl, invocations)`
         // choice: every explored candidate's vector cycles (null where
         // it cannot run at that width) and the spec chosen (null while
         // exploring). Kernels that only saw explicit specs are left out.
-        let autotune_kernels: BTreeMap<String, Json> = self
-            .profiles
-            .lock()
-            .expect("profiles lock")
-            .iter()
-            .filter(|(_, p)| !p.choices().is_empty())
-            .map(|(&hash, p)| {
-                let choices = p.choices().iter().map(|choice| {
-                    let cycles = choice
-                        .table()
-                        .map(|(spec, cycles)| {
-                            (spec_label(spec), cycles.map_or(Json::Null, Json::from))
-                        })
-                        .collect();
-                    Json::obj([
-                        ("vl", Json::from(choice.vl as u64)),
-                        ("invocations", Json::from(choice.invocations)),
-                        (
-                            "spec",
-                            choice
-                                .chosen()
-                                .map_or(Json::Null, |s| Json::from(spec_label(s))),
-                        ),
-                        ("vector_cycles", Json::Obj(cycles)),
-                    ])
-                });
-                let kernel = self
-                    .registry
-                    .peek(hash)
-                    .map_or(Json::Null, |k| Json::from(k.program.name.as_str()));
-                let entry = Json::obj([
-                    ("kernel", kernel),
-                    ("choices", Json::Arr(choices.collect())),
-                ]);
-                (hash_hex(hash), entry)
-            })
-            .collect();
-        let mut fields = Vec::from([
+        let mut autotune_kernels = BTreeMap::new();
+        for (hash, registered) in self.registry.entries() {
+            let p = profile(&registered);
+            if p.choices().is_empty() {
+                continue;
+            }
+            let choices = p.choices().iter().map(|choice| {
+                let cycles = choice
+                    .table()
+                    .map(|(spec, cycles)| (spec_label(spec), cycles.map_or(Json::Null, Json::from)))
+                    .collect();
+                Json::obj([
+                    ("vl", Json::from(choice.vl as u64)),
+                    ("invocations", Json::from(choice.invocations)),
+                    (
+                        "spec",
+                        choice
+                            .chosen()
+                            .map_or(Json::Null, |s| Json::from(spec_label(s))),
+                    ),
+                    ("vector_cycles", Json::Obj(cycles)),
+                ])
+            });
+            let entry = Json::obj([
+                (
+                    "kernel",
+                    Json::from(registered.kernel.program.name.as_str()),
+                ),
+                ("choices", Json::Arr(choices.collect())),
+            ]);
+            autotune_kernels.insert(hash_hex(hash), entry);
+        }
+        Vec::from([
             ("version", Json::from(info.version)),
             ("git_hash", Json::from(info.git_hash)),
             (
@@ -902,37 +698,30 @@ impl ServeEngine {
             ),
             ("compiles", Json::from(self.cache.compiles())),
             ("kernels_registered", Json::from(self.registry.len() as u64)),
-            (
-                "kernels_tracked",
-                Json::from(self.tracked_kernels().0 as u64),
-            ),
-            ("tracked_capacity", Json::from(self.tracked_capacity as u64)),
-            ("tier_tree_total", Json::from(total("tier_tree"))),
-            ("tier_bytecode_total", Json::from(total("tier_bytecode"))),
-            ("tier_native_total", Json::from(total("tier_native"))),
-            (
-                "tier_promotions_total",
-                Json::from(total("tier_promotions")),
-            ),
+            ("tier_tree_total", total("flexvec_tier_tree_total")),
+            ("tier_bytecode_total", total("flexvec_tier_bytecode_total")),
+            ("tier_native_total", total("flexvec_tier_native_total")),
             ("native_supported", Json::from(native_supported())),
-        ]);
-        fields.extend([
             (
                 "autotune_respecialize_total",
-                Json::from(total("autotune_respecialize")),
+                total("flexvec_autotune_respecialize_total"),
             ),
             (
                 "autotune_verified_total",
-                Json::from(total("autotune_verified")),
+                total("flexvec_autotune_verified_total"),
             ),
             (
                 "autotune_vector_only_total",
-                Json::from(total("autotune_vector_only")),
+                total("flexvec_autotune_vector_only_total"),
             ),
             ("autotune_kernels", Json::Obj(autotune_kernels)),
-        ]);
-        fields
+        ])
     }
+}
+
+/// The kernel's profile, locked.
+fn profile(registered: &Registered) -> std::sync::MutexGuard<'_, KernelProfile> {
+    registered.profile.lock().expect("profile lock")
 }
 
 /// Maps a cancelled execution to the right wire error: `deadline` when
@@ -1107,6 +896,11 @@ for (i = 0; i < 64; i++) {
         &fields.iter().find(|(n, _)| *n == name).expect(name).1
     }
 
+    fn sample(engine: &ServeEngine, name: &str) -> u64 {
+        let samples = engine.metric_samples();
+        samples.iter().find(|(n, _)| *n == name).expect(name).1
+    }
+
     #[test]
     fn compile_then_run_by_hash() {
         let engine = ServeEngine::new(0);
@@ -1174,87 +968,79 @@ for (i = 0; i < 64; i++) {
         let mut r = req(Op::Bench, Some(MINLOC), None);
         r.invocations = 4;
         let out = engine.handle(&r, None).unwrap();
-        assert!(field(&out.fields, "chunks").as_u64().unwrap() > 0);
-        assert!(field(&out.fields, "wall_micros").as_u64().is_some());
-        let samples = engine.metric_samples();
-        let chunks = samples
-            .iter()
-            .find(|s| s.name == "flexvec_engine_chunks_total")
-            .unwrap();
-        assert!(chunks.value > 0);
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "flexvec_cache_compiles_total" && s.value == 1));
+        let reply = |name: &str| field(&out.fields, name).as_u64().unwrap();
+        assert!(reply("chunks") > 0);
+        let sample = |name| sample(&engine, name);
+        assert_eq!(sample("flexvec_engine_chunks_total"), reply("chunks"));
+        assert_eq!(sample("flexvec_engine_uops_total"), reply("uops"));
+        assert_eq!(
+            sample("flexvec_engine_wall_micros_total"),
+            reply("wall_micros")
+        );
+        // The reply's `vpl_iterations` is the last invocation's; minloc's
+        // four invocations run the same data.
+        assert_eq!(
+            sample("flexvec_engine_vpl_iterations_total"),
+            4 * reply("vpl_iterations")
+        );
+        // A first-faulting plan that never clips and runs no
+        // transaction.
+        for name in [
+            "flexvec_engine_ff_fallbacks_total",
+            "flexvec_engine_rtm_commits_total",
+            "flexvec_engine_rtm_aborts_total",
+        ] {
+            assert_eq!(sample(name), 0, "{name}");
+        }
+        assert_eq!(sample("flexvec_cache_compiles_total"), 1);
     }
 
     #[test]
-    fn tier_policy_starts_on_bytecode_and_promotes_hot_kernels_to_native() {
+    fn implicit_requests_run_native_code_from_the_first_run() {
         let engine = ServeEngine::new(0);
-        let mut auto_req = req(Op::Run, Some(MINLOC), None);
-        auto_req.engine = None;
-
-        // One request = one run, so request k sees a prior count of
-        // k-1: bytecode below TIER_HOT_RUNS, native after (bytecode on
-        // hosts without the back end). The tree walker never runs
-        // unless a request names it.
-        let labels: Vec<String> = (0..=TIER_HOT_RUNS)
-            .map(|_| {
-                let r = engine.handle(&auto_req, None).unwrap();
-                field(&r.fields, "engine").as_str().unwrap().to_owned()
-            })
-            .collect();
-        let hot = TIER_HOT_RUNS as usize;
-        assert!(labels[..hot].iter().all(|l| l == "compiled"));
-        assert_eq!(
-            labels[hot],
-            if native_supported() {
-                "native"
-            } else {
-                "compiled"
-            }
-        );
-
+        let (label, counter) = if native_supported() {
+            ("native", "tier_native_total")
+        } else {
+            ("compiled", "tier_bytecode_total")
+        };
+        // Explicit engines are honored, each on its own tier.
+        for (choice, want) in [
+            (None, label),
+            (None, label),
+            (None, label),
+            (Some(Engine::TreeWalking), "tree-walking"),
+            (Some(Engine::Compiled), "compiled"),
+            (Some(Engine::Native), "native"),
+        ] {
+            let mut r = req(Op::Run, Some(MINLOC), None);
+            r.engine = choice;
+            let out = engine.handle(&r, None).unwrap();
+            assert_eq!(field(&out.fields, "engine").as_str(), Some(want));
+        }
         let stats = engine.stats_fields();
         let total = |name: &str| field(&stats, name).as_u64().unwrap();
-        assert_eq!(total("tier_tree_total"), 0);
-        if native_supported() {
-            assert_eq!(total("tier_bytecode_total"), TIER_HOT_RUNS);
-            assert_eq!(total("tier_native_total"), 1);
-            assert_eq!(total("tier_promotions_total"), 1, "bytecode→native");
-        } else {
-            assert_eq!(total("tier_bytecode_total"), TIER_HOT_RUNS + 1);
-            assert_eq!(total("tier_native_total"), 0);
-            assert_eq!(total("tier_promotions_total"), 0, "nothing to promote to");
-        }
-
-        // An explicit tree request still runs on the tree walker and
-        // counts on its tier, without touching the promotion count.
-        let mut tree_req = auto_req.clone();
-        tree_req.engine = Some(Engine::TreeWalking);
-        let r = engine.handle(&tree_req, None).unwrap();
-        assert_eq!(field(&r.fields, "engine").as_str(), Some("tree-walking"));
-        let stats = engine.stats_fields();
-        assert_eq!(field(&stats, "tier_tree_total").as_u64(), Some(1));
-        assert_eq!(
-            field(&stats, "tier_promotions_total").as_u64(),
-            Some(u64::from(native_supported()))
-        );
+        assert_eq!(total(counter), 4, "three implicit runs and one explicit");
+        assert_eq!(total("tier_tree_total"), 1);
+        assert_eq!(total("tier_native_total") + total("tier_bytecode_total"), 5);
     }
 
     #[test]
-    fn explicit_engine_bypasses_the_tier_policy() {
+    fn compile_builds_no_native_code() {
         let engine = ServeEngine::new(0);
-        let r = engine
-            .handle(&req(Op::Run, Some(MINLOC), None), None)
+        engine
+            .handle(&req(Op::Compile, Some(MINLOC), None), None)
             .unwrap();
-        assert_eq!(field(&r.fields, "engine").as_str(), Some("compiled"));
-        let stats = engine.stats_fields();
-        assert_eq!(field(&stats, "tier_tree_total").as_u64(), Some(0));
-        assert_eq!(
-            field(&stats, "tier_promotions_total").as_u64(),
-            Some(0),
-            "explicit engines never count as promotions"
-        );
+        let program = parse_str("<test>", MINLOC).unwrap().program;
+        let (compiled, _) = engine.cache().get_or_compile(&program, SpecRequest::Auto);
+        let plan = compiled.plan.as_ref().unwrap();
+        assert!(plan.native_widths().is_empty());
+        // The first native run builds it at its width, once.
+        let mut run = req(Op::Run, None, Some(compiled.program_hash));
+        run.engine = Some(Engine::Native);
+        engine.handle(&run, None).unwrap();
+        engine.handle(&run, None).unwrap();
+        assert_eq!(plan.native_widths(), [flexvec_isa::DEFAULT_VLEN]);
+        assert_eq!(engine.cache().compiles(), 1);
     }
 
     /// Store between a speculative load and its conditional update:
@@ -1395,14 +1181,7 @@ for (i = 0; i < 2048; i++) {
             .values()
             .all(|c| c.as_u64() >= Some(cycles("rtm:1024"))));
 
-        let samples = engine.metric_samples();
-        let sample = |name: &str| {
-            samples
-                .iter()
-                .find(|s| s.name == name)
-                .map(|s| s.value)
-                .unwrap_or_else(|| panic!("missing sample {name}"))
-        };
+        let sample = |name| sample(&engine, name);
         assert_eq!(sample("flexvec_autotune_respecialize_total"), 1);
         assert_eq!(sample("flexvec_autotune_active_spec{mode=\"rtm\"}"), 1);
         assert_eq!(sample("flexvec_autotune_active_spec{mode=\"auto\"}"), 0);
@@ -1477,10 +1256,7 @@ for (i = 0; i < 2048; i++) {
             assert_eq!(field(&out.fields, "spec").as_str(), Some("auto"));
             assert_eq!(field(&out.fields, "kind").as_str(), Some("scalar-only"));
         }
-        let samples = engine.metric_samples();
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "flexvec_engine_rtm_aborts_total" && s.value > 0));
+        assert!(sample(&engine, "flexvec_engine_rtm_aborts_total") > 0);
         let stats = engine.stats_fields();
         assert_eq!(stat_u64(&stats, "autotune_respecialize_total"), 0);
 
@@ -1656,21 +1432,18 @@ for (i = 16; i < 256; i++) {
     }
 
     #[test]
-    fn tier_promotion_keeps_the_reported_cycles() {
+    fn every_engine_reports_the_stored_cycles() {
         let engine = ServeEngine::new(0);
-        let mut r = req(Op::Run, Some(MINLOC), None);
-        r.engine = None;
-        let replies: Vec<_> = (0..20).map(|_| engine.handle(&r, None).unwrap()).collect();
-        let engines: std::collections::BTreeSet<&str> = replies
-            .iter()
-            .map(|out| field(&out.fields, "engine").as_str().unwrap())
-            .collect();
-        assert!(engines.contains("compiled") && !engines.contains("tree-walking"));
-        assert_eq!(engines.contains("native"), native_supported());
-        let first = reply_cycles(&replies[0].fields);
-        for out in &replies {
-            assert_eq!(reply_cycles(&out.fields), first);
+        let run = |choice| {
+            let mut r = req(Op::Run, Some(MINLOC), None);
+            r.engine = choice;
+            reply_cycles(&engine.handle(&r, None).unwrap().fields)
+        };
+        let first = run(None);
+        for choice in [Engine::Compiled, Engine::TreeWalking, Engine::Native] {
+            assert_eq!(run(Some(choice)), first);
         }
+        assert_eq!(run(None), first);
     }
 
     #[test]
@@ -1691,8 +1464,8 @@ for (i = 16; i < 256; i++) {
             vector: truth.1,
         };
         {
-            let mut profiles = engine.profiles.lock().unwrap();
-            let profile = profiles.get_mut(&hash).unwrap();
+            let registered = engine.registry.peek(hash).unwrap();
+            let mut profile = profile(&registered);
             profile.forget(&key);
             profile.settle(key, bogus).unwrap();
         }
@@ -1766,24 +1539,36 @@ for (i = 16; i < 128; i++) {
     }
 
     #[test]
-    fn tracking_maps_stay_bounded_under_distinct_kernel_traffic() {
-        // Capacity 4 bounds the caches at 4 and the tracking maps at 8.
+    fn a_profile_leaves_with_its_registration() {
+        // Capacity 4: one registry entry per shard. Run once, minloc's
+        // entry stays on probation, where a new entry displaces it.
         let engine = ServeEngine::new(4);
-        assert_eq!(engine.tracked_capacity, 8);
-        for i in 0..40 {
+        let run = req(Op::Run, Some(MINLOC), None);
+        let first = engine.handle(&run, None).unwrap();
+        assert_eq!(field(&first.fields, "verified").as_bool(), Some(true));
+        let hash = u64::from_str_radix(field(&first.fields, "hash").as_str().unwrap(), 16).unwrap();
+
+        // Other kernels' compiles push minloc out of the registry, and
+        // its profile with it.
+        let mut n = 0;
+        while engine.registry.peek(hash).is_some() {
+            assert!(n < 1000, "minloc was never evicted");
             let source = format!(
-                "kernel k{i};\nvar i = 0;\nvar s = 0;\narray a[32] = seed {i};\nlive_out s;\n\
+                "kernel k{n};\nvar i = 0;\nvar s = 0;\narray a[32] = seed {n};\nlive_out s;\n\
                  for (i = 0; i < 32; i++) {{\n  s = s + a[i];\n}}\n"
             );
             engine
-                .handle(&req(Op::Run, Some(&source), None), None)
+                .handle(&req(Op::Compile, Some(&source), None), None)
                 .unwrap();
+            n += 1;
         }
-        let (tiers, profiles) = engine.tracked_kernels();
-        assert!(tiers <= 8, "tiers map grew to {tiers}");
-        assert!(profiles <= 8, "profiles map grew to {profiles}");
         let stats = engine.stats_fields();
-        assert_eq!(field(&stats, "tracked_capacity").as_u64(), Some(8));
+        assert!(field(&stats, "kernels_registered").as_u64().unwrap() <= 16);
+
+        // Sent again, it registers afresh and verifies again.
+        let back = engine.handle(&run, None).unwrap();
+        assert_eq!(field(&back.fields, "verified").as_bool(), Some(true));
+        assert_eq!(reply_cycles(&back.fields), reply_cycles(&first.fields));
     }
 
     #[test]

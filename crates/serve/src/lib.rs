@@ -18,7 +18,8 @@
 //! * a **fixed worker pool** services jobs against one process-wide
 //!   [`flexvec_front::CompileCache`], submitting through the
 //!   coalescing path so N concurrent requests for one kernel cost one
-//!   compilation;
+//!   compilation; a request that names no engine runs the entry's
+//!   native code from its first run where the host has the JIT;
 //! * **per-request deadlines** ride a [`flexvec_vm::CancelToken`] into
 //!   the executor, which polls it at vector-chunk boundaries;
 //! * a lock-cheap **metrics registry** ([`metrics`]) — counters plus

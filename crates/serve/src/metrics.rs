@@ -148,20 +148,11 @@ pub struct ServeMetrics {
     pub open_connections: Gauge,
 }
 
-/// A named counter sample contributed by a subsystem snapshot
-/// (cache stats, engine stats) at render time.
-#[derive(Clone, Copy, Debug)]
-pub struct ExternalSample {
-    /// Metric name, already in Prometheus form (e.g. `flexvec_cache_hits`).
-    pub name: &'static str,
-    /// Counter value.
-    pub value: u64,
-}
-
 impl ServeMetrics {
-    /// Renders the registry (plus `extra` subsystem counters) in
-    /// Prometheus text exposition format.
-    pub fn render(&self, extra: &[ExternalSample]) -> String {
+    /// Renders the registry (plus `extra` subsystem samples, each a
+    /// Prometheus name and its value, e.g. `flexvec_cache_hits_total`)
+    /// in Prometheus text exposition format.
+    pub fn render(&self, extra: &[(&'static str, u64)]) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(4096);
         let counters: [(&str, &str, u64); 6] = [
@@ -248,8 +239,8 @@ impl ServeMetrics {
         // without the `_total` suffix are gauges (cache entry counts,
         // active-spec breakdowns), not counters.
         let mut typed = std::collections::BTreeSet::new();
-        for sample in extra {
-            let base = sample.name.split('{').next().unwrap_or(sample.name);
+        for &(name, value) in extra {
+            let base = name.split('{').next().unwrap_or(name);
             if typed.insert(base) {
                 let kind = if base.ends_with("_total") {
                     "counter"
@@ -258,7 +249,7 @@ impl ServeMetrics {
                 };
                 let _ = writeln!(out, "# TYPE {base} {kind}");
             }
-            let _ = writeln!(out, "{} {}", sample.name, sample.value);
+            let _ = writeln!(out, "{name} {value}");
         }
         out
     }
@@ -294,18 +285,9 @@ mod tests {
         m.queue_depth.set(2);
         m.run_latency.observe(Duration::from_micros(100));
         let text = m.render(&[
-            ExternalSample {
-                name: "flexvec_cache_hits",
-                value: 9,
-            },
-            ExternalSample {
-                name: "flexvec_autotune_active_spec{mode=\"auto\"}",
-                value: 2,
-            },
-            ExternalSample {
-                name: "flexvec_autotune_active_spec{mode=\"rtm\"}",
-                value: 1,
-            },
+            ("flexvec_cache_hits", 9),
+            ("flexvec_autotune_active_spec{mode=\"auto\"}", 2),
+            ("flexvec_autotune_active_spec{mode=\"rtm\"}", 1),
         ]);
         assert!(text.contains("flexvec_serve_requests_total 3"));
         assert!(text.contains("# TYPE flexvec_serve_queue_depth gauge"));

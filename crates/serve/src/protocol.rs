@@ -156,9 +156,9 @@ pub struct Request {
     /// [`crate::autotune`]).
     pub spec_explicit: bool,
     /// Execution engine. `None` (the wire value `auto`, and the
-    /// default) lets the daemon's tier policy pick: kernels start on
-    /// bytecode and are promoted to native code once their per-hash
-    /// run count makes them hot. The tree walker runs only when named.
+    /// default) runs native code from a kernel's first run where the
+    /// daemon's host has the JIT, and bytecode elsewhere. The tree
+    /// walker runs only when named.
     pub engine: Option<Engine>,
     /// Vector length the kernel executes at. `None` (the default)
     /// means the daemon's ambient width
@@ -200,7 +200,8 @@ pub fn parse_spec(value: &str) -> Result<SpecRequest, String> {
 }
 
 /// Parses `engine` wire values — same vocabulary as `flexvecc
-/// --engine`, plus `auto` (`None`) for the daemon's tier policy.
+/// --engine`, plus `auto` (`None`): native where the daemon's host
+/// has the JIT, bytecode elsewhere.
 ///
 /// # Errors
 ///
@@ -380,7 +381,7 @@ mod tests {
         assert_eq!(r.id, 0);
         assert_eq!(r.spec, SpecRequest::Auto);
         assert!(!r.spec_explicit, "omitted spec means the daemon chooses");
-        assert_eq!(r.engine, None, "omitted engine means the tier policy");
+        assert_eq!(r.engine, None, "omitted engine means the daemon's default");
         assert_eq!(r.invocations, 1);
         assert_eq!(r.deadline_ms, None);
     }

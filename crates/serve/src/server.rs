@@ -14,6 +14,11 @@
 //! flag. The compile cache is memory-only: a restarted daemon
 //! recompiles each kernel on its first request.
 //!
+//! Every piece of per-kernel state lives in an entry of one of the two
+//! maps that `cache_capacity` bounds: a compiled plan and its native
+//! code in the compile cache, a parsed kernel and its profile in the
+//! kernel registry.
+//!
 //! Everything blocking polls: the acceptors/reactor wake on a short
 //! timeout, connection reads carry a timeout, and workers wake on
 //! queue close — so a drain (SIGINT or [`ServerHandle::shutdown`])
@@ -69,7 +74,8 @@ pub struct ServerConfig {
     /// Admission queue capacity; beyond it requests shed with
     /// `overloaded`.
     pub queue_capacity: usize,
-    /// Compile-cache + kernel-registry bound (0 = unbounded).
+    /// Compile-cache + kernel-registry bound (0 = unbounded). It bounds
+    /// native code and kernel profiles too, which live in those entries.
     pub cache_capacity: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline_ms: Option<u64>,

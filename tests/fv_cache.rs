@@ -4,11 +4,13 @@
 //! compile counter stays flat).
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use flexvec::SpecRequest;
 use flexvec_bench::fv::{check_fv_file, evaluate_fv_file};
-use flexvec_front::CompileCache;
-use flexvec_vm::Engine;
+use flexvec_front::{parse_file, CompileCache};
+use flexvec_isa::with_vlen;
+use flexvec_vm::{native_supported, CompiledVProg, Engine};
 
 fn corpus_files() -> Vec<PathBuf> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
@@ -143,4 +145,41 @@ fn distinct_specs_are_distinct_cache_keys() {
     assert!(report.cache_hit, "same RTM spec must hit");
     let report = check_fv_file(file, &cache, SpecRequest::Rtm { tile: 128 });
     assert!(!report.cache_hit, "different RTM tile is a different key");
+}
+
+#[test]
+fn native_code_is_built_once_per_width_and_shared() {
+    let cache = CompileCache::new();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/minloc.fv");
+    let kernel = parse_file(&path).expect("minloc parses");
+    let (entry, _) = cache.get_or_compile(&kernel.program, SpecRequest::Auto);
+    let plan = entry.plan.as_ref().expect("minloc vectorizes");
+    assert!(
+        plan.native_widths().is_empty(),
+        "a compile builds no native code"
+    );
+
+    // Threads racing the first build at one width get one shared plan.
+    let raced: Vec<Arc<CompiledVProg>> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..4)
+            .map(|_| scope.spawn(|| with_vlen(16, || plan.native(16))))
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert!(raced.iter().all(|p| Arc::ptr_eq(p, &raced[0])));
+    assert_eq!(plan.native_widths(), [16]);
+    assert_eq!(raced[0].has_native(), native_supported());
+
+    // A repeat request finds the same plan through its cache hit.
+    let (again, hit) = cache.get_or_compile(&kernel.program, SpecRequest::Auto);
+    assert!(hit);
+    let repeat = with_vlen(16, || again.plan.as_ref().unwrap().native(16));
+    assert!(Arc::ptr_eq(&repeat, &raced[0]));
+
+    // Another width is another plan, built once too.
+    let wide = with_vlen(32, || plan.native(32));
+    assert!(!Arc::ptr_eq(&wide, &raced[0]));
+    assert!(Arc::ptr_eq(&wide, &with_vlen(32, || plan.native(32))));
+    assert_eq!(plan.native_widths(), [16, 32]);
+    assert_eq!(cache.compiles(), 1, "native code is not a compile");
 }

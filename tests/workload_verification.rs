@@ -46,9 +46,9 @@ fn assert_matches_golden(spec: &str, engine: Engine, actual: &str) {
 }
 
 /// The engines the golden statistics are checked on: the default
-/// compiled engine, and the native tier that serving promotes hot
-/// kernels to, whose helper calls run the compiled engine's memory and
-/// conflict arms. Off x86-64 the native tier falls back to bytecode.
+/// compiled engine, and the native tier that serving runs by default,
+/// whose helper calls run the compiled engine's memory and conflict
+/// arms. Off x86-64 the native tier falls back to bytecode.
 const ENGINES: [Engine; 2] = [Engine::Compiled, Engine::Native];
 
 fn evaluate_on(w: &Workload, spec: SpecRequest, engine: Engine) -> Evaluation {
