@@ -27,9 +27,10 @@
 //! **Bounding.** A cache built with [`ShardedCache::with_capacity`]
 //! evicts under a segmented-LRU policy: new entries enter a probation
 //! segment; a hit promotes the entry to a protected segment (bounded to
-//! ~80% of the shard); eviction removes the least-recently-used
-//! probation entry first, so one burst of distinct keys cannot flush
-//! the hot working set. Capacity is enforced per shard
+//! ~80% of the shard, so a shard bounded to one entry is plain LRU);
+//! eviction removes the least-recently-used probation entry first, so
+//! one burst of distinct keys cannot flush the hot working set.
+//! Capacity is enforced per shard
 //! (`ceil(capacity / SHARDS)`, minimum 1), so the total resident count
 //! is bounded by `SHARDS * ceil(capacity / SHARDS)`. Evictions are
 //! counted in [`CacheStats::evictions`].
@@ -149,7 +150,9 @@ impl<V> Shard<V> {
         self.protected.insert(entry.stamp, key);
 
         if let Some(cap) = cap {
-            let protected_cap = (cap * PROTECTED_NUM / PROTECTED_DEN).max(1);
+            // 0 for a bound-1 shard, which is then plain LRU: a hit must
+            // not protect its one entry from the next insert.
+            let protected_cap = cap * PROTECTED_NUM / PROTECTED_DEN;
             while self.protected.len() > protected_cap {
                 let (&stamp, &victim) = self.protected.iter().next().expect("nonempty");
                 self.protected.remove(&stamp);
@@ -523,6 +526,22 @@ mod tests {
         assert_eq!(stats.entries, 1, "shard 0 holds exactly its bound");
         assert_eq!(stats.evictions, 9);
         assert!(cache.peek(shard0_key(9)).is_some(), "newest survives");
+    }
+
+    #[test]
+    fn a_bound_one_shard_keeps_the_key_it_inserts() {
+        // Capacity 16 → 1 per shard. A hit on the resident key must not
+        // make the next insert into the shard evict the new key.
+        let cache: ShardedCache<u64> = ShardedCache::with_capacity(16);
+        cache.get_or_insert_with(shard0_key(0), || 0);
+        cache.get_or_insert_with(shard0_key(0), || unreachable!("resident"));
+        cache.get_or_insert_with(shard0_key(1), || 1);
+        assert_eq!(cache.peek(shard0_key(1)).as_deref(), Some(&1));
+        assert!(
+            cache.peek(shard0_key(0)).is_none(),
+            "plain LRU evicts the old key"
+        );
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -91,8 +91,9 @@ pub enum Access {
 struct Level {
     config: CacheLevelConfig,
     sets: usize,
-    /// `tags[set]` holds (tag, last-use stamp) pairs, at most `ways` long.
-    tags: Vec<Vec<(u64, u64)>>,
+    /// `tags[set]` holds at most `ways` tags, most recently used first,
+    /// so the back of a full set is its LRU victim.
+    tags: Vec<Vec<u64>>,
     hits: u64,
     misses: u64,
 }
@@ -110,38 +111,40 @@ impl Level {
         }
     }
 
-    /// Probes (and on hit, refreshes LRU). Returns whether the line hit.
-    fn probe(&mut self, line: u64, stamp: u64) -> bool {
+    /// The set `line` maps to, and its tag there.
+    fn locate(&mut self, line: u64) -> (&mut Vec<u64>, u64) {
         let set = (line as usize) & (self.sets - 1);
-        let tag = line >> self.sets.trailing_zeros();
-        if let Some(entry) = self.tags[set].iter_mut().find(|(t, _)| *t == tag) {
-            entry.1 = stamp;
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
+        (&mut self.tags[set], line >> self.sets.trailing_zeros())
+    }
+
+    /// Probes the line; a hit moves it to the front of its set.
+    fn probe(&mut self, line: u64) -> bool {
+        let (set, tag) = self.locate(line);
+        match set.iter().position(|&t| t == tag) {
+            Some(way) => {
+                set[..=way].rotate_right(1);
+                self.hits += 1;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
+            }
         }
     }
 
-    /// Inserts the line, evicting LRU if needed.
-    fn fill(&mut self, line: u64, stamp: u64) {
-        let set = (line as usize) & (self.sets - 1);
-        let tag = line >> self.sets.trailing_zeros();
-        let ways = self.tags[set].len();
-        if self.tags[set].iter().any(|(t, _)| *t == tag) {
+    /// Inserts an absent line at the front, evicting the LRU line from
+    /// a full set; a line already present keeps its place.
+    fn fill(&mut self, line: u64) {
+        let ways = self.config.ways;
+        let (set, tag) = self.locate(line);
+        if set.contains(&tag) {
             return;
         }
-        if ways >= self.config.ways {
-            let lru = self.tags[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, s))| *s)
-                .map(|(i, _)| i)
-                .expect("nonempty set");
-            self.tags[set].swap_remove(lru);
+        if set.len() == ways {
+            set.pop();
         }
-        self.tags[set].push((tag, stamp));
+        set.insert(0, tag);
     }
 }
 
@@ -177,7 +180,6 @@ pub struct CacheSim {
     l1: Level,
     l2: Level,
     l3: Level,
-    stamp: u64,
     prefetches: u64,
 }
 
@@ -189,7 +191,6 @@ impl CacheSim {
             l1: Level::new(config.l1),
             l2: Level::new(config.l2),
             l3: Level::new(config.l3),
-            stamp: 0,
             prefetches: 0,
         }
     }
@@ -201,7 +202,6 @@ impl CacheSim {
 
     /// Simulates one access and returns its load-to-use latency in cycles.
     pub fn access(&mut self, addr: u64, _kind: Access) -> u32 {
-        self.stamp += 1;
         let line = addr / LINE_BYTES;
         let latency = self.lookup(line);
         if latency > self.config.l1.latency {
@@ -211,22 +211,21 @@ impl CacheSim {
     }
 
     fn lookup(&mut self, line: u64) -> u32 {
-        let stamp = self.stamp;
-        if self.l1.probe(line, stamp) {
+        if self.l1.probe(line) {
             return self.config.l1.latency;
         }
-        if self.l2.probe(line, stamp) {
-            self.l1.fill(line, stamp);
+        if self.l2.probe(line) {
+            self.l1.fill(line);
             return self.config.l2.latency;
         }
-        if self.l3.probe(line, stamp) {
-            self.l1.fill(line, stamp);
-            self.l2.fill(line, stamp);
+        if self.l3.probe(line) {
+            self.l1.fill(line);
+            self.l2.fill(line);
             return self.config.l3.latency;
         }
-        self.l1.fill(line, stamp);
-        self.l2.fill(line, stamp);
-        self.l3.fill(line, stamp);
+        self.l1.fill(line);
+        self.l2.fill(line);
+        self.l3.fill(line);
         self.config.memory_latency
     }
 
@@ -240,12 +239,10 @@ impl CacheSim {
                 break;
             }
             let line = next / LINE_BYTES;
-            self.stamp += 1;
-            let stamp = self.stamp;
-            if !self.l1.probe(line, stamp) {
-                self.l1.fill(line, stamp);
-                self.l2.fill(line, stamp);
-                self.l3.fill(line, stamp);
+            if !self.l1.probe(line) {
+                self.l1.fill(line);
+                self.l2.fill(line);
+                self.l3.fill(line);
                 self.prefetches += 1;
             }
         }

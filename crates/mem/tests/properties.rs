@@ -2,13 +2,14 @@
 //! like a (partial) map with fault boundaries, and like the page-table
 //! reference model below on any operation sequence; transactions are
 //! atomic (commit = apply all, abort = apply none); the cache simulator is
-//! deterministic and monotone in locality.
+//! deterministic, monotone in locality, and evicts exactly like the
+//! stamp-LRU reference model below.
 
 use std::collections::BTreeMap;
 
 use flexvec_mem::{
-    Access, AddressSpace, ArrayId, CacheSim, HierarchyConfig, MemFault, Transaction, PAGE_BYTES,
-    PAGE_ELEMS,
+    Access, AddressSpace, ArrayId, CacheLevelConfig, CacheSim, CacheStats, HierarchyConfig,
+    MemFault, Transaction, LINE_BYTES, PAGE_BYTES, PAGE_ELEMS,
 };
 use proptest::prelude::*;
 
@@ -115,6 +116,140 @@ fn resolve(s: &AddressSpace, (kind, array, elem, skew): Addr) -> u64 {
     } else {
         addr
     }
+}
+
+/// One level of the reference cache: every line carries the stamp of its
+/// last use (a probe hit or a fill of an absent line), and a full set
+/// evicts its smallest stamp. Stamps are unique within a level, so the
+/// victim is always the least recently used line.
+struct StampLevel {
+    config: CacheLevelConfig,
+    sets: u64,
+    tags: Vec<Vec<(u64, u64)>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl StampLevel {
+    fn new(config: CacheLevelConfig) -> Self {
+        let sets = config.size_bytes / LINE_BYTES / config.ways as u64;
+        StampLevel {
+            config,
+            sets,
+            tags: vec![Vec::new(); sets as usize],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn probe(&mut self, line: u64, stamp: u64) -> bool {
+        let set = &mut self.tags[(line % self.sets) as usize];
+        match set.iter_mut().find(|(tag, _)| *tag == line / self.sets) {
+            Some(entry) => {
+                entry.1 = stamp;
+                self.hits += 1;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
+            }
+        }
+    }
+
+    /// Fills an absent line; a present one keeps its stamp.
+    fn fill(&mut self, line: u64, stamp: u64) {
+        let (tag, ways) = (line / self.sets, self.config.ways);
+        let set = &mut self.tags[(line % self.sets) as usize];
+        if set.iter().any(|(t, _)| *t == tag) {
+            return;
+        }
+        if set.len() >= ways {
+            let lru = (0..set.len()).min_by_key(|&i| set[i].1).expect("full set");
+            set.swap_remove(lru);
+        }
+        set.push((tag, stamp));
+    }
+}
+
+/// The stamp-LRU hierarchy [`CacheSim`] must match access for access:
+/// one stamp per access and per prefetched line, an L1 → L2 → L3 →
+/// memory walk that fills every level it missed, and a next-line
+/// prefetcher that stops at the page boundary.
+struct StampCache {
+    config: HierarchyConfig,
+    levels: [StampLevel; 3],
+    stamp: u64,
+    prefetches: u64,
+}
+
+impl StampCache {
+    fn new(config: HierarchyConfig) -> Self {
+        StampCache {
+            config,
+            levels: [config.l1, config.l2, config.l3].map(StampLevel::new),
+            stamp: 0,
+            prefetches: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> u32 {
+        self.stamp += 1;
+        let (line, stamp) = (addr / LINE_BYTES, self.stamp);
+        let hit = (0..3).find(|&l| self.levels[l].probe(line, stamp));
+        for level in &mut self.levels[..hit.unwrap_or(3)] {
+            level.fill(line, stamp);
+        }
+        let latency = hit.map_or(self.config.memory_latency, |l| {
+            self.levels[l].config.latency
+        });
+        if latency > self.config.l1.latency {
+            for ahead in 1..=u64::from(self.config.prefetch_degree) {
+                let next = addr + ahead * LINE_BYTES;
+                if next / PAGE_BYTES != addr / PAGE_BYTES {
+                    break;
+                }
+                self.stamp += 1;
+                let (line, stamp) = (next / LINE_BYTES, self.stamp);
+                if !self.levels[0].probe(line, stamp) {
+                    for level in &mut self.levels {
+                        level.fill(line, stamp);
+                    }
+                    self.prefetches += 1;
+                }
+            }
+        }
+        latency
+    }
+
+    fn stats(&self) -> CacheStats {
+        let [l1, l2, l3] = &self.levels;
+        CacheStats {
+            l1: (l1.hits, l1.misses),
+            l2: (l2.hits, l2.misses),
+            l3: (l3.hits, l3.misses),
+            prefetches: self.prefetches,
+        }
+    }
+}
+
+/// A hierarchy for the reference-model test: Table 1 (`kind` 0), or
+/// small levels of `sets` × `ways` lines that evict all the time.
+fn hierarchy(kind: u8, geometry: [(u8, u8); 3], prefetch_degree: u32) -> HierarchyConfig {
+    let mut config = HierarchyConfig::table1();
+    config.prefetch_degree = prefetch_degree;
+    if kind != 0 {
+        let [l1, l2, l3] = geometry.map(|(sets, ways)| (1u64 << (sets % 5), 1usize << (ways % 4)));
+        let level = |(sets, ways): (u64, usize), latency| CacheLevelConfig {
+            size_bytes: sets * ways as u64 * LINE_BYTES,
+            ways,
+            latency,
+        };
+        config.l1 = level(l1, 4);
+        config.l2 = level(l2, 12);
+        config.l3 = level(l3, 25);
+    }
+    config
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -308,6 +443,27 @@ proptest! {
         let _ = c.access(aligned, Access::Read);
         prop_assert_eq!(c.access(aligned, Access::Read), 4);
         prop_assert_eq!(c.access(aligned, Access::Write), 4);
+    }
+
+    #[test]
+    fn cache_matches_the_stamp_lru_reference(
+        kind in 0u8..3,
+        geometry in ((0u8..8, 0u8..8), (0u8..8, 0u8..8), (0u8..8, 0u8..8)),
+        prefetch_degree in 0u32..5,
+        scale in 0usize..5,
+        addrs in prop::collection::vec(0u64..256, 1..400),
+    ) {
+        // Dense words, lines across four pages, and one-set storms on
+        // Table 1's L1, L2 and L3.
+        let scale = [8, LINE_BYTES, 4096, 32 << 10, 256 << 10][scale];
+        let config = hierarchy(kind, [geometry.0, geometry.1, geometry.2], prefetch_degree);
+        let mut cache = CacheSim::new(config);
+        let mut reference = StampCache::new(config);
+        for (i, a) in addrs.iter().enumerate() {
+            let addr = a * scale;
+            prop_assert_eq!(cache.access(addr, Access::Read), reference.access(addr), "access {}", i);
+            prop_assert_eq!(cache.stats(), reference.stats(), "access {}", i);
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   occupancy constraints (an instruction cannot dispatch until the
 //!   entry of the instruction `N` slots ahead of it has been released);
 //! * **dependences** — a register scoreboard over the trace's abstract
-//!   tokens (dense tables indexed by token id, see [`Scoreboard`]); an
-//!   instruction issues when its sources are ready;
+//!   tokens (one direct-mapped table per token class, holding only the
+//!   entries that can still delay a µop, see [`Table`]); an instruction
+//!   issues when its sources are ready;
 //! * **ports** — 2 load ports, 1 store port, 4 ALU/vector ports, each
 //!   held for the class's inverse throughput (gathers occupy the load
 //!   ports at 2 lanes per cycle, per the paper's FF-instruction row);
@@ -24,12 +25,12 @@
 //! on (ILP extraction limits, dependence chains, gather costs,
 //! mispredicts) rather than absolute cycle counts.
 //!
-//! Processing a µop does no hashing, and no heap allocation beyond the
-//! scoreboard tables' amortized growth: the scoreboard is a set of dense
-//! tables indexed by token id, and the cache walk reads the µop's
-//! addresses in place.
-
-use std::collections::VecDeque;
+//! The model's state is sized by its configuration, never by the trace's
+//! length: the windows are rings as long as the ROB and the queues, the
+//! cache keeps each set's tags in recency order, and a scoreboard table
+//! grows only while a ROB window's worth of live entries collide in it.
+//! Processing a µop allocates nothing beyond that growth, and the cache
+//! walk reads the µop's addresses in place.
 
 use flexvec_mem::{Access, CacheSim, CacheStats, LINE_BYTES};
 use flexvec_vm::{Tok, TraceSink, Uop, UopClass, TEMP_BASE};
@@ -103,124 +104,119 @@ impl Predictor {
     }
 }
 
-/// Ring buffer recording the release times of a window resource.
+/// Release times of a window resource's entries: a ring as long as the
+/// window. Slots not yet used read 0.
 #[derive(Clone, Debug)]
 struct Window {
-    times: VecDeque<u64>,
-    capacity: usize,
+    times: Vec<u64>,
+    next: usize,
 }
 
 impl Window {
     fn new(capacity: usize) -> Self {
         Window {
-            times: VecDeque::with_capacity(capacity),
-            capacity,
+            times: vec![0; capacity],
+            next: 0,
         }
     }
 
-    /// Earliest cycle a new entry may allocate.
+    /// Earliest cycle a new entry may allocate: the release of the entry
+    /// `capacity` allocations before it.
     fn available_at(&self) -> u64 {
-        if self.times.len() < self.capacity {
-            0
-        } else {
-            self.times[0]
-        }
+        self.times[self.next]
     }
 
     fn push(&mut self, release: u64) {
-        if self.times.len() == self.capacity {
-            self.times.pop_front();
+        self.times[self.next] = release;
+        self.next += 1;
+        if self.next == self.times.len() {
+            self.next = 0;
         }
-        self.times.push_back(release);
     }
 }
 
-/// Size a token table may grow to regardless of its current length.
-const MIN_TABLE: usize = 256;
+/// Slots a token table starts with, as a power of two.
+const MIN_BITS: u32 = 4;
 
-/// Ready cycles of one token class, indexed by token id.
+/// Ready cycles of one token class: a direct-mapped table of `(id,
+/// ready)` slots that keeps only the entries that can still delay a µop.
 ///
-/// Ids are expected to be small and dense (virtual registers, program
-/// variables, temporaries numbered upward). An id that would more than
-/// double the table — a sentinel such as `Tok::S(u32::MAX - 1)` — lives
-/// on a short side list instead, and is folded back into the table if
-/// the table ever grows past it. So no id alone sets an allocation size.
-#[derive(Clone, Debug, Default)]
+/// A µop issues no earlier than `max(ready of its sources, dispatch)`,
+/// and dispatch cycles never decrease. So an entry ready at or before
+/// the dispatch of the µop being processed is *spent*: it can delay no
+/// later µop, and reading it as 0 (never written) is exact. A write
+/// takes its slot if the slot holds the same id or a spent entry; only a
+/// collision with a live entry doubles the table, and the rehash drops
+/// every spent entry. An entry written `rob_entries` or more µops before
+/// is spent, because a µop dispatches no earlier than the commit of the
+/// µop `rob_entries` before it and commits are in order. So at most a
+/// ROB window of entries is live, and the size follows the window, never
+/// the trace's length. Slots are indexed by a multiplicative hash, so
+/// ids that share their low bits (strided or jumping temporaries) spread
+/// out too. An empty slot reads ready 0 and so is spent, whatever its
+/// id: no id is reserved, and the sentinels `K(u32::MAX)` and
+/// `S(u32::MAX - 1)` are ordinary ids.
+#[derive(Clone, Debug)]
 struct Table {
-    dense: Vec<u64>,
-    /// `(id, ready)` pairs for ids at or past `dense.len()`.
-    side: Vec<(u32, u64)>,
+    slots: Vec<(u32, u64)>,
+    /// `slots.len()` is `1 << bits`.
+    bits: u32,
+}
+
+impl Default for Table {
+    fn default() -> Self {
+        Table {
+            slots: vec![(0, 0); 1 << MIN_BITS],
+            bits: MIN_BITS,
+        }
+    }
 }
 
 impl Table {
-    /// The ready cycle of `id`; 0 if it was never written.
+    fn index(&self, id: u32) -> usize {
+        (u64::from(id).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - self.bits)) as usize
+    }
+
+    /// The ready cycle of `id`; 0 if it was never written or its spent
+    /// entry has given up the slot.
     fn get(&self, id: u32) -> u64 {
-        match self.dense.get(id as usize) {
-            Some(&ready) => ready,
-            None => self
-                .side
-                .iter()
-                .find(|&&(i, _)| i == id)
-                .map_or(0, |&(_, ready)| ready),
+        match self.slots[self.index(id)] {
+            (slot_id, ready) if slot_id == id => ready,
+            _ => 0,
         }
     }
 
-    fn set(&mut self, id: u32, ready: u64) {
-        let idx = id as usize;
-        if let Some(slot) = self.dense.get_mut(idx) {
-            *slot = ready;
-            return;
-        }
-        let limit = (2 * self.dense.len()).max(MIN_TABLE);
-        if idx < limit {
-            self.dense.resize(limit, 0);
-            let dense = &mut self.dense;
-            self.side.retain(|&(i, r)| match dense.get_mut(i as usize) {
-                Some(slot) => {
-                    *slot = r;
-                    false
-                }
-                None => true,
-            });
-            self.dense[idx] = ready;
-        } else if let Some(entry) = self.side.iter_mut().find(|(i, _)| *i == id) {
-            entry.1 = ready;
-        } else {
-            self.side.push((id, ready));
+    /// Records `id` ready at `ready`; entries ready by `spent` are spent.
+    fn set(&mut self, id: u32, ready: u64, spent: u64) {
+        loop {
+            let i = self.index(id);
+            let slot = &mut self.slots[i];
+            if slot.0 == id || slot.1 <= spent {
+                *slot = (id, ready);
+                return;
+            }
+            // Entries in distinct slots stay apart when the index gains a
+            // bit, so the rehash loses no live entry.
+            self.bits += 1;
+            let old = std::mem::replace(&mut self.slots, vec![(0, 0); 1 << self.bits]);
+            for (id, ready) in old.into_iter().filter(|&(_, ready)| ready > spent) {
+                let i = self.index(id);
+                self.slots[i] = (id, ready);
+            }
         }
     }
 }
 
-/// The register scoreboard: the cycle each token's value is ready, one
-/// [`Table`] per token class. Scalar temporaries (ids from
-/// [`TEMP_BASE`] up) get their own table, offset by `TEMP_BASE`, so the
-/// program variables below it and the temporaries above it both index
-/// from 0.
-#[derive(Clone, Debug, Default)]
-struct Scoreboard {
-    v: Table,
-    k: Table,
-    s: Table,
-    temp: Table,
-}
-
-impl Scoreboard {
-    fn get(&self, tok: Tok) -> u64 {
-        match tok {
-            Tok::V(id) => self.v.get(id),
-            Tok::K(id) => self.k.get(id),
-            Tok::S(id) if id < TEMP_BASE => self.s.get(id),
-            Tok::S(id) => self.temp.get(id - TEMP_BASE),
-        }
-    }
-
-    fn set(&mut self, tok: Tok, ready: u64) {
-        match tok {
-            Tok::V(id) => self.v.set(id, ready),
-            Tok::K(id) => self.k.set(id, ready),
-            Tok::S(id) if id < TEMP_BASE => self.s.set(id, ready),
-            Tok::S(id) => self.temp.set(id - TEMP_BASE, ready),
-        }
+/// Where the register scoreboard keeps `tok`: the index of its class's
+/// [`Table`] in [`OooSim`]'s four, and its id there. Scalar temporaries
+/// (ids from [`TEMP_BASE`] up) have a table of their own, apart from the
+/// program variables below them, so the two never share slots.
+fn scoreboard_slot(tok: Tok) -> (usize, u32) {
+    match tok {
+        Tok::V(id) => (0, id),
+        Tok::K(id) => (1, id),
+        Tok::S(id) if id < TEMP_BASE => (2, id),
+        Tok::S(id) => (3, id),
     }
 }
 
@@ -256,7 +252,8 @@ pub struct OooSim {
     config: SimConfig,
     cache: CacheSim,
     predictor: Predictor,
-    ready: Scoreboard,
+    /// The register scoreboard: the cycle each token's value is ready.
+    ready: [Table; 4],
     rob: Window,
     rs: Window,
     lq: Window,
@@ -282,7 +279,7 @@ impl OooSim {
         OooSim {
             cache,
             predictor: Predictor::new(),
-            ready: Scoreboard::default(),
+            ready: Default::default(),
             rob: Window::new(config.rob_entries),
             rs: Window::new(config.rs_entries),
             lq: Window::new(config.load_queue),
@@ -353,7 +350,10 @@ impl OooSim {
     fn srcs_ready(&self, uop: &Uop) -> u64 {
         uop.srcs
             .iter()
-            .map(|&t| self.ready.get(t))
+            .map(|&tok| {
+                let (table, id) = scoreboard_slot(tok);
+                self.ready[table].get(id)
+            })
             .max()
             .unwrap_or(0)
     }
@@ -493,7 +493,8 @@ impl OooSim {
 
         // --- writeback / commit -------------------------------------------
         if let Some(dst) = uop.dst {
-            self.ready.set(dst, complete);
+            let (table, id) = scoreboard_slot(dst);
+            self.ready[table].set(id, complete, dispatch);
         }
         let commit = self
             .commit_bw
@@ -801,9 +802,15 @@ mod tests {
 
     #[test]
     fn unwritten_sources_are_ready_at_cycle_zero() {
-        let mut board = Scoreboard::default();
-        board.set(Tok::S(4), 9);
-        board.set(Tok::S(TEMP_BASE + 1), 11);
+        let mut board: [Table; 4] = Default::default();
+        for (tok, ready) in [(Tok::S(4), 9), (Tok::S(TEMP_BASE + 1), 11)] {
+            let (table, id) = scoreboard_slot(tok);
+            board[table].set(id, ready, 0);
+        }
+        let get = |tok| {
+            let (table, id) = scoreboard_slot(tok);
+            board[table].get(id)
+        };
         for tok in [
             Tok::S(3),
             Tok::S(5),
@@ -813,10 +820,10 @@ mod tests {
             Tok::K(u32::MAX),
             Tok::V(0),
         ] {
-            assert_eq!(board.get(tok), 0, "{tok:?}");
+            assert_eq!(get(tok), 0, "{tok:?}");
         }
-        assert_eq!(board.get(Tok::S(4)), 9);
-        assert_eq!(board.get(Tok::S(TEMP_BASE + 1)), 11);
+        assert_eq!(get(Tok::S(4)), 9);
+        assert_eq!(get(Tok::S(TEMP_BASE + 1)), 11);
 
         // In the pipeline, a µop reading only unwritten tokens issues
         // exactly as one with no sources at all.
@@ -836,21 +843,43 @@ mod tests {
     }
 
     #[test]
-    fn side_list_folds_back_when_the_table_grows_past_it() {
+    fn live_entries_keep_their_slots_and_spent_ones_give_them_up() {
         let mut table = Table::default();
-        table.set(1000, 7);
-        assert!(table.dense.is_empty(), "a far id must not size the table");
-        assert_eq!(table.get(1000), 7);
-        table.set(1000, 8);
-        assert_eq!(table.side, vec![(1000, 8)]);
-        // Ids numbered upward, as scalar temporaries are, grow the table
-        // by doubling until it covers the side-list id.
-        for id in 0..600 {
-            table.set(id, u64::from(id) + 1);
+        let small = table.slots.len();
+        // Two live ids that share a slot: the table grows to keep both.
+        let b = (1..).find(|&id| table.index(id) == table.index(0)).unwrap();
+        table.set(0, 50, 10);
+        table.set(b, 60, 10);
+        assert!(table.slots.len() > small);
+        assert_eq!((table.get(0), table.get(b)), (50, 60));
+        // The sentinels are ids like any other.
+        table.set(u32::MAX, 70, 10);
+        table.set(u32::MAX - 1, 80, 10);
+        assert_eq!((table.get(u32::MAX), table.get(u32::MAX - 1)), (70, 80));
+        // Once every entry is spent, a chain that keeps one entry live
+        // at a time reuses the slots it finds: no growth.
+        let len = table.slots.len();
+        for id in 0..10_000 {
+            table.set(id, 100 + u64::from(id), 99 + u64::from(id));
         }
-        assert!(table.side.is_empty());
-        assert_eq!(table.get(1000), 8);
-        assert_eq!(table.get(599), 600);
-        assert_eq!(table.get(600), 0);
+        assert_eq!(table.slots.len(), len);
+        assert_eq!(table.get(9_999), 10_099);
+    }
+
+    #[test]
+    fn scoreboard_size_follows_the_rob_window_not_the_trace() {
+        // A 5M-µop dependence chain through fresh temporaries, the shape
+        // of a long scalar run: dense tables indexed by id held 5M
+        // entries here.
+        let mut sim = OooSim::table1();
+        let mut uop = alu(0, &[0]);
+        for id in TEMP_BASE..TEMP_BASE + 5_000_000 {
+            uop.srcs[0] = Tok::S(id);
+            uop.dst = Some(Tok::S(id + 1));
+            sim.observe(&uop);
+        }
+        assert!(sim.result().cycles >= 5_000_000, "the chain serializes");
+        let slots: usize = sim.ready.iter().map(|table| table.slots.len()).sum();
+        assert!(slots <= 4096, "{slots} scoreboard slots");
     }
 }
