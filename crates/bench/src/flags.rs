@@ -98,33 +98,6 @@ pub fn parse_engine(value: &str) -> Result<Engine, String> {
     }
 }
 
-/// Parses `--spec` values: `ff` (alias `auto`), `rtm`, or `rtm:TILE`.
-///
-/// # Errors
-///
-/// Describes the accepted values on anything else.
-pub fn parse_spec(value: &str) -> Result<SpecRequest, String> {
-    match value {
-        "ff" | "auto" => Ok(SpecRequest::Auto),
-        "rtm" => Ok(SpecRequest::Rtm { tile: 256 }),
-        other => {
-            if let Some(tile) = other.strip_prefix("rtm:") {
-                let tile: u32 = tile
-                    .parse()
-                    .map_err(|_| format!("invalid RTM tile `{tile}` in --spec"))?;
-                if tile == 0 {
-                    return Err("RTM tile must be positive".to_owned());
-                }
-                Ok(SpecRequest::Rtm { tile })
-            } else {
-                Err(format!(
-                    "invalid --spec `{other}` (expected `ff`, `rtm`, or `rtm:TILE`)"
-                ))
-            }
-        }
-    }
-}
-
 impl CommonFlags {
     /// Parses an explicit argument list (no program name).
     ///
@@ -180,7 +153,8 @@ impl CommonFlags {
                     flags.engine_explicit = true;
                 }
                 "spec" => {
-                    flags.spec = parse_spec(&value)?;
+                    flags.spec =
+                        flexvec_serve::parse_spec(&value).map_err(|e| format!("--spec: {e}"))?;
                     flags.spec_explicit = true;
                 }
                 _ if extra.iter().any(|e| e.name == name) => {

@@ -31,8 +31,8 @@
 //! verifying runs per kernel to every first contact. The ladder itself
 //! reaches down to 16 because a tile whose stores overflow the
 //! transaction write set aborts and reruns scalar: a kernel storing
-//! many arrays per iteration wants the largest tile that fits
-//! (`serve_load --scenario autotune` has kernels settling on 64 and 16).
+//! many arrays per iteration wants the largest tile that fits (the
+//! `autotune` integration test has kernels settling on 64 and 16).
 //!
 //! The profile also carries the **verified-once** memo of the serving
 //! executor. A *variant* is what a run executes apart from the engine,

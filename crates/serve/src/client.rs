@@ -1,5 +1,5 @@
 //! A line-oriented client for the daemon protocol, shared by
-//! `flexvecc client`, the `serve_load` load generator, and the
+//! `flexvecc client`, the `flexbench` load harness, and the
 //! integration tests.
 
 use std::io::{BufRead, BufReader, Read, Write};

@@ -919,6 +919,11 @@ for (i = 0; i < 64; i++) {
         assert_eq!(field(&r.fields, "kind").as_str(), Some("flexvec"));
         let live = field(&r.fields, "live_outs");
         assert!(live.get("best").and_then(Json::as_i64).is_some());
+        // Traffic that names the kernel by hash compiles nothing more.
+        for op in [Op::Compile, Op::Run, Op::Bench, Op::Compile] {
+            let r = engine.handle(&req(op, None, Some(hash)), None).unwrap();
+            assert_eq!(r.cache_hit, Some(true), "{op:?} by hash");
+        }
         assert_eq!(engine.cache().compiles(), 1);
     }
 
@@ -1022,6 +1027,57 @@ for (i = 0; i < 64; i++) {
         assert_eq!(total(counter), 4, "three implicit runs and one explicit");
         assert_eq!(total("tier_tree_total"), 1);
         assert_eq!(total("tier_native_total") + total("tier_bytecode_total"), 5);
+    }
+
+    /// A long unguarded arithmetic chain: the shape the JIT compiles
+    /// almost entirely to inline machine code.
+    const HOTLINE: &str = "\
+kernel hotline;
+var i = 0;
+var acc = 0;
+var t = 0;
+array data[512] = seed 7;
+array out[512] = seed 1;
+live_out acc;
+for (i = 0; i < 2048; i++) {
+  t = data[i & 511] * 3 + i - 7;
+  t = (t + t * 5) & 65535;
+  t = t + t * 2 - i;
+  t = t & 65535;
+  if (t > acc) {
+    acc = t;
+  }
+  out[i & 511] = t;
+}
+";
+
+    #[test]
+    fn implicit_runs_execute_machine_code_at_every_width() {
+        if !native_supported() {
+            return;
+        }
+        // A reply says `native` whatever the plan holds, so the plan's
+        // JIT op mix is what shows that machine code ran. At every width
+        // the JIT makes 3 segments of 24 inline ops and 5 helper calls;
+        // fewer inline or more helper ops fail.
+        let engine = ServeEngine::new(0);
+        let program = parse_str("<test>", HOTLINE).unwrap().program;
+        for vl in flexvec_isa::SUPPORTED_VLENS {
+            let mut r = req(Op::Run, Some(HOTLINE), None);
+            (r.engine, r.vl) = (None, Some(vl));
+            let out = engine.handle(&r, None).unwrap();
+            assert_eq!(field(&out.fields, "engine").as_str(), Some("native"));
+            let (compiled, hit) = engine.cache().get_or_compile(&program, SpecRequest::Auto);
+            assert!(hit);
+            let plan = compiled.plan.as_ref().unwrap();
+            assert!(plan.native_widths().contains(&vl), "vl {vl}");
+            let native = flexvec_isa::with_vlen(vl, || plan.native(vl));
+            let (_, inline, helper, _) = native.native_info();
+            assert!(
+                inline >= 24 && helper <= 5,
+                "vl {vl}: {inline} inline and {helper} helper ops"
+            );
+        }
     }
 
     #[test]

@@ -353,9 +353,14 @@ impl Parser<'_> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("non-ASCII in \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Four hex digits exactly (`from_str_radix` would also take `+065`).
+        let mut cp = 0;
+        for &b in &self.bytes[self.pos..self.pos + 4] {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            cp = cp << 4 | digit;
+        }
         self.pos += 4;
         Ok(cp)
     }
@@ -509,6 +514,7 @@ mod tests {
             "\"abc",
             "\"\\q\"",
             "\"\\u12\"",
+            "\"tr\\u+065e\"",
             "{\"a\" 1}",
             "[1 2]",
             "1 2",

@@ -37,8 +37,8 @@
 //! request, and an evicted kernel must be sent as source again.
 //!
 //! `flexvecc serve` / `flexvecc client` wrap [`server::start`] and
-//! [`client::Client`]; the `serve_load` bench binary drives a daemon
-//! end-to-end and reports p50/p95/p99 latency and sustained req/s.
+//! [`client::Client`]; `flexbench`, the repo benchmark, drives a
+//! daemon end to end and reports its latency and sustained req/s.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -41,6 +41,20 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Adds one, atomically: concurrent callers never lose an update.
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Subtracts one, atomically, stopping at zero.
+    pub fn dec(&self) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(1))
+            });
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -155,7 +169,7 @@ impl ServeMetrics {
     pub fn render(&self, extra: &[(&'static str, u64)]) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(4096);
-        let counters: [(&str, &str, u64); 6] = [
+        let counters: [(&str, &str, u64); 5] = [
             (
                 "flexvec_serve_requests_total",
                 "Requests accepted off the wire",
@@ -181,27 +195,14 @@ impl ServeMetrics {
                 "TCP connections accepted",
                 self.connections_total.get(),
             ),
-            (
-                "flexvec_serve_queue_depth",
-                "Current admission queue depth",
-                self.queue_depth.get(),
-            ),
         ];
         for (name, help, value) in counters {
-            let kind = if name.ends_with("_depth") {
-                "gauge"
-            } else {
-                "counter"
-            };
             let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
+            let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {value}");
         }
-        // First-class gauges, pre-seeded (rendered from the very first
-        // scrape, like the tier counters). `flexvec_queue_depth`
-        // intentionally shadows `flexvec_serve_queue_depth` under the
-        // shorter conventional name; the old row stays for dashboards
-        // already scraping it.
+        // Gauges, pre-seeded (rendered from the very first scrape, like
+        // the tier counters).
         let gauges: [(&str, &str, u64); 2] = [
             (
                 "flexvec_open_connections",
@@ -209,7 +210,7 @@ impl ServeMetrics {
                 self.open_connections.get(),
             ),
             (
-                "flexvec_queue_depth",
+                "flexvec_serve_queue_depth",
                 "Current admission queue depth",
                 self.queue_depth.get(),
             ),
@@ -315,14 +316,16 @@ mod tests {
         let text = m.render(&[]);
         assert!(text.contains("# TYPE flexvec_open_connections gauge"));
         assert!(text.contains("flexvec_open_connections 0"));
-        assert!(text.contains("# TYPE flexvec_queue_depth gauge"));
-        assert!(text.contains("flexvec_queue_depth 0"));
+        assert!(text.contains("# TYPE flexvec_serve_queue_depth gauge"));
+        assert!(text.contains("flexvec_serve_queue_depth 0"));
+        // The queue depth is exported once, under the `serve` prefix.
+        assert!(!text.contains("flexvec_queue_depth"), "{text}");
 
         m.open_connections.set(5001);
         m.queue_depth.set(7);
         let text = m.render(&[]);
         assert!(text.contains("flexvec_open_connections 5001"));
-        assert!(text.contains("flexvec_queue_depth 7"));
+        assert!(text.contains("flexvec_serve_queue_depth 7"));
     }
 
     #[test]

@@ -172,7 +172,8 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
 }
 
-/// Parses `spec` wire values — same vocabulary as `flexvecc --spec`.
+/// Parses `spec` wire values, and the `--spec` flag of every bench
+/// binary: `ff` (alias `auto`), `rtm`, or `rtm:TILE`.
 ///
 /// # Errors
 ///
@@ -183,9 +184,13 @@ pub fn parse_spec(value: &str) -> Result<SpecRequest, String> {
         "rtm" => Ok(SpecRequest::Rtm { tile: 256 }),
         other => {
             if let Some(tile) = other.strip_prefix("rtm:") {
+                // Digits only: `str::parse` would also take a leading `+`.
                 let tile: u32 = tile
-                    .parse()
-                    .map_err(|_| format!("invalid RTM tile `{tile}` in spec"))?;
+                    .bytes()
+                    .all(|b| b.is_ascii_digit())
+                    .then(|| tile.parse().ok())
+                    .flatten()
+                    .ok_or_else(|| format!("invalid RTM tile `{tile}` in spec"))?;
                 if tile == 0 {
                     return Err("RTM tile must be positive".to_owned());
                 }
@@ -227,7 +232,13 @@ fn parse_hash(value: &str) -> Result<u64, String> {
     if value.len() > 16 || value.is_empty() {
         return Err(format!("invalid hash `{value}` (expected 1-16 hex digits)"));
     }
-    u64::from_str_radix(value, 16).map_err(|_| format!("invalid hash `{value}` (expected hex)"))
+    // Hex digits only: `from_str_radix` would also take a leading `+`.
+    value
+        .bytes()
+        .all(|b| b.is_ascii_hexdigit())
+        .then(|| u64::from_str_radix(value, 16).ok())
+        .flatten()
+        .ok_or_else(|| format!("invalid hash `{value}` (expected hex)"))
 }
 
 impl Request {
@@ -418,6 +429,7 @@ mod tests {
                 ErrorKind::BadRequest,
             ),
             (r#"{"op":"run","hash":"xyz"}"#, ErrorKind::BadRequest),
+            (r#"{"op":"run","hash":"+ff"}"#, ErrorKind::BadRequest),
             (
                 r#"{"op":"run","hash":"11112222333344445"}"#,
                 ErrorKind::BadRequest,
@@ -425,6 +437,14 @@ mod tests {
             (
                 r#"{"op":"run","source":"k","spec":"warp"}"#,
                 ErrorKind::BadRequest,
+            ),
+            (
+                r#"{"op":"run","source":"k","spec":"rtm:+64"}"#,
+                ErrorKind::BadRequest,
+            ),
+            (
+                r#"{"op":"run","source":"k","engine":"tr\u+065e"}"#,
+                ErrorKind::ParseError,
             ),
             (
                 r#"{"op":"run","source":"k","engine":"quantum"}"#,

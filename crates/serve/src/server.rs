@@ -61,8 +61,7 @@ pub enum AcceptMode {
 }
 
 /// Daemon tunables. The defaults suit an interactive local daemon;
-/// the load generator and tests shrink the queue and pool to force
-/// shed and drain paths.
+/// tests shrink the queue and pool to force shed and drain paths.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Request listener address (`port 0` picks a free port).
@@ -350,8 +349,9 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         Ok(w) => w,
         Err(_) => return,
     };
+    // Every connection thread moves this gauge, so only atomic steps.
     let open = &shared.metrics.open_connections;
-    open.set(open.get().saturating_add(1));
+    open.inc();
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
@@ -383,7 +383,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             break;
         }
     }
-    open.set(open.get().saturating_sub(1));
+    open.dec();
 }
 
 /// The response for a job whose worker died or whose reply channel was

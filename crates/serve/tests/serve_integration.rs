@@ -515,5 +515,115 @@ fn per_request_vector_length_round_trips() {
     assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(error_kind(&bad), Some("bad_request"));
     drop(client);
+
+    // Concurrent clients, each running the same kernels at every
+    // supported width: no request fails, and the widths agree.
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                let mut client = Client::connect(&addr).expect("connect");
+                let mut answers = std::collections::BTreeMap::new();
+                for vl in flexvec_isa::SUPPORTED_VLENS {
+                    for n in 30..33 {
+                        let reply = client
+                            .request(&Json::obj([
+                                ("op", Json::from("run")),
+                                ("source", Json::from(kernel_source(n))),
+                                ("vl", Json::from(vl as u64)),
+                            ]))
+                            .expect("run request");
+                        assert_eq!(
+                            reply.get("ok").and_then(Json::as_bool),
+                            Some(true),
+                            "vl {vl}: {reply}"
+                        );
+                        assert_eq!(reply.get("vl").and_then(Json::as_u64), Some(vl as u64));
+                        let best = reply
+                            .get("live_outs")
+                            .and_then(|l| l.get("best"))
+                            .and_then(Json::as_i64);
+                        assert_eq!(
+                            *answers.entry(n).or_insert(best),
+                            best,
+                            "kernel {n} at vl {vl}"
+                        );
+                    }
+                }
+            });
+        }
+    });
+    handle.shutdown();
+}
+
+/// Polls `read` until it returns `want` or five seconds pass; returns
+/// the last reading.
+fn settles_at(read: impl Fn() -> u64, want: u64) -> u64 {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let value = read();
+        if value == want || std::time::Instant::now() >= deadline {
+            return value;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn open_connections_tracks_concurrent_thread_per_connection_clients() {
+    // Every connection thread moves the gauge on open and on close. A
+    // few dozen connections, opened and closed from several threads at
+    // once, must leave it at exactly the number still open.
+    let config = ServerConfig {
+        accept_mode: AcceptMode::Threads,
+        ..test_config()
+    };
+    let handle = start(config).expect("start daemon");
+    let addr = handle.addr.to_string();
+    let open = || handle.metrics().open_connections.get();
+
+    const THREADS: usize = 8;
+    const PER_THREAD: usize = 5;
+    let stats = Json::obj([("op", Json::from("stats"))]);
+    let start_together = std::sync::Barrier::new(THREADS);
+    // A `stats` reply on a connection means its thread has counted it.
+    let mut groups: Vec<Vec<Client>> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start_together.wait();
+                    (0..PER_THREAD)
+                        .map(|_| {
+                            let mut client = Client::connect(&addr).expect("connect");
+                            client.request(&stats).expect("stats");
+                            client
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        spawned
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    assert_eq!(open(), (THREADS * PER_THREAD) as u64);
+
+    // Half the groups hang up at once, from their own threads.
+    let closing: Vec<Vec<Client>> = groups.drain(..THREADS / 2).collect();
+    let close_together = std::sync::Barrier::new(closing.len());
+    std::thread::scope(|scope| {
+        for group in closing {
+            let close_together = &close_together;
+            scope.spawn(move || {
+                close_together.wait();
+                drop(group);
+            });
+        }
+    });
+    let still_open = (groups.len() * PER_THREAD) as u64;
+    assert_eq!(settles_at(open, still_open), still_open);
+
+    drop(groups);
+    assert_eq!(settles_at(open, 0), 0);
     handle.shutdown();
 }
