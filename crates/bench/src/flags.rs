@@ -180,14 +180,31 @@ impl CommonFlags {
     }
 
     /// The value of a registered extra flag, parsed as `u64`, or
-    /// `default` when absent or unparsable.
+    /// `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// A value that is not all ASCII digits, as on the wire: `str::parse`
+    /// would also take a leading `+`. So is one past `u64::MAX`.
+    pub fn try_u64_flag(&self, name: &str, default: u64) -> Result<u64, String> {
+        let Some((_, value)) = self.extras.iter().rev().find(|(n, _)| n == name) else {
+            return Ok(default);
+        };
+        value
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| value.parse().ok())
+            .flatten()
+            .ok_or_else(|| format!("--{name}: expected a non-negative integer, got `{value}`"))
+    }
+
+    /// [`CommonFlags::try_u64_flag`], printing the error and exiting
+    /// with status 2 on a value it refuses.
     pub fn u64_flag(&self, name: &str, default: u64) -> u64 {
-        self.extras
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+        self.try_u64_flag(name, default).unwrap_or_else(|text| {
+            eprintln!("{text}");
+            std::process::exit(2);
+        })
     }
 
     /// The raw string value of a registered extra flag, or `default`
@@ -272,6 +289,37 @@ mod tests {
         assert_eq!(f.positional, vec!["run", "a.fv", "b.fv"]);
         assert_eq!(f.u64_flag("repeat", 1), 5);
         assert_eq!(f.u64_flag("missing", 7), 7);
+    }
+
+    #[test]
+    fn numeric_flags_refuse_what_is_not_all_digits() {
+        for bad in [
+            "abc",
+            "0x5",
+            "+5",
+            "-1",
+            "",
+            "1e3",
+            " 5",
+            "18446744073709551616",
+        ] {
+            let f = parse(&[&format!("--repeat={bad}")]).unwrap();
+            assert_eq!(
+                f.try_u64_flag("repeat", 1),
+                Err(format!(
+                    "--repeat: expected a non-negative integer, got `{bad}`"
+                )),
+                "{bad:?}"
+            );
+        }
+        let f = parse(&["--repeat", "007"]).unwrap();
+        assert_eq!(f.try_u64_flag("repeat", 1), Ok(7));
+        let f = parse(&["--repeat", "18446744073709551615"]).unwrap();
+        assert_eq!(f.try_u64_flag("repeat", 1), Ok(u64::MAX));
+        // A later value wins, and an absent flag is its default.
+        let f = parse(&["--repeat", "x", "--repeat", "2"]).unwrap();
+        assert_eq!(f.try_u64_flag("repeat", 1), Ok(2));
+        assert_eq!(f.try_u64_flag("missing", 9), Ok(9));
     }
 
     #[test]

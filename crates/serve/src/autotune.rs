@@ -19,7 +19,7 @@
 //! skipped at that width. Once every candidate has its cycles, the
 //! choice is the one with the fewest, ties going to the earlier
 //! candidate. Cycles are a pure function of `(kernel, spec, vl,
-//! invocations)` (see [`KernelProfile::needs_verify`]), so the choice
+//! invocations)` (see [`KernelProfile::next`]), so the choice
 //! is exact and deterministic. Each [`Choice`] keeps its own table,
 //! apart from the memo, so evicting the variants that lost does not
 //! reopen it.
@@ -39,19 +39,29 @@
 //! [`VariantKey`] `(spec, vl, invocations)`: every engine emits the
 //! same µop trace, so the engine is not part of it. The first run of a
 //! variant executes the scalar baseline alongside the vector code, both
-//! on the cycle model, verifies them element-for-element, and stores
-//! the two simulated cycle counts ([`VariantCycles`]) with the variant;
-//! later runs execute on a counting sink and report the stored cycles.
-//! A profile keeps at most [`MAX_VARIANTS`] variants, oldest out first.
-//! After [`AUDIT_EVERY`] such runs of a kernel the next run is an
-//! audit: it re-simulates both sides and must reproduce the stored
-//! cycles exactly. Explicit `spec` requests bypass the choice but share
-//! the memo and its audits, so a pinned daemon and an autotuned one
-//! compare like-for-like.
+//! on the cycle model, verifies them element-for-element, and stores a
+//! [`Verified`] entry with the variant: the two simulated cycle counts
+//! ([`VariantCycles`]), the [`Record`] of what the run established (the
+//! oracle's five facts with one digest per array, and the answering
+//! run's µop count and trace fingerprint), and a checksum over both.
+//! Every later run is a *replay*: it executes the answering program on
+//! a counting sink, checks its facts and µop count against the record,
+//! and reports the stored cycles. A profile keeps at most
+//! [`MAX_VARIANTS`] variants, oldest out first. After [`AUDIT_EVERY`]
+//! replays of a kernel the next run is an *audit*: it also
+//! fingerprints the answering run's trace and checks it, and the
+//! entry's checksum. Any difference fails the request and drops the
+//! entry, so the next run verifies again. Explicit `spec` requests
+//! bypass the choice but share the memo and its audits, so a pinned
+//! daemon and an autotuned one compare like-for-like.
 //!
 //! [`VectorizeError::RtmOnly`]: flexvec::VectorizeError::RtmOnly
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use flexvec::SpecRequest;
+use flexvec_vm::Record;
 
 /// The candidates of a kernel that only RTM vectorizes, in exploration
 /// order. A kernel that `Auto` vectorizes has just the first.
@@ -63,8 +73,7 @@ pub const LADDER: [SpecRequest; 5] = [
     SpecRequest::Rtm { tile: 16 },
 ];
 
-/// Runs of a kernel that report stored cycles between audit
-/// re-verifications.
+/// Replays of a kernel between audits.
 pub const AUDIT_EVERY: u64 = 64;
 
 /// Verified variants one kernel profile remembers; the oldest
@@ -92,12 +101,62 @@ pub struct VariantKey {
 
 /// The simulated cycles of a verified variant, as the verifying run
 /// measured them over all its invocations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct VariantCycles {
     /// Scalar baseline cycles.
     pub scalar: u64,
     /// Vector cycles (the scalar cycles again for a scalar-only plan).
     pub vector: u64,
+}
+
+/// A verified variant's memo entry: the cycles its verifying run
+/// simulated, the record later runs are checked against, and a
+/// checksum over both.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Verified {
+    /// The cycles every later run reports.
+    pub(crate) cycles: VariantCycles,
+    /// What the verifying run established.
+    pub(crate) record: Record,
+    checksum: u64,
+}
+
+impl Verified {
+    /// `cycles` and `record`, sealed with their checksum.
+    pub fn new(cycles: VariantCycles, record: Record) -> Self {
+        let checksum = checksum(&cycles, &record);
+        Verified {
+            cycles,
+            record,
+            checksum,
+        }
+    }
+
+    /// Whether the cycles and the record are still what was sealed.
+    pub fn intact(&self) -> bool {
+        checksum(&self.cycles, &self.record) == self.checksum
+    }
+}
+
+fn checksum(cycles: &VariantCycles, record: &Record) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    cycles.hash(&mut hasher);
+    record.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// What the next run of a variant does.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Next {
+    /// Nothing is stored: run the scalar oracle and the answering
+    /// program on the cycle model, compare them, and store the result.
+    Verify,
+    /// Run the answering program on a counter and check it against the
+    /// stored record.
+    Replay(Verified),
+    /// Run it on a fingerprinting sink, and check its trace and the
+    /// entry's checksum as well.
+    Audit(Verified),
 }
 
 /// The table behind the choice at one `(vl, invocations)`.
@@ -156,11 +215,11 @@ pub struct KernelProfile {
     /// One table per `(vl, invocations)` seen on implicit-spec
     /// requests, oldest first, at most [`MAX_CHOICES`].
     choices: Vec<Choice>,
-    /// Verified variants with their simulated cycles, oldest
-    /// verification first, at most [`MAX_VARIANTS`].
-    variants: Vec<(VariantKey, VariantCycles)>,
-    /// Runs of any variant that reported stored cycles since the
-    /// kernel's last verification.
+    /// Verified variants, oldest verification or audit first, at most
+    /// [`MAX_VARIANTS`].
+    variants: Vec<(VariantKey, Verified)>,
+    /// Replays of any variant since the kernel's last verification or
+    /// audit.
     runs_since_verify: u64,
 }
 
@@ -224,60 +283,59 @@ impl KernelProfile {
         &self.choices
     }
 
-    /// Whether the next run of `key` must feed the cycle model and
-    /// verify: the variant has no stored cycles, or an audit is due.
+    /// What the next run of `key` does: verify when nothing is stored,
+    /// audit when [`AUDIT_EVERY`] replays of the kernel have passed
+    /// since its last verification or audit, and replay otherwise,
+    /// counting toward that audit.
     ///
     /// Sound only because requests cannot supply inputs. Every run of a
     /// kernel materializes the same arrays from its source
-    /// (`ParsedKernel::materialize_arrays`), so live-outs, memory and
-    /// cycles are a pure function of (kernel hash, `key`). If requests
-    /// could carry data, neither the stored cycles nor the gate that
-    /// skips the scalar comparison would hold.
-    pub fn needs_verify(&self, key: &VariantKey) -> bool {
-        self.verified_cycles(key).is_none() || self.runs_since_verify >= AUDIT_EVERY
+    /// (`ParsedKernel::materialize_arrays`), so live-outs, memory, the
+    /// µop stream and the cycles are a pure function of (kernel hash,
+    /// `key`). If requests could carry data, neither the stored cycles
+    /// nor a record to check later runs against would hold.
+    pub fn next(&mut self, key: &VariantKey) -> Next {
+        let Some(stored) = self.verified(key).cloned() else {
+            return Next::Verify;
+        };
+        if self.runs_since_verify >= AUDIT_EVERY {
+            return Next::Audit(stored);
+        }
+        self.runs_since_verify += 1;
+        Next::Replay(stored)
     }
 
-    /// The stored cycles of a verified variant.
-    fn verified_cycles(&self, key: &VariantKey) -> Option<VariantCycles> {
+    /// The entry of a verified variant.
+    fn verified(&self, key: &VariantKey) -> Option<&Verified> {
         self.variants
             .iter()
             .find(|(k, _)| k == key)
-            .map(|&(_, cycles)| cycles)
+            .map(|(_, entry)| entry)
     }
 
-    /// The stored cycles the next run of `key` reports instead of
-    /// simulating, counting that run toward the kernel's next audit;
-    /// `None` when the run must verify.
-    pub fn replay(&mut self, key: &VariantKey) -> Option<VariantCycles> {
-        if self.needs_verify(key) {
-            return None;
-        }
-        self.runs_since_verify += 1;
-        self.verified_cycles(key)
-    }
-
-    /// Settles a verifying run of `key` that simulated `fresh` cycles.
-    /// Stored cycles must match exactly: an audit that disagrees drops
-    /// the entry, so the next run verifies from scratch, and returns
-    /// the stored cycles as the error. Otherwise `fresh` becomes the
-    /// newest entry and the audit clock restarts.
-    pub fn settle(&mut self, key: VariantKey, fresh: VariantCycles) -> Result<(), VariantCycles> {
-        let stored = self.verified_cycles(&key);
+    /// Stores `entry` for `key` as the newest, after a verifying run or
+    /// a passed audit, and restarts the audit clock.
+    pub fn settle(&mut self, key: VariantKey, entry: Verified) {
         self.forget(&key);
-        if let Some(stored) = stored.filter(|s| *s != fresh) {
-            return Err(stored);
-        }
         if self.variants.len() == MAX_VARIANTS {
             self.variants.remove(0);
         }
-        self.variants.push((key, fresh));
+        self.variants.push((key, entry));
         self.runs_since_verify = 0;
-        Ok(())
     }
 
-    /// Drops the stored cycles of `key`.
+    /// Drops the entry of `key`.
     pub fn forget(&mut self, key: &VariantKey) {
         self.variants.retain(|(k, _)| k != key);
+    }
+
+    /// The stored entry of `key`, to edit in tests.
+    #[cfg(test)]
+    pub(crate) fn entry_mut(&mut self, key: &VariantKey) -> Option<&mut Verified> {
+        self.variants
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, entry)| entry)
     }
 }
 
@@ -368,27 +426,20 @@ mod tests {
             for (index, &vector) in cycles.iter().enumerate() {
                 assert_eq!(p.pick(vl, invocations), Pick::Explore(index));
                 let variant = key(LADDER[index], vl, invocations);
-                assert!(p.needs_verify(&variant));
-                p.settle(
-                    variant,
-                    VariantCycles {
-                        scalar: cycles[0],
-                        vector,
-                    },
-                )
-                .unwrap();
+                assert_eq!(p.next(&variant), Next::Verify);
+                p.settle(variant, entry(cycles[0], vector));
                 p.record(vl, invocations, &LADDER, index, Some(vector));
             }
         }
         assert_eq!(p.variants.len(), MAX_VARIANTS);
-        assert!(p.needs_verify(&key(SpecRequest::Auto, 16, 3)), "evicted");
+        assert_eq!(p.verified(&key(SpecRequest::Auto, 16, 3)), None, "evicted");
         // Neither pair explores again: each runs its choice, and only a
         // choice whose own variant was evicted verifies it once more.
         for (vl, invocations) in [(16, 3), (32, 1)] {
             assert_eq!(p.pick(vl, invocations), Pick::Chosen(RTM_1024));
         }
-        assert!(p.needs_verify(&key(RTM_1024, 16, 3)));
-        assert!(!p.needs_verify(&key(RTM_1024, 32, 1)));
+        assert_eq!(p.next(&key(RTM_1024, 16, 3)), Next::Verify);
+        assert!(matches!(p.next(&key(RTM_1024, 32, 1)), Next::Replay(_)));
     }
 
     #[test]
@@ -414,17 +465,28 @@ mod tests {
         }
     }
 
+    /// A memo entry with these cycles, and a record that stands for
+    /// any run's.
+    fn entry(scalar: u64, vector: u64) -> Verified {
+        let record = Record {
+            live_outs: vec![1],
+            induction: 4,
+            broke: false,
+            iterations: 4,
+            digests: vec![0xfeed],
+            trace: Default::default(),
+        };
+        Verified::new(VariantCycles { scalar, vector }, record)
+    }
+
     #[test]
     fn verification_bookkeeping_audits_periodically() {
         let mut p = KernelProfile::default();
         let k = key(SpecRequest::Auto, 16, 1);
-        let cycles = VariantCycles {
-            scalar: 500,
-            vector: 200,
-        };
-        assert!(p.needs_verify(&k), "first run verifies");
-        assert_eq!(p.replay(&k), None);
-        assert_eq!(p.settle(k, cycles), Ok(()));
+        let stored = entry(500, 200);
+        assert_eq!(p.next(&k), Next::Verify, "first run verifies");
+        assert_eq!(p.next(&k), Next::Verify, "until it settles");
+        p.settle(k, stored.clone());
         // Every other spec, width and invocation count is a variant of
         // its own and needs its own verification.
         for other in [
@@ -432,48 +494,59 @@ mod tests {
             key(SpecRequest::Auto, 32, 1),
             key(SpecRequest::Auto, 16, 3),
         ] {
-            assert!(p.needs_verify(&other), "{other:?}");
+            assert_eq!(p.next(&other), Next::Verify, "{other:?}");
         }
         for _ in 0..AUDIT_EVERY {
-            assert_eq!(p.replay(&k), Some(cycles));
+            assert_eq!(p.next(&k), Next::Replay(stored.clone()));
         }
-        assert!(p.needs_verify(&k), "audit after AUDIT_EVERY runs");
-        assert_eq!(p.replay(&k), None);
-        assert_eq!(p.settle(k, cycles), Ok(()), "the audit matches");
-        assert_eq!(p.replay(&k), Some(cycles));
-        // An audit that disagrees drops the entry and reports what was
-        // stored; the next run verifies.
-        let drift = VariantCycles {
-            scalar: 501,
-            ..cycles
-        };
-        assert_eq!(p.settle(k, drift), Err(cycles));
-        assert_eq!(p.verified_cycles(&k), None);
-        assert!(p.needs_verify(&k));
+        // The audit is due, and stays due until one settles.
+        assert_eq!(p.next(&k), Next::Audit(stored.clone()));
+        assert_eq!(p.next(&k), Next::Audit(stored.clone()));
+        p.settle(k, stored.clone());
+        assert_eq!(p.next(&k), Next::Replay(stored.clone()));
+        // A failed check drops the entry; the next run verifies.
+        p.forget(&k);
+        assert_eq!(p.verified(&k), None);
+        assert_eq!(p.next(&k), Next::Verify);
+    }
+
+    #[test]
+    fn the_checksum_covers_the_cycles_and_the_record() {
+        let sealed = entry(500, 200);
+        assert!(sealed.intact());
+        let edits: [fn(&mut Verified); 5] = [
+            |e| e.cycles.scalar += 1,
+            |e| e.cycles.vector -= 1,
+            |e| e.record.live_outs[0] = 2,
+            |e| e.record.digests[0] ^= 1,
+            |e| e.record.trace.hash ^= 1 << 100,
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let mut edited = sealed.clone();
+            edit(&mut edited);
+            assert!(!edited.intact(), "edit {i}");
+            // Sealing the edited contents again makes it whole.
+            assert!(Verified::new(edited.cycles, edited.record).intact());
+        }
     }
 
     #[test]
     fn variant_memo_is_bounded_oldest_first() {
         let mut p = KernelProfile::default();
-        let cycles = |n: u64| VariantCycles {
-            scalar: n,
-            vector: n,
-        };
         for n in 1..=MAX_VARIANTS as u64 + 1 {
-            p.settle(key(SpecRequest::Auto, 16, n), cycles(n)).unwrap();
+            p.settle(key(SpecRequest::Auto, 16, n), entry(n, n));
         }
         assert_eq!(p.variants.len(), MAX_VARIANTS);
-        assert_eq!(p.verified_cycles(&key(SpecRequest::Auto, 16, 1)), None);
+        assert_eq!(p.verified(&key(SpecRequest::Auto, 16, 1)), None);
         assert_eq!(
-            p.verified_cycles(&key(SpecRequest::Auto, 16, 2)),
-            Some(cycles(2))
+            p.verified(&key(SpecRequest::Auto, 16, 2)),
+            Some(&entry(2, 2))
         );
-        // Re-verifying a stored variant refreshes it: it is now the
-        // newest, and the next insertion drops the one after it.
-        p.settle(key(SpecRequest::Auto, 16, 2), cycles(2)).unwrap();
-        p.settle(key(SpecRequest::Auto, 16, 100), cycles(100))
-            .unwrap();
-        assert!(p.verified_cycles(&key(SpecRequest::Auto, 16, 2)).is_some());
-        assert_eq!(p.verified_cycles(&key(SpecRequest::Auto, 16, 3)), None);
+        // Settling a stored variant again (an audit) refreshes it: it is
+        // now the newest, and the next insertion drops the one after it.
+        p.settle(key(SpecRequest::Auto, 16, 2), entry(2, 2));
+        p.settle(key(SpecRequest::Auto, 16, 100), entry(100, 100));
+        assert!(p.verified(&key(SpecRequest::Auto, 16, 2)).is_some());
+        assert_eq!(p.verified(&key(SpecRequest::Auto, 16, 3)), None);
     }
 }

@@ -22,13 +22,19 @@
 //! both on the Table 1 out-of-order model, run by [`Kernel`] and
 //! compared with [`Kernel::compare`] on every live-out, the induction
 //! exit value, the break flag, the iteration count and every array
-//! element — and stores both simulated cycle counts in the kernel's
-//! profile. Every later run of the variant executes on a
-//! [`CountingSink`], vector-only (the scalar program for a scalar-only
-//! plan), and reports the stored cycles: every request materializes the
-//! same seeded arrays, so there is nothing new to simulate or compare.
-//! A periodic audit re-simulates both sides and must reproduce the
-//! stored cycles exactly; a mismatch fails the request and drops the
+//! element. The vector run also feeds a [`FingerprintSink`] on the way
+//! to the model. The kernel's profile then stores both simulated cycle
+//! counts with the [`Record`](flexvec_vm::Record) of the run (the five
+//! facts, one digest per array, the µop count and the trace
+//! fingerprint) and a checksum over all of it. Every later run of the
+//! variant is a replay: the vector program (the scalar program for a
+//! scalar-only plan) runs on a [`CountingSink`], its facts and µop
+//! count are compared with the record ([`Kernel::compare_record`]), and
+//! the reply carries the stored cycles. Every request materializes the
+//! same seeded arrays, so there is nothing new to simulate. A periodic
+//! audit runs the same program on a fingerprinting sink instead and
+//! also compares the trace fingerprint and the entry's checksum. Any
+//! difference fails the request with an `exec_error` and drops the
 //! entry. Requests that pin `spec` explicitly share the memo and its
 //! audits — the pin bypasses the *choice*, not verification — so a
 //! fixed-spec daemon and an autotuned one are comparable like-for-like.
@@ -37,7 +43,8 @@
 //! daemon drain stops the VPL loop at the next chunk boundary. A
 //! request that names no engine runs native code wherever the host has
 //! the JIT ([`native_supported`]) and bytecode elsewhere; the tree
-//! walker runs only when named.
+//! walker runs only when named. Replies and tier counters name the
+//! engine the code actually ran on ([`VectorCode::engine`]).
 //!
 //! Implicit-spec requests run the speculation [`crate::autotune`]
 //! chooses per kernel hash and `(vl, invocations)`: the candidate
@@ -56,11 +63,11 @@ use flexvec_front::{parse_str, CompileCache, CompiledKernel, ParsedKernel};
 use flexvec_profiler::ThroughputReport;
 use flexvec_sim::{OooSim, SimConfig};
 use flexvec_vm::{
-    native_supported, CancelToken, CheckError, CountingSink, Engine, ExecError, Kernel, TraceSink,
-    VectorCode,
+    native_supported, CancelToken, CheckError, CountingSink, Engine, ExecError, FingerprintSink,
+    Kernel, TraceSink, VectorCode,
 };
 
-use crate::autotune::{KernelProfile, Pick, VariantCycles, VariantKey, LADDER};
+use crate::autotune::{KernelProfile, Next, Pick, VariantCycles, VariantKey, Verified, LADDER};
 use crate::json::Json;
 use crate::protocol::{hash_hex, ErrorKind, Op, ProtoError, Request};
 
@@ -132,8 +139,9 @@ fn engine_for(req: &Request) -> Engine {
 }
 
 /// The total counting a run that settled: `autotune_verified` when it
-/// simulated and verified, `autotune_vector_only` when it reused the
-/// variant's stored cycles. Scalar-only plans count the same way.
+/// fed the cycle model and verified, `autotune_vector_only` when it
+/// reported the variant's stored cycles (replays and audits).
+/// Scalar-only plans count the same way.
 fn run_counter(verified: bool) -> &'static str {
     if verified {
         "flexvec_autotune_verified_total"
@@ -188,6 +196,7 @@ impl ServeEngine {
                 ("flexvec_autotune_respecialize_total", 0),
                 ("flexvec_autotune_vector_only_total", 0),
                 ("flexvec_autotune_verified_total", 0),
+                ("flexvec_autotune_audits_total", 0),
             ])),
         }
     }
@@ -398,9 +407,13 @@ impl ServeEngine {
     }
 
     /// Executes the kernel `req.invocations` times under the effective
-    /// `spec`: on the cycle model with the scalar baseline and the
-    /// checked comparison when the variant verifies (its first run, or
-    /// an audit), on a [`CountingSink`] with the stored cycles otherwise.
+    /// `spec`, as the variant's memo entry says ([`KernelProfile::next`]):
+    /// a verifying run compares the answering run with the scalar
+    /// oracle, both on the cycle model, and stores the entry; a replay
+    /// runs on a [`CountingSink`] and checks its facts against the
+    /// stored record; an audit also checks the run's trace fingerprint
+    /// and the entry's checksum. The answering run is the vector
+    /// program, or the scalar one for a scalar-only plan.
     fn execute(
         &self,
         registered: &Registered,
@@ -439,45 +452,121 @@ impl ServeEngine {
             }
         }
 
-        // Verified-once gate (`KernelProfile::needs_verify` says why it
-        // is sound): a variant without stored cycles, or one whose
-        // kernel is due an audit, runs on the cycle model and verifies;
-        // every other run replays the stored cycles. This applies to
-        // explicit-spec requests too: an explicit spec pins the
-        // *variant*; the verification discipline is the same.
+        // Explicit-spec requests go through the memo too: an explicit
+        // spec pins the *variant*; the verification discipline is the
+        // same.
         let key = VariantKey {
             spec,
             vl: flexvec_isa::vlen(),
             invocations,
         };
-        let replay = profile(registered).replay(&key);
-        let simulate = replay.is_none();
+        let next = profile(registered).next(&key);
+        let verify = next == Next::Verify;
+        let audit = matches!(next, Next::Audit(_));
 
-        // The scalar program runs when this run verifies, and on every
-        // run of a scalar-only plan, where it is the answer.
-        let mut sink_s = Sink::new(simulate);
-        let scalar = (simulate || compiled.plan.is_err())
-            .then(|| checked.run_scalar(sink_s.as_dyn(), cancel))
+        // The vector code, on the request's engine. Native code comes
+        // from the compile-cache entry, built on its first run at this
+        // width.
+        let engine = engine_for(req);
+        let native = match &compiled.plan {
+            Ok(plan) if engine == Engine::Native => Some(plan.native(flexvec_isa::vlen())),
+            _ => None,
+        };
+        let code = compiled.plan.as_ref().ok().map(|plan| {
+            VectorCode::precompiled(
+                &plan.vectorized.vprog,
+                native.as_deref().unwrap_or(&plan.compiled),
+                engine,
+            )
+        });
+
+        // A verifying run of a vector plan first runs the oracle.
+        let model = || Box::new(OooSim::new(SimConfig::table1()));
+        let mut oracle_model = (verify && code.is_some()).then(model);
+        let oracle = oracle_model
+            .as_deref_mut()
+            .map(|sim| checked.run_scalar(sim, cancel))
             .transpose()
             .map_err(|e| wire_error(CheckError::Scalar(e)))?;
 
-        let Ok(plan) = &compiled.plan else {
-            let scalar = scalar.expect("scalar-only plans always run the scalar program");
-            let cycles = match replay {
-                Some(cycles) => cycles,
-                None => {
-                    let scalar = sink_s.cycles().expect("a verifying run simulates");
-                    self.settle(
-                        registered,
-                        key,
-                        VariantCycles {
-                            scalar,
-                            vector: scalar,
-                        },
-                    )?
+        // The answering run: fingerprinted and on the cycle model when
+        // it verifies, fingerprinted alone on an audit, counted on a
+        // replay.
+        let mut answer_model = verify.then(model);
+        let mut tracer = match answer_model.as_deref_mut() {
+            Some(sim) => FingerprintSink::forwarding(sim),
+            None => FingerprintSink::default(),
+        };
+        let mut counter = CountingSink::default();
+        let sink: &mut dyn TraceSink = match next {
+            Next::Replay(_) => &mut counter,
+            _ => &mut tracer,
+        };
+        let answer = match &code {
+            Some(code) => {
+                self.add(&[(tier_counter(code.engine()), 1)]);
+                checked
+                    .run_vector(code, sink, cancel)
+                    .map_err(|e| wire_error(CheckError::Vector(e)))?
+            }
+            None => checked
+                .run_scalar(sink, cancel)
+                .map_err(|e| wire_error(CheckError::Scalar(e)))?,
+        };
+        let uops = sink.len();
+        let trace = tracer.fingerprint();
+
+        let cycles = match next {
+            Next::Verify => {
+                let oracle = match &oracle {
+                    Some(oracle) => {
+                        checked
+                            .compare(oracle, &answer)
+                            .map_err(|m| wire_error(CheckError::Mismatch(m)))?;
+                        oracle
+                    }
+                    // A scalar-only plan's answer is the oracle.
+                    None => &answer,
+                };
+                let simulated = |sim: Option<Box<OooSim>>| sim.map(|sim| sim.result().cycles);
+                let vector = simulated(answer_model).expect("a verifying run simulates");
+                let cycles = VariantCycles {
+                    scalar: simulated(oracle_model).unwrap_or(vector),
+                    vector,
+                };
+                let entry = Verified::new(cycles, checked.record(oracle, trace));
+                profile(registered).settle(key, entry);
+                cycles
+            }
+            Next::Replay(stored) => {
+                let found = checked.compare_record(&stored.record, &answer, uops);
+                found.map_err(|m| self.refuse(registered, &key, "replay", &m.to_string()))?;
+                stored.cycles
+            }
+            Next::Audit(stored) => {
+                let found = checked
+                    .compare_record(&stored.record, &answer, uops)
+                    .and_then(|()| stored.record.compare_trace(trace));
+                found.map_err(|m| self.refuse(registered, &key, "audit", &m.to_string()))?;
+                if !stored.intact() {
+                    let what = format!(
+                        "the entry fails its checksum (stored scalar/vector cycles {}/{})",
+                        stored.cycles.scalar, stored.cycles.vector
+                    );
+                    return Err(self.refuse(registered, &key, "audit", &what));
                 }
-            };
-            self.add(&[(run_counter(simulate), 1)]);
+                let cycles = stored.cycles;
+                profile(registered).settle(key, stored);
+                cycles
+            }
+        };
+
+        let counted = [
+            (run_counter(verify), 1),
+            ("flexvec_autotune_audits_total", u64::from(audit)),
+        ];
+        let (Some(code), Ok(plan)) = (code, &compiled.plan) else {
+            self.add(&counted);
             return Ok(ExecOutcome {
                 kind: "scalar-only",
                 // The scalar run is the answer: nothing to verify.
@@ -486,55 +575,17 @@ impl ServeEngine {
                 vector_cycles: cycles.vector,
                 // The wall is the scalar loop's: the latency the request
                 // actually paid.
-                throughput: ThroughputReport::new("scalar", scalar.wall, 0, sink_s.as_dyn().len()),
-                live_outs: scalar.live_outs(program),
+                throughput: ThroughputReport::new("scalar", answer.wall, 0, uops),
+                live_outs: answer.live_outs(program),
             });
         };
-
-        // Vector execution on a fresh memory image. Native code comes
-        // from the compile-cache entry, built on its first run at this
-        // width.
-        let engine = engine_for(req);
-        let native = (engine == Engine::Native).then(|| plan.native(flexvec_isa::vlen()));
-        self.add(&[(tier_counter(engine), 1)]);
-        let code = VectorCode::precompiled(
-            &plan.vectorized.vprog,
-            native.as_deref().unwrap_or(&plan.compiled),
-            engine,
-        );
-        let mut sink_v = Sink::new(simulate);
-        let vector = checked
-            .run_vector(&code, sink_v.as_dyn(), cancel)
-            .map_err(|e| wire_error(CheckError::Vector(e)))?;
-        let mut throughput =
-            ThroughputReport::new(engine.label(), vector.wall, 0, sink_v.as_dyn().len());
-        throughput.add_stats(&vector.total);
-
-        let (cycles, live_outs) = match scalar {
-            Some(scalar) => {
-                checked
-                    .compare(&scalar, &vector)
-                    .map_err(|m| wire_error(CheckError::Mismatch(m)))?;
-                let fresh = VariantCycles {
-                    scalar: sink_s.cycles().expect("a verifying run simulates"),
-                    vector: sink_v.cycles().expect("a verifying run simulates"),
-                };
-                (
-                    self.settle(registered, key, fresh)?,
-                    scalar.live_outs(program),
-                )
-            }
-            // Steady state: live-outs come from the vector run (the
-            // verified-identical computation) and the cycles are the
-            // ones stored when the variant verified.
-            None => (
-                replay.expect("a run without the scalar baseline replays"),
-                vector.live_outs(program),
-            ),
-        };
-        let total = &vector.total;
+        let mut throughput = ThroughputReport::new(code.engine().label(), answer.wall, 0, uops);
+        throughput.add_stats(&answer.total);
+        let total = &answer.total;
+        let [run, audits] = counted;
         self.add(&[
-            (run_counter(simulate), 1),
+            run,
+            audits,
             ("flexvec_engine_chunks_total", total.chunks),
             ("flexvec_engine_vpl_iterations_total", total.vpl_iterations),
             ("flexvec_engine_ff_fallbacks_total", total.ff_fallbacks),
@@ -551,41 +602,35 @@ impl ServeEngine {
                 flexvec::VectorizedKind::Traditional => "traditional",
                 flexvec::VectorizedKind::FlexVec => "flexvec",
             },
-            verified: simulate,
+            verified: verify,
             scalar_cycles: cycles.scalar,
             vector_cycles: cycles.vector,
             throughput,
-            live_outs,
+            live_outs: answer.live_outs(program),
         })
     }
 
-    /// Stores a verifying run's simulated cycles with its variant. An
-    /// audit that does not reproduce the stored cycles fails the
-    /// request; the entry is dropped, so the next request verifies.
-    fn settle(
+    /// Fails a replay or an audit whose run differs from the stored
+    /// entry, `what` saying how, and drops the entry, so the next run
+    /// verifies.
+    fn refuse(
         &self,
         registered: &Registered,
-        key: VariantKey,
-        fresh: VariantCycles,
-    ) -> Result<VariantCycles, ProtoError> {
-        let settled = profile(registered).settle(key, fresh);
-        settled.map(|()| fresh).map_err(|stored| {
-            ProtoError::new(
-                ErrorKind::ExecError,
-                format!(
-                    "audit mismatch for kernel {} variant (spec {}, vl {}, invocations {}): \
-                     stored scalar/vector cycles {}/{}, re-simulated {}/{}",
-                    hash_hex(program_hash(&registered.kernel.program)),
-                    spec_label(key.spec),
-                    key.vl,
-                    key.invocations,
-                    stored.scalar,
-                    stored.vector,
-                    fresh.scalar,
-                    fresh.vector
-                ),
-            )
-        })
+        key: &VariantKey,
+        run: &str,
+        what: &str,
+    ) -> ProtoError {
+        profile(registered).forget(key);
+        ProtoError::new(
+            ErrorKind::ExecError,
+            format!(
+                "{run} mismatch for kernel {} variant (spec {}, vl {}, invocations {}): {what}",
+                hash_hex(program_hash(&registered.kernel.program)),
+                spec_label(key.spec),
+                key.vl,
+                key.invocations,
+            ),
+        )
     }
 
     /// Adds to the process-lifetime totals `/metrics` exports.
@@ -712,6 +757,10 @@ impl ServeEngine {
                 "autotune_vector_only_total",
                 total("flexvec_autotune_vector_only_total"),
             ),
+            (
+                "autotune_audits_total",
+                total("flexvec_autotune_audits_total"),
+            ),
             ("autotune_kernels", Json::Obj(autotune_kernels)),
         ])
     }
@@ -752,44 +801,12 @@ fn spec_label(spec: SpecRequest) -> String {
     }
 }
 
-/// Where a run's µops go: the Table 1 cycle model when the run
-/// verifies, a counter on every other run.
-enum Sink {
-    Model(Box<OooSim>),
-    Count(CountingSink),
-}
-
-impl Sink {
-    fn new(simulate: bool) -> Self {
-        if simulate {
-            Sink::Model(Box::new(OooSim::new(SimConfig::table1())))
-        } else {
-            Sink::Count(CountingSink::default())
-        }
-    }
-
-    fn as_dyn(&mut self) -> &mut dyn TraceSink {
-        match self {
-            Sink::Model(sim) => sim.as_mut(),
-            Sink::Count(counter) => counter,
-        }
-    }
-
-    /// Simulated cycles; `None` when the run only counted.
-    fn cycles(&self) -> Option<u64> {
-        match self {
-            Sink::Model(sim) => Some(sim.result().cycles),
-            Sink::Count(_) => None,
-        }
-    }
-}
-
 /// Measured outcome of one executed request.
 struct ExecOutcome {
     kind: &'static str,
-    /// The reply's `verified`: the run recomputed and compared the
-    /// scalar baseline (first run of a variant, or an audit), or the
-    /// plan is scalar-only and the scalar run is the answer.
+    /// The reply's `verified`: the run ran the scalar oracle, either
+    /// to compare with (a variant's verifying run) or because the plan
+    /// is scalar-only and the scalar run is the answer.
     verified: bool,
     scalar_cycles: u64,
     vector_cycles: u64,
@@ -863,6 +880,7 @@ fn run_fields(outcome: &ExecOutcome, req: &Request) -> Vec<(&'static str, Json)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autotune::AUDIT_EVERY;
 
     const MINLOC: &str = "\
 kernel minloc;
@@ -1056,10 +1074,11 @@ for (i = 0; i < 2048; i++) {
         if !native_supported() {
             return;
         }
-        // A reply says `native` whatever the plan holds, so the plan's
-        // JIT op mix is what shows that machine code ran. At every width
-        // the JIT makes 3 segments of 24 inline ops and 5 helper calls;
-        // fewer inline or more helper ops fail.
+        // A reply says `native` only when the plan it ran holds machine
+        // code; the plan's JIT op mix shows how much of the kernel that
+        // code covers. At every width the JIT makes 3 segments of 24
+        // inline ops and 5 helper calls; fewer inline or more helper ops
+        // fail.
         let engine = ServeEngine::new(0);
         let program = parse_str("<test>", HOTLINE).unwrap().program;
         for vl in flexvec_isa::SUPPORTED_VLENS {
@@ -1502,54 +1521,217 @@ for (i = 16; i < 256; i++) {
         assert_eq!(run(None), first);
     }
 
-    #[test]
-    fn audit_mismatch_fails_the_request_and_reverifies() {
-        let engine = ServeEngine::new(0);
-        let r = req(Op::Run, Some(MINLOC), None);
-        let first = engine.handle(&r, None).unwrap();
+    /// The memo key of an implicit run of a kernel `Auto` vectorizes,
+    /// at the default width and one invocation.
+    const AUTO_16_1: VariantKey = VariantKey {
+        spec: SpecRequest::Auto,
+        vl: flexvec_isa::DEFAULT_VLEN,
+        invocations: 1,
+    };
+
+    /// Runs `r` once to verify, then edits the stored entry of
+    /// [`AUTO_16_1`]; returns the first reply.
+    fn verify_then_edit(
+        engine: &ServeEngine,
+        r: &Request,
+        edit: impl FnOnce(&mut Verified),
+    ) -> OpResult {
+        let first = engine.handle(r, None).unwrap();
         assert_eq!(field(&first.fields, "verified").as_bool(), Some(true));
-        let truth = reply_cycles(&first.fields);
         let hash = u64::from_str_radix(field(&first.fields, "hash").as_str().unwrap(), 16).unwrap();
-        let key = VariantKey {
-            spec: SpecRequest::Auto,
-            vl: flexvec_isa::DEFAULT_VLEN,
-            invocations: 1,
-        };
-        let bogus = VariantCycles {
-            scalar: truth.0 + 1,
-            vector: truth.1,
-        };
-        {
-            let registered = engine.registry.peek(hash).unwrap();
-            let mut profile = profile(&registered);
-            profile.forget(&key);
-            profile.settle(key, bogus).unwrap();
-        }
-        // Steady-state runs report the (corrupted) stored cycles...
-        for _ in 0..crate::autotune::AUDIT_EVERY {
-            let out = engine.handle(&r, None).unwrap();
+        let registered = engine.registry.peek(hash).unwrap();
+        edit(profile(&registered).entry_mut(&AUTO_16_1).expect("stored"));
+        first
+    }
+
+    /// Whether the engine still stores an entry for [`AUTO_16_1`].
+    fn stored(engine: &ServeEngine, first: &OpResult) -> bool {
+        let hash = u64::from_str_radix(field(&first.fields, "hash").as_str().unwrap(), 16).unwrap();
+        let registered = engine.registry.peek(hash).unwrap();
+        let stored = profile(&registered).entry_mut(&AUTO_16_1).is_some();
+        stored
+    }
+
+    /// Sends `r` for the [`AUDIT_EVERY`] replays before an audit; each
+    /// must reply `verified: false` with `cycles`.
+    fn replays(engine: &ServeEngine, r: &Request, cycles: &(u64, u64, f64, String)) {
+        for _ in 0..AUDIT_EVERY {
+            let out = engine.handle(r, None).unwrap();
             assert_eq!(field(&out.fields, "verified").as_bool(), Some(false));
-            assert_eq!(stat_u64(&out.fields, "scalar_cycles"), bogus.scalar);
+            assert_eq!(&reply_cycles(&out.fields), cycles);
         }
-        // ...until the audit re-simulates and disagrees, loudly.
-        let err = engine.handle(&r, None).unwrap_err();
+    }
+
+    fn assert_names(err: &ProtoError, needles: &[String]) {
         assert_eq!(err.kind, ErrorKind::ExecError);
-        for needle in [
-            "audit mismatch".to_owned(),
-            "spec auto, vl 16, invocations 1".to_owned(),
-            format!("{}/{}", bogus.scalar, bogus.vector),
-            format!("re-simulated {}/{}", truth.0, truth.1),
-        ] {
+        for needle in needles {
             assert!(
-                err.message.contains(&needle),
+                err.message.contains(needle),
                 "{needle:?} in {}",
                 err.message
             );
         }
-        // The entry is gone: the next request verifies from scratch.
+    }
+
+    #[test]
+    fn an_audit_fails_on_a_trace_changed_in_one_uop_and_reverifies() {
+        let engine = ServeEngine::new(0);
+        let r = req(Op::Run, Some(MINLOC), None);
+        // The verified trace with one lane address of one gather or
+        // load changed: same µop count, same answer.
+        let kernel = parse_str("<test>", MINLOC).unwrap();
+        let arrays = kernel.materialize_arrays();
+        let (compiled, _) = engine
+            .cache()
+            .get_or_compile(&kernel.program, SpecRequest::Auto);
+        let plan = compiled.plan.as_ref().unwrap();
+        let code =
+            VectorCode::precompiled(&plan.vectorized.vprog, &plan.compiled, Engine::Compiled);
+        let mut trace = flexvec_vm::VecSink::default();
+        Kernel::new(&kernel.program, &arrays, 1)
+            .run_vector(&code, &mut trace, None)
+            .unwrap();
+        let uop = trace.uops.iter_mut().find(|u| !u.addrs.is_empty()).unwrap();
+        uop.addrs[0] += 8;
+        let mut changed = FingerprintSink::default();
+        changed.observe_slice(&trace.uops);
+        let changed = changed.fingerprint();
+
+        let first = verify_then_edit(&engine, &r, |entry| {
+            assert_eq!(entry.record.trace.uops, changed.uops);
+            assert_ne!(entry.record.trace.hash, changed.hash);
+            entry.record.trace = changed;
+            *entry = Verified::new(entry.cycles, entry.record.clone());
+        });
+        let truth = reply_cycles(&first.fields);
+        // Replays check the answer and the µop count, which agree...
+        replays(&engine, &r, &truth);
+        // ...until the audit fingerprints the trace, and fails loudly.
+        let err = engine.handle(&r, None).unwrap_err();
+        assert_names(
+            &err,
+            &[
+                "audit mismatch".to_owned(),
+                "spec auto, vl 16, invocations 1".to_owned(),
+                format!("trace fingerprint: expected {:032x}", changed.hash),
+            ],
+        );
+        assert!(!stored(&engine, &first), "the entry is dropped");
+        // The next request verifies from scratch, with the true cycles.
         let out = engine.handle(&r, None).unwrap();
         assert_eq!(field(&out.fields, "verified").as_bool(), Some(true));
         assert_eq!(reply_cycles(&out.fields), truth);
+        let stats = engine.stats_fields();
+        assert_eq!(
+            stat_u64(&stats, "autotune_audits_total"),
+            0,
+            "failed audits count nothing"
+        );
+        assert_eq!(stat_u64(&stats, "autotune_verified_total"), 2);
+    }
+
+    #[test]
+    fn the_next_replay_fails_on_a_changed_array_digest() {
+        let engine = ServeEngine::new(0);
+        let mut r = req(Op::Run, Some(HOTLINE), None);
+        r.engine = Some(Engine::Native);
+        // `out`, the second array, has another digest; the trace is the
+        // same.
+        let first = verify_then_edit(&engine, &r, |entry| {
+            entry.record.digests[1] ^= 1;
+            *entry = Verified::new(entry.cycles, entry.record.clone());
+        });
+        let err = engine.handle(&r, None).unwrap_err();
+        assert_names(
+            &err,
+            &[
+                "replay mismatch".to_owned(),
+                "spec auto, vl 16, invocations 1".to_owned(),
+                "memory `out` digest".to_owned(),
+            ],
+        );
+        assert!(!stored(&engine, &first), "the entry is dropped");
+        let out = engine.handle(&r, None).unwrap();
+        assert_eq!(field(&out.fields, "verified").as_bool(), Some(true));
+        assert_eq!(reply_cycles(&out.fields), reply_cycles(&first.fields));
+    }
+
+    #[test]
+    fn an_audit_fails_when_the_stored_cycles_changed_after_verifying() {
+        let engine = ServeEngine::new(0);
+        let r = req(Op::Run, Some(MINLOC), None);
+        let first = verify_then_edit(&engine, &r, |entry| entry.cycles.scalar += 1);
+        let truth = reply_cycles(&first.fields);
+        let bogus = (truth.0 + 1, truth.1);
+        // Replays report the edited cycles...
+        let edited = (
+            bogus.0,
+            bogus.1,
+            bogus.0 as f64 / bogus.1 as f64,
+            truth.3.clone(),
+        );
+        replays(&engine, &r, &edited);
+        // ...until the audit finds the entry no longer matches its
+        // checksum.
+        let err = engine.handle(&r, None).unwrap_err();
+        assert_names(
+            &err,
+            &[
+                "audit mismatch".to_owned(),
+                "spec auto, vl 16, invocations 1".to_owned(),
+                format!(
+                    "fails its checksum (stored scalar/vector cycles {}/{})",
+                    bogus.0, bogus.1
+                ),
+            ],
+        );
+        assert!(!stored(&engine, &first), "the entry is dropped");
+        let out = engine.handle(&r, None).unwrap();
+        assert_eq!(field(&out.fields, "verified").as_bool(), Some(true));
+        assert_eq!(reply_cycles(&out.fields), truth);
+    }
+
+    #[test]
+    fn a_record_verified_on_native_code_audits_clean_on_every_engine() {
+        let engine = ServeEngine::new(0);
+        let mut r = req(Op::Run, Some(MINLOC), None);
+        r.engine = Some(Engine::Native);
+        let first = engine.handle(&r, None).unwrap();
+        assert_eq!(field(&first.fields, "verified").as_bool(), Some(true));
+        let truth = reply_cycles(&first.fields);
+        for (audits, (choice, label)) in [
+            (Engine::TreeWalking, "tree-walking"),
+            (Engine::Compiled, "compiled"),
+            (
+                Engine::Native,
+                if native_supported() {
+                    "native"
+                } else {
+                    "compiled"
+                },
+            ),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            r.engine = Some(choice);
+            replays(&engine, &r, &truth);
+            // The audit: no oracle ran, so the reply is not `verified`.
+            let out = engine.handle(&r, None).unwrap();
+            assert_eq!(field(&out.fields, "verified").as_bool(), Some(false));
+            assert_eq!(field(&out.fields, "engine").as_str(), Some(label));
+            assert_eq!(reply_cycles(&out.fields), truth);
+            let stats = engine.stats_fields();
+            assert_eq!(stat_u64(&stats, "autotune_audits_total"), audits as u64 + 1);
+            assert_eq!(stat_u64(&stats, "autotune_verified_total"), 1);
+        }
+        assert!(stored(&engine, &first));
+        assert_eq!(sample(&engine, "flexvec_autotune_audits_total"), 3);
+        // Audits are runs that reused stored cycles.
+        assert_eq!(
+            sample(&engine, "flexvec_autotune_vector_only_total"),
+            3 * (AUDIT_EVERY + 1)
+        );
     }
 
     /// Carried RAW dependence at distance 16: safe at vl ≤ 16, and the

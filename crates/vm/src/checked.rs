@@ -21,6 +21,14 @@
 //! [`Kernel::check`] does all three. Both runs feed the caller's
 //! [`TraceSink`] and poll an optional [`CancelToken`]; the comparison
 //! borrows the arrays from the two memory images without copying them.
+//!
+//! A run that always sees the same inputs can be checked again later
+//! without the scalar oracle. [`Kernel::record`] keeps what a checked
+//! run established as a [`Record`]: the oracle's five facts, with each
+//! array as one [`digest`], and the [`Fingerprint`] of the answering
+//! run's µop stream. [`Kernel::compare_record`] compares a later run
+//! with it on the five facts and the µop count, and
+//! [`Record::compare_trace`] on the fingerprint.
 
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -31,7 +39,7 @@ use flexvec_mem::{AddressSpace, ArrayId};
 
 use crate::compiled::{CompiledVProg, ExecScratch};
 use crate::scalar::{run_scalar_cancellable, Bindings, ExecError, RunResult};
-use crate::trace::TraceSink;
+use crate::trace::{Fingerprint, TraceSink};
 use crate::vector::{run_all_or_nothing, run_with_body, Engine, EngineBody, VectorStats};
 use crate::CancelToken;
 
@@ -109,6 +117,17 @@ impl<'a> VectorCode<'a> {
         }
     }
 
+    /// The engine this code runs on: the tree walker without a plan,
+    /// native code where the plan has machine code attached, bytecode
+    /// otherwise, whichever engine was asked for.
+    pub fn engine(&self) -> Engine {
+        match &self.plan {
+            None => Engine::TreeWalking,
+            Some(plan) if plan.has_native() => Engine::Native,
+            Some(_) => Engine::Compiled,
+        }
+    }
+
     /// The per-run state of the compiled plan; `None` on the tree walker.
     pub(crate) fn scratch(&self) -> Option<ExecScratch> {
         self.plan.as_ref().map(|plan| plan.scratch())
@@ -182,6 +201,13 @@ pub enum Mismatch {
     /// The first differing element of the first differing array, by
     /// array name and index.
     Memory(String, usize, i64, i64),
+    /// The [`digest`] of an array, by array name: a run checked
+    /// against a [`Record`].
+    Digest(String, u64, u64),
+    /// µops the answering run emitted.
+    Uops(u64, u64),
+    /// The hash of the answering run's µop stream.
+    Trace(u128, u128),
 }
 
 impl core::fmt::Display for Mismatch {
@@ -199,6 +225,16 @@ impl core::fmt::Display for Mismatch {
             }
             Mismatch::Memory(a, i, want, got) => {
                 write!(f, "memory `{a}`[{i}]: expected {want}, got {got}")
+            }
+            Mismatch::Digest(a, want, got) => {
+                write!(
+                    f,
+                    "memory `{a}` digest: expected {want:016x}, got {got:016x}"
+                )
+            }
+            Mismatch::Uops(want, got) => write!(f, "µop count: expected {want}, got {got}"),
+            Mismatch::Trace(want, got) => {
+                write!(f, "trace fingerprint: expected {want:032x}, got {got:032x}")
             }
         }
     }
@@ -226,6 +262,69 @@ impl core::fmt::Display for CheckError {
 }
 
 impl std::error::Error for CheckError {}
+
+/// A 64-bit digest of an array's elements, cheap enough to take on
+/// every run. Elements feed four lanes in turn, each stepping `lane =
+/// (lane ^ x) * ODD`, and the lanes then fold into the length the same
+/// way. Multiplying by an odd constant is a bijection, so every step is
+/// one in both its inputs: changing any one element changes its lane,
+/// and so the digest.
+pub fn digest(elems: &[i64]) -> u64 {
+    const ODD: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |lane: u64, x: i64| (lane ^ x as u64).wrapping_mul(ODD);
+    let mut lanes = [1u64, 2, 3, 4];
+    let quads = elems.chunks_exact(4);
+    let tail = quads.remainder();
+    for quad in quads {
+        for (lane, &x) in lanes.iter_mut().zip(quad) {
+            *lane = step(*lane, x);
+        }
+    }
+    for (lane, &x) in lanes.iter_mut().zip(tail) {
+        *lane = step(*lane, x);
+    }
+    lanes
+        .into_iter()
+        .fold(elems.len() as u64, |acc, lane| step(acc, lane as i64))
+}
+
+/// What a checked run established, kept so that a later run of the
+/// same code on the same inputs can be checked without the scalar
+/// oracle: the oracle's five facts, each array as its [`digest`], and
+/// the [`Fingerprint`] of the answering run's µop stream.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct Record {
+    /// Live-out values, in declaration order.
+    pub live_outs: Vec<i64>,
+    /// The induction variable's exit value.
+    pub induction: i64,
+    /// Whether the loop left through a `break`.
+    pub broke: bool,
+    /// Scalar iterations executed.
+    pub iterations: u64,
+    /// One [`digest`] per array, in declaration order.
+    pub digests: Vec<u64>,
+    /// The answering run's µop stream.
+    pub trace: Fingerprint,
+}
+
+impl Record {
+    /// Compares the fingerprint of a run's µop stream with the
+    /// recorded one.
+    ///
+    /// # Errors
+    ///
+    /// [`Mismatch::Uops`] or [`Mismatch::Trace`].
+    pub fn compare_trace(&self, trace: Fingerprint) -> Result<(), Mismatch> {
+        if trace.uops != self.trace.uops {
+            return Err(Mismatch::Uops(self.trace.uops, trace.uops));
+        }
+        if trace.hash != self.trace.hash {
+            return Err(Mismatch::Trace(self.trace.hash, trace.hash));
+        }
+        Ok(())
+    }
+}
 
 impl Kernel<'_> {
     /// Runs the scalar program, then the vector code, and compares
@@ -324,6 +423,69 @@ impl Kernel<'_> {
                 let name = p.array_name(ArraySym(a as u32)).to_owned();
                 return Err(Mismatch::Memory(name, i, want[i], got[i]));
             }
+        }
+        Ok(())
+    }
+
+    /// The record of `oracle`, a run that passed [`Kernel::compare`]
+    /// (or the scalar run itself), whose answering run's µop stream
+    /// left `trace`.
+    pub fn record(&self, oracle: &Execution, trace: Fingerprint) -> Record {
+        let p = self.program;
+        let result = &oracle.result;
+        Record {
+            live_outs: p.live_out.iter().map(|&v| result.var(v)).collect(),
+            induction: result.var(p.loop_.induction),
+            broke: result.broke,
+            iterations: result.iterations,
+            digests: (0..self.arrays.len())
+                .map(|a| digest(oracle.array(a)))
+                .collect(),
+            trace,
+        }
+    }
+
+    /// Compares a run with a [`Record`] of this kernel on the five
+    /// facts, in the order of [`Kernel::compare`], then on the `uops`
+    /// it emitted.
+    ///
+    /// # Errors
+    ///
+    /// The first [`Mismatch`]; arrays differ as [`Mismatch::Digest`].
+    pub fn compare_record(
+        &self,
+        record: &Record,
+        run: &Execution,
+        uops: u64,
+    ) -> Result<(), Mismatch> {
+        let p = self.program;
+        let got = &run.result;
+        for (&v, &want) in p.live_out.iter().zip(&record.live_outs) {
+            if want != got.var(v) {
+                let name = p.var_name(v).to_owned();
+                return Err(Mismatch::LiveOut(name, want, got.var(v)));
+            }
+        }
+        let ind = p.loop_.induction;
+        if record.induction != got.var(ind) {
+            let name = p.var_name(ind).to_owned();
+            return Err(Mismatch::Induction(name, record.induction, got.var(ind)));
+        }
+        if record.broke != got.broke {
+            return Err(Mismatch::Broke(record.broke, got.broke));
+        }
+        if record.iterations != got.iterations {
+            return Err(Mismatch::Iterations(record.iterations, got.iterations));
+        }
+        for (a, &want) in record.digests.iter().enumerate() {
+            let got = digest(run.array(a));
+            if want != got {
+                let name = p.array_name(ArraySym(a as u32)).to_owned();
+                return Err(Mismatch::Digest(name, want, got));
+            }
+        }
+        if record.trace.uops != uops {
+            return Err(Mismatch::Uops(record.trace.uops, uops));
         }
         Ok(())
     }
@@ -492,6 +654,102 @@ mod tests {
             });
             assert!(found.is_some_and(|m| m.starts_with(fact)), "{fact}");
         }
+    }
+
+    /// Compares a scalar run of [`min_and_sum`], edited by `edit`, with
+    /// the record of another, and renders the mismatch found, if any.
+    fn record_mismatch(edit: impl FnOnce(&mut Execution)) -> Option<String> {
+        let (program, arrays) = min_and_sum();
+        let kernel = Kernel::new(&program, &arrays, 1);
+        let mut trace = crate::FingerprintSink::default();
+        let oracle = kernel.run_scalar(&mut trace, None).expect("runs");
+        let record = kernel.record(&oracle, trace.fingerprint());
+        let mut counter = CountingSink::default();
+        let mut run = kernel.run_scalar(&mut counter, None).expect("runs");
+        edit(&mut run);
+        let found = kernel.compare_record(&record, &run, counter.len());
+        found.err().map(|m| m.to_string())
+    }
+
+    #[test]
+    fn a_run_agrees_with_its_record_and_each_fact_is_named() {
+        assert_eq!(record_mismatch(|_| {}), None);
+        type Edit = fn(&mut Execution);
+        let cases: [(Edit, &str); 6] = [
+            (
+                |e| e.result.vars[BEST.0 as usize] = 7,
+                "live-out `best`: expected 1, got 7",
+            ),
+            (
+                |e| e.result.vars[I.0 as usize] = 3,
+                "induction `i` exit value: expected 4, got 3",
+            ),
+            (
+                |e| e.result.broke = true,
+                "break flag: expected false, got true",
+            ),
+            (
+                |e| e.result.iterations = 5,
+                "iteration count: expected 4, got 5",
+            ),
+            (|e| write(e, 0, 3, 0), "memory `a` digest: expected "),
+            (|e| write(e, 1, 0, 5), "memory `b` digest: expected "),
+        ];
+        for (edit, want) in cases {
+            let found = record_mismatch(edit).unwrap_or_default();
+            assert!(found.starts_with(want), "{found:?} for {want:?}");
+        }
+    }
+
+    #[test]
+    fn a_record_checks_the_uop_count_and_the_trace() {
+        let (program, arrays) = min_and_sum();
+        let kernel = Kernel::new(&program, &arrays, 1);
+        let mut trace = crate::FingerprintSink::default();
+        let run = kernel.run_scalar(&mut trace, None).expect("runs");
+        let fp = trace.fingerprint();
+        let record = kernel.record(&run, fp);
+        assert_eq!(record.compare_trace(fp), Ok(()));
+        assert_eq!(
+            kernel.compare_record(&record, &run, fp.uops + 1),
+            Err(Mismatch::Uops(fp.uops, fp.uops + 1))
+        );
+        let other = Fingerprint { hash: 5, ..fp };
+        assert_eq!(
+            record.compare_trace(other),
+            Err(Mismatch::Trace(fp.hash, 5))
+        );
+        assert_eq!(
+            Mismatch::Trace(1 << 64, 5).to_string(),
+            "trace fingerprint: expected 00000000000000010000000000000000, \
+             got 00000000000000000000000000000005"
+        );
+    }
+
+    #[test]
+    fn code_names_the_engine_it_runs_on() {
+        let (program, _) = min_and_sum();
+        let vprog = vectorize(&program, SpecRequest::Auto)
+            .expect("vectorizes")
+            .vprog;
+        // A plan without machine code runs bytecode, whatever was asked.
+        let bytecode = CompiledVProg::compile(&vprog);
+        for engine in [Engine::Compiled, Engine::Native] {
+            let code = VectorCode::precompiled(&vprog, &bytecode, engine);
+            assert_eq!(code.engine(), Engine::Compiled, "{engine:?}");
+        }
+        let tree = VectorCode::precompiled(&vprog, &bytecode, Engine::TreeWalking);
+        assert_eq!(tree.engine(), Engine::TreeWalking);
+        let native = if crate::native_supported() {
+            Engine::Native
+        } else {
+            Engine::Compiled
+        };
+        assert_eq!(VectorCode::new(&vprog, Engine::Native).engine(), native);
+        assert_eq!(
+            VectorCode::new(&vprog, Engine::Compiled).engine(),
+            Engine::Compiled
+        );
     }
 
     #[test]

@@ -37,11 +37,13 @@ mod trace;
 mod vector;
 
 pub use cancel::{CancelToken, SCALAR_CANCEL_STRIDE};
-pub use checked::{CheckError, Execution, Kernel, Mismatch, VectorCode};
+pub use checked::{digest, CheckError, Execution, Kernel, Mismatch, Record, VectorCode};
 pub use compiled::{CompiledVProg, ExecScratch};
 pub use jit::native_supported;
 pub use scalar::{run_scalar, Bindings, ExecError, RunResult, ScalarMachine, StepOutcome};
-pub use trace::{CountingSink, Tok, TraceSink, Uop, UopClass, VecSink, TEMP_BASE};
+pub use trace::{
+    CountingSink, Fingerprint, FingerprintSink, Tok, TraceSink, Uop, UopClass, VecSink, TEMP_BASE,
+};
 pub use vector::{
     run_vector, run_vector_precompiled_with_scratch, run_vector_with_engine, Engine, VectorStats,
 };

@@ -221,6 +221,151 @@ impl TraceSink for VecSink {
     }
 }
 
+/// What identifies a µop stream: its length and a 128-bit hash of its
+/// contents, as [`FingerprintSink`] takes them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct Fingerprint {
+    /// µops in the stream.
+    pub uops: u64,
+    /// The hash: two 64-bit lanes, the first in the high half.
+    pub hash: u128,
+}
+
+/// Fingerprints a µop stream, and forwards it to a second sink when
+/// given one, so that a run feeds the cycle model and is fingerprinted
+/// in one pass.
+///
+/// Each µop is fed as a sequence of 64-bit words: one holding its
+/// class, branch outcome and the number of its source tokens and
+/// addresses (each below 2^24), the branch site id for a branch, the
+/// destination token (0 for none), then every source token and every
+/// address. Two lanes take every word, each stepping `lane = ((lane ^
+/// word) * ODD).rotate_left(r)` with its own odd constant and
+/// rotation. For a fixed lane that step is a bijection of the word,
+/// and for a fixed word a bijection of the lane, so two streams that
+/// differ in one word end in different lanes: changing any one field of
+/// one µop changes the hash. A stream that gains or loses a µop
+/// changes the count.
+pub struct FingerprintSink<'a> {
+    lanes: [u64; 2],
+    uops: u64,
+    inner: Option<&'a mut dyn TraceSink>,
+}
+
+impl Default for FingerprintSink<'_> {
+    fn default() -> Self {
+        FingerprintSink {
+            lanes: [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344],
+            uops: 0,
+            inner: None,
+        }
+    }
+}
+
+impl<'a> FingerprintSink<'a> {
+    /// A sink that fingerprints and forwards every µop to `inner`.
+    pub fn forwarding(inner: &'a mut dyn TraceSink) -> Self {
+        FingerprintSink {
+            inner: Some(inner),
+            ..FingerprintSink::default()
+        }
+    }
+
+    /// The fingerprint of the µops received so far.
+    pub fn fingerprint(&self) -> Fingerprint {
+        let [a, b] = self.lanes;
+        Fingerprint {
+            uops: self.uops,
+            hash: (u128::from(a) << 64) | u128::from(b),
+        }
+    }
+
+    fn word(&mut self, word: u64) {
+        let [a, b] = &mut self.lanes;
+        *a = (*a ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+        *b = (*b ^ word)
+            .wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
+            .rotate_left(31);
+    }
+
+    fn take(&mut self, uop: &Uop) {
+        let (class, taken, site) = match uop.class {
+            UopClass::ScalarAlu => (0, false, None),
+            UopClass::ScalarMul => (1, false, None),
+            UopClass::ScalarDiv => (2, false, None),
+            UopClass::Branch { id, taken } => (3, taken, Some(id)),
+            UopClass::Load => (4, false, None),
+            UopClass::Store => (5, false, None),
+            UopClass::VecAlu => (6, false, None),
+            UopClass::VecMul => (7, false, None),
+            UopClass::VecDiv => (8, false, None),
+            UopClass::VecShuffle => (9, false, None),
+            UopClass::Broadcast => (10, false, None),
+            UopClass::MaskOp => (11, false, None),
+            UopClass::Kftm => (12, false, None),
+            UopClass::SelectLast => (13, false, None),
+            UopClass::Conflict => (14, false, None),
+            UopClass::Reduce => (15, false, None),
+            UopClass::VecLoad => (16, false, None),
+            UopClass::VecStore => (17, false, None),
+            UopClass::Gather => (18, false, None),
+            UopClass::Scatter => (19, false, None),
+            UopClass::VecLoadFF => (20, false, None),
+            UopClass::GatherFF => (21, false, None),
+            UopClass::TxBegin => (22, false, None),
+            UopClass::TxEnd => (23, false, None),
+        };
+        self.uops += 1;
+        self.word(
+            class
+                | u64::from(taken) << 8
+                | (uop.srcs.len() as u64) << 16
+                | (uop.addrs.len() as u64) << 40,
+        );
+        if let Some(site) = site {
+            self.word(site);
+        }
+        self.word(uop.dst.map_or(0, token_word));
+        for &src in &uop.srcs {
+            self.word(token_word(src));
+        }
+        for &addr in &uop.addrs {
+            self.word(addr);
+        }
+    }
+}
+
+/// A token as one nonzero word: its kind above bit 32, its id below.
+fn token_word(tok: Tok) -> u64 {
+    match tok {
+        Tok::V(id) => 1 << 32 | u64::from(id),
+        Tok::K(id) => 2 << 32 | u64::from(id),
+        Tok::S(id) => 3 << 32 | u64::from(id),
+    }
+}
+
+impl TraceSink for FingerprintSink<'_> {
+    fn observe(&mut self, uop: &Uop) {
+        self.take(uop);
+        if let Some(inner) = self.inner.as_deref_mut() {
+            inner.observe(uop);
+        }
+    }
+    fn observe_slice(&mut self, uops: &[Uop]) {
+        for uop in uops {
+            self.take(uop);
+        }
+        if let Some(inner) = self.inner.as_deref_mut() {
+            inner.observe_slice(uops);
+        }
+    }
+    fn len(&self) -> u64 {
+        self.uops
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,5 +394,112 @@ mod tests {
         v.emit(Uop::mem(UopClass::Load, vec![], Some(Tok::S(2)), vec![64]));
         assert_eq!(v.len(), 1);
         assert_eq!(v.uops[0].addrs, vec![64]);
+    }
+
+    /// A short stream with every kind of field: a branch, register ops
+    /// with and without a destination, and vector memory µops.
+    fn stream() -> Vec<Uop> {
+        vec![
+            Uop::reg(UopClass::ScalarAlu, vec![Tok::S(0)], Some(Tok::S(1))),
+            Uop::mem(
+                UopClass::Gather,
+                vec![Tok::V(2), Tok::K(1)],
+                Some(Tok::V(3)),
+                vec![64, 8, 4096, 72],
+            ),
+            Uop::reg(
+                UopClass::Branch { id: 7, taken: true },
+                vec![Tok::S(1)],
+                None,
+            ),
+            Uop::reg(
+                UopClass::VecAlu,
+                vec![Tok::V(3), Tok::V(3)],
+                Some(Tok::V(4)),
+            ),
+            Uop::mem(
+                UopClass::VecStore,
+                vec![Tok::V(4), Tok::K(1)],
+                None,
+                vec![128, 136, 144, 152],
+            ),
+            Uop::reg(UopClass::Kftm, vec![Tok::K(1)], Some(Tok::K(2))),
+        ]
+    }
+
+    fn fingerprint(uops: &[Uop]) -> Fingerprint {
+        let mut sink = FingerprintSink::default();
+        for uop in uops {
+            sink.observe(uop);
+        }
+        sink.fingerprint()
+    }
+
+    #[test]
+    fn identical_streams_agree() {
+        let (a, b) = (fingerprint(&stream()), fingerprint(&stream()));
+        assert_eq!(a, b);
+        assert_eq!(a.uops, 6);
+        assert_ne!(a, fingerprint(&[]));
+    }
+
+    #[test]
+    fn changing_one_field_of_one_uop_changes_the_hash() {
+        let truth = fingerprint(&stream());
+        type Edit = fn(&mut Vec<Uop>);
+        let edits: [(&str, Edit); 8] = [
+            ("class", |s| s[3].class = UopClass::VecMul),
+            ("branch outcome", |s| {
+                s[2].class = UopClass::Branch {
+                    id: 7,
+                    taken: false,
+                }
+            }),
+            ("branch site", |s| {
+                s[2].class = UopClass::Branch { id: 8, taken: true }
+            }),
+            ("source token", |s| s[3].srcs[1] = Tok::V(2)),
+            ("source kind", |s| s[1].srcs[1] = Tok::V(1)),
+            ("destination", |s| s[0].dst = Some(Tok::S(2))),
+            ("no destination", |s| s[5].dst = None),
+            ("one lane address", |s| s[4].addrs[2] = 145),
+        ];
+        for (what, edit) in edits {
+            let mut changed = stream();
+            edit(&mut changed);
+            let got = fingerprint(&changed);
+            assert_eq!(got.uops, truth.uops, "{what}");
+            assert_ne!(got.hash, truth.hash, "{what}");
+        }
+    }
+
+    #[test]
+    fn dropping_or_duplicating_a_uop_changes_the_fingerprint() {
+        let truth = fingerprint(&stream());
+        for i in 0..stream().len() {
+            let mut dropped = stream();
+            dropped.remove(i);
+            let mut doubled = stream();
+            doubled.insert(i, doubled[i].clone());
+            for (what, s) in [("dropped", dropped), ("duplicated", doubled)] {
+                let got = fingerprint(&s);
+                assert_ne!(got.uops, truth.uops, "{what} {i}");
+                assert_ne!(got.hash, truth.hash, "{what} {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn observe_slice_agrees_with_observe_and_forwards_everything() {
+        let uops = stream();
+        let mut counter = CountingSink::default();
+        let mut sliced = FingerprintSink::forwarding(&mut counter);
+        sliced.observe(&uops[0]);
+        sliced.observe_slice(&uops[1..4]);
+        sliced.emit(uops[4].clone());
+        sliced.observe_slice(&uops[5..]);
+        sliced.observe_slice(&[]);
+        assert_eq!(sliced.fingerprint(), fingerprint(&uops));
+        assert_eq!(counter.len(), 6);
     }
 }

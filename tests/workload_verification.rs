@@ -4,14 +4,18 @@
 //! that gate for all 18 workloads under both speculation mechanisms,
 //! sanity-checks the measured statistics, and pins the simulated cycle
 //! and µop counts in `tests/golden/sim_cycles.txt`, on the default
-//! compiled engine and on the native tier.
+//! compiled engine and on the native tier. It also checks that the
+//! three engines emit the same trace fingerprint at every width: the
+//! serving daemon's verified-once memo leaves the engine out of its key
+//! on that premise, so a record verified on one engine audits another.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
 use flexvec::SpecRequest;
+use flexvec_isa::{with_vlen, SUPPORTED_VLENS};
 use flexvec_sim::SimConfig;
-use flexvec_vm::Engine;
+use flexvec_vm::{Engine, FingerprintSink, Kernel, VectorCode};
 use flexvec_workloads::{
     all, evaluate, evaluate_with_engine, Evaluation, Suite, VectorMode, Workload,
 };
@@ -148,5 +152,35 @@ fn generated_code_respects_mask_budget() {
             "{}: peak hardware mask pressure {} > 8",
             w.name, mp.peak_hardware
         );
+    }
+}
+
+#[test]
+fn every_engine_emits_the_same_trace_fingerprint_at_every_width() {
+    for w in all() {
+        let vprog = flexvec::vectorize(&w.program, SpecRequest::Auto)
+            .unwrap()
+            .vprog;
+        let kernel = Kernel::new(&w.program, &w.arrays, w.invocations);
+        let widths: Vec<usize> = SUPPORTED_VLENS
+            .into_iter()
+            .filter(|&vl| vl <= vprog.max_vl)
+            .collect();
+        assert!(widths.len() >= 2, "{}: max_vl {}", w.name, vprog.max_vl);
+        for vl in widths {
+            let prints = with_vlen(vl, || {
+                [Engine::TreeWalking, Engine::Compiled, Engine::Native].map(|engine| {
+                    let code = VectorCode::new(&vprog, engine);
+                    let mut sink = FingerprintSink::default();
+                    kernel
+                        .run_vector(&code, &mut sink, None)
+                        .unwrap_or_else(|e| panic!("{} at vl {vl} on {engine:?}: {e}", w.name));
+                    sink.fingerprint()
+                })
+            });
+            assert!(prints[0].uops > 0, "{}", w.name);
+            assert_eq!(prints[1], prints[0], "{} at vl {vl}: bytecode", w.name);
+            assert_eq!(prints[2], prints[0], "{} at vl {vl}: native", w.name);
+        }
     }
 }
